@@ -316,15 +316,3 @@ CRITERIA = {
     "set-vs-circuit-whitehead": criterion_set_vs_circuit_whitehead,
     "certificate-determinism": criterion_certificate_determinism,
 }
-
-ALL_CRITERIA = list(CRITERIA.values())
-
-
-def run_all(report=print) -> list[CriterionResult]:
-    results = []
-    for criterion in ALL_CRITERIA:
-        result = criterion()
-        results.append(result)
-        if report is not None:
-            report(result.line())
-    return results

@@ -25,6 +25,7 @@ from .oracles import (
     separable_witness_to_text,
 )
 from .tameness import (
+    _edge_token,
     certificate_to_text,
     decide_tame,
     recognize_almost_rose,
@@ -34,6 +35,7 @@ from .tameness import (
 )
 from .whitehead import WhiteheadGraph, components, cut_vertices, whitehead_of_classes, whitehead_to_dot
 from .words import (
+    MAX_PARSE_RANK,
     CyclicWord,
     RankError,
     TrivialWordError,
@@ -65,6 +67,8 @@ def _resolve_rank(texts: list[str], rank_flag: int | None) -> int:
     if rank_flag is not None:
         if rank_flag < 2:
             raise CliError(f"rank must be at least 2, got {rank_flag}")
+        if rank_flag > MAX_PARSE_RANK:
+            raise CliError(f"rank must be at most {MAX_PARSE_RANK}, got {rank_flag}")
         if max_index > rank_flag:
             raise CliError(f"a letter with index {max_index} exceeds rank {rank_flag}")
         return rank_flag
@@ -84,10 +88,6 @@ def _parse_classes(texts: list[str], rank_flag: int | None) -> tuple[tuple[Cycli
     except (WordSyntaxError, RankError) as exc:
         raise CliError(str(exc)) from exc
     return normalize_classes(classes), rank
-
-
-def _edge_token(pair: tuple[int, int]) -> str:
-    return f"{letter_to_char(pair[0])}-{letter_to_char(pair[1])}"
 
 
 def _wh_report(w: WhiteheadGraph) -> list[str]:
@@ -157,6 +157,8 @@ def cmd_tame(args) -> int:
 
 
 def cmd_rose_wh(args) -> int:
+    if args.n > MAX_PARSE_RANK:
+        raise CliError(f"rank must be at most {MAX_PARSE_RANK}, got {args.n}")
     try:
         rose = standard_almost_rose(args.n, args.k, args.l)
     except ValueError as exc:

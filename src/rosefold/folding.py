@@ -20,6 +20,7 @@ from .graphs import (
     GraphMorphism,
     LabeledGraph,
     NotConnectedError,
+    betti,
     core,
     core_pair,
     is_connected,
@@ -178,14 +179,16 @@ def subgroup_graph(generators, rank: int) -> BasedGraph:
 
 
 def fold_report_lines(seq: FoldSequence) -> list[str]:
-    """Human-readable per-step report with a Betti trace."""
-    from .graphs import betti
-
+    """Human-readable per-step report with a Betti trace, read off the step
+    log: a fold lowers the Betti number by one exactly when its termini
+    already coincided, and otherwise keeps it."""
+    b = betti(seq.start)
     lines = [
         f"start: {len(seq.start.vertices)} vertices, {len(seq.start.edges)} edge pairs,"
-        f" betti {betti(seq.start)}"
+        f" betti {b}"
     ]
     for i, step in enumerate(seq.steps, start=1):
+        b -= step.betti_dropped
         merged = (
             f"merged vertex {step.identified_vertices[1]} -> {step.identified_vertices[0]}"
             if step.identified_vertices
@@ -195,12 +198,12 @@ def fold_report_lines(seq: FoldSequence) -> list[str]:
             f"step {i}: fold directed edges {step.edge_a},{step.edge_b}"
             f" at vertex {step.origin} label {letter_to_char(step.label)};"
             f" edge pair {step.identified_edges[1]} -> {step.identified_edges[0]}; {merged};"
-            f" betti {betti(seq.snapshots[i])}"
+            f" betti {b}"
         )
     final = seq.final
     lines.append(
         f"folded: {len(final.vertices)} vertices, {len(final.edges)} edge pairs,"
-        f" betti {betti(final)}"
+        f" betti {b}"
     )
     return lines
 

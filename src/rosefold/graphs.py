@@ -12,6 +12,7 @@ Graphs are immutable values; every operation builds a new graph.
 from __future__ import annotations
 
 from collections import Counter, deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .words import (
@@ -211,27 +212,32 @@ def wedge_of_words(ws: tuple[Word, ...], rank: int) -> BasedGraph:
 # -- basic invariants ------------------------------------------------------
 
 
+def adjacency_components(adj: dict[int, set[int]], order: Iterable[int]) -> list[set[int]]:
+    """Connected components of the adjacency map ``adj``, one per vertex of
+    ``order`` not already reached, in that order."""
+    comps: list[set[int]] = []
+    seen: set[int] = set()
+    for v in order:
+        if v in seen:
+            continue
+        comp = {v}
+        stack = [v]
+        while stack:
+            for x in adj[stack.pop()]:
+                if x not in comp:
+                    comp.add(x)
+                    stack.append(x)
+        seen |= comp
+        comps.append(comp)
+    return comps
+
+
 def connected_components(g: LabeledGraph) -> list[frozenset[int]]:
     adj: dict[int, set[int]] = {v: set() for v in g.vertices}
     for e in g.edges:
         adj[e.origin].add(e.terminus)
         adj[e.terminus].add(e.origin)
-    comps: list[frozenset[int]] = []
-    seen: set[int] = set()
-    for v in sorted(g.vertices):
-        if v in seen:
-            continue
-        comp = {v}
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            for x in adj[u]:
-                if x not in comp:
-                    comp.add(x)
-                    queue.append(x)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
+    return [frozenset(c) for c in adjacency_components(adj, sorted(g.vertices))]
 
 
 def is_connected(g: LabeledGraph) -> bool:
@@ -243,50 +249,48 @@ def betti(g: LabeledGraph) -> int:
     return len(g.edges) - len(g.vertices) + len(connected_components(g))
 
 
-def core(g: LabeledGraph) -> LabeledGraph:
-    """Delete valence <= 1 vertices until none remain; may be empty."""
-    vertices = set(g.vertices)
-    edges = list(g.edges)
+def _prune(rank: int, vertices, edges, keep: int | None = None) -> LabeledGraph:
+    """Delete valence <= 1 vertices other than ``keep`` until none remain."""
+    vertices = set(vertices)
+    edges = list(edges)
     while True:
         val = Counter()
         for e in edges:
             val[e.origin] += 1
             val[e.terminus] += 1
-        victims = {v for v in vertices if val[v] <= 1}
+        victims = {v for v in vertices if val[v] <= 1 and v != keep}
         if not victims:
-            return LabeledGraph(g.rank, frozenset(vertices), tuple(edges))
+            return LabeledGraph(rank, frozenset(vertices), tuple(edges))
         vertices -= victims
         edges = [e for e in edges if e.origin not in victims and e.terminus not in victims]
+
+
+def core(g: LabeledGraph) -> LabeledGraph:
+    """Delete valence <= 1 vertices until none remain; may be empty."""
+    return _prune(g.rank, g.vertices, g.edges)
 
 
 def core_pair(b: BasedGraph) -> BasedGraph:
     """Based core: keep the basepoint component, then delete valence-1
     vertices other than the basepoint."""
     comp = next(c for c in connected_components(b.graph) if b.basepoint in c)
-    vertices = set(comp)
-    edges = [e for e in b.graph.edges if e.origin in vertices]
-    while True:
-        val = Counter()
-        for e in edges:
-            val[e.origin] += 1
-            val[e.terminus] += 1
-        victims = {v for v in vertices if val[v] <= 1 and v != b.basepoint}
-        if not victims:
-            g = LabeledGraph(b.graph.rank, frozenset(vertices), tuple(edges))
-            return BasedGraph(g, b.basepoint)
-        vertices -= victims
-        edges = [e for e in edges if e.origin not in victims and e.terminus not in victims]
+    edges = [e for e in b.graph.edges if e.origin in comp]
+    return BasedGraph(_prune(b.graph.rank, comp, edges, b.basepoint), b.basepoint)
+
+
+def _out_by_label(g: LabeledGraph) -> dict[tuple[int, int], list[tuple[int, int]]]:
+    """(vertex, label) -> [(directed edge, terminus)], by edge id, the
+    stored orientation first."""
+    out: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for e in g.edges:
+        out.setdefault((e.origin, e.label), []).append((e.eid, e.terminus))
+        out.setdefault((e.terminus, -e.label), []).append((-e.eid, e.origin))
+    return out
 
 
 def is_folded(g: LabeledGraph) -> bool:
     """No two distinct directed edges share an origin and a label."""
-    seen: set[tuple[int, int]] = set()
-    for d in g.directed_edges():
-        key = (g.dir_origin(d), g.dir_label(d))
-        if key in seen:
-            return False
-        seen.add(key)
-    return True
+    return all(len(ds) == 1 for ds in _out_by_label(g).values())
 
 
 def is_rose(g: LabeledGraph) -> bool:
@@ -299,46 +303,45 @@ def is_rose(g: LabeledGraph) -> bool:
 # -- readability -----------------------------------------------------------
 
 
+def _read_closed_path(out_by_label, start: int, letters: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Breadth-first search over product states (vertex, position) for a
+    path from ``start`` back to ``start`` spelling ``letters``."""
+    k = len(letters)
+    goal = (start, k)
+    prev: dict[tuple[int, int], tuple[int, int, int] | None] = {(start, 0): None}
+    queue = deque([(start, 0)])
+    while queue and goal not in prev:
+        v, i = queue.popleft()
+        if i == k:
+            continue
+        for d, t in out_by_label.get((v, letters[i]), ()):
+            state = (t, i + 1)
+            if state not in prev:
+                prev[state] = (v, i, d)
+                queue.append(state)
+    if goal not in prev:
+        return None
+    path: list[int] = []
+    state = goal
+    while prev[state] is not None:
+        v, i, d = prev[state]  # type: ignore[misc]
+        path.append(d)
+        state = (v, i)
+    return tuple(reversed(path))
+
+
 def closed_path_reading(
     g: LabeledGraph, c: CyclicWord
 ) -> tuple[int, tuple[int, ...]] | None:
-    """A closed path spelling ``c``, as ``(start vertex, directed edges)``.
-
-    The search runs over product states (vertex, position); the path is
-    not required to be reduced, matching the definition of readability.
-    """
+    """A closed path spelling ``c``, as ``(start vertex, directed edges)``;
+    it need not be reduced, matching the definition of readability."""
     if g.rank != c.rank:
         raise RankError(f"graph rank {g.rank} differs from word rank {c.rank}")
-    k = len(c)
-    out_by_label: dict[tuple[int, int], list[int]] = {}
-    for d in sorted(g.directed_edges(), key=lambda d: (abs(d), 0 if d > 0 else 1)):
-        out_by_label.setdefault((g.dir_origin(d), g.dir_label(d)), []).append(d)
+    out_by_label = _out_by_label(g)
     for start in sorted(g.vertices):
-        prev: dict[tuple[int, int], tuple[int, int, int] | None] = {(start, 0): None}
-        queue = deque([(start, 0)])
-        goal = None
-        while queue and goal is None:
-            v, i = queue.popleft()
-            if i == k:
-                if v == start:
-                    goal = (v, i)
-                continue
-            for d in out_by_label.get((v, c.letters[i]), ()):
-                state = (g.dir_terminus(d), i + 1)
-                if state not in prev:
-                    prev[state] = (v, i, d)
-                    if state == (start, k):
-                        goal = state
-                        break
-                    queue.append(state)
-        if goal is not None:
-            path: list[int] = []
-            state = goal
-            while prev[state] is not None:
-                v, i, d = prev[state]  # type: ignore[misc]
-                path.append(d)
-                state = (v, i)
-            return start, tuple(reversed(path))
+        path = _read_closed_path(out_by_label, start, c.letters)
+        if path is not None:
+            return start, path
     return None
 
 
@@ -350,29 +353,7 @@ def path_from_vertex_reading(g: LabeledGraph, v0: int, w: Word) -> tuple[int, ..
     """A closed path based at ``v0`` spelling the word ``w`` (empty word allowed)."""
     if g.rank != w.rank:
         raise RankError(f"graph rank {g.rank} differs from word rank {w.rank}")
-    k = len(w)
-    prev: dict[tuple[int, int], tuple[int, int, int] | None] = {(v0, 0): None}
-    queue = deque([(v0, 0)])
-    while queue:
-        v, i = queue.popleft()
-        if i == k:
-            continue
-        for d in g.out_edges(v):
-            if g.dir_label(d) != w.letters[i]:
-                continue
-            state = (g.dir_terminus(d), i + 1)
-            if state not in prev:
-                prev[state] = (v, i, d)
-                queue.append(state)
-    if (v0, k) not in prev:
-        return None
-    path: list[int] = []
-    state = (v0, k)
-    while prev[state] is not None:
-        v, i, d = prev[state]  # type: ignore[misc]
-        path.append(d)
-        state = (v, i)
-    return tuple(reversed(path))
+    return _read_closed_path(_out_by_label(g), v0, w.letters)
 
 
 # -- morphisms -------------------------------------------------------------
@@ -420,9 +401,9 @@ def is_label_isomorphic(g: LabeledGraph, h: LabeledGraph) -> bool:
     """
     if g.rank != h.rank or len(g.vertices) != len(h.vertices) or len(g.edges) != len(h.edges):
         return False
-    gsig = sorted(_vertex_signature(g, v) for v in g.vertices)
-    hsig = sorted(_vertex_signature(h, v) for v in h.vertices)
-    if gsig != hsig:
+    gsigs = {v: _vertex_signature(g, v) for v in g.vertices}
+    hsigs = {v: _vertex_signature(h, v) for v in h.vertices}
+    if sorted(gsigs.values()) != sorted(hsigs.values()):
         return False
 
     def pair_labels(gr: LabeledGraph, a: int, b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -434,8 +415,6 @@ def is_label_isomorphic(g: LabeledGraph, h: LabeledGraph) -> bool:
 
     gverts = sorted(g.vertices)
     hverts = sorted(h.vertices)
-    hsigs = {v: _vertex_signature(h, v) for v in hverts}
-    gsigs = {v: _vertex_signature(g, v) for v in gverts}
     assignment: dict[int, int] = {}
     used: set[int] = set()
 

@@ -25,6 +25,7 @@ from .graphs import (
     GraphMorphism,
     LabeledGraph,
     NotConnectedError,
+    adjacency_components,
     betti,
     core,
     disjoint_circuits,
@@ -44,7 +45,7 @@ from .whitehead import (
     whitehead_of_classes,
     whitehead_of_graph,
 )
-from .words import CyclicWord, RankError, Word, letter_key, letter_to_char, normalize_classes
+from .words import CyclicWord, RankError, letter_key, letter_to_char, normalize_classes
 
 
 class FoldFactorError(RuntimeError):
@@ -83,11 +84,6 @@ class SignedRelabeling:
         t = self.targets[abs(v) - 1]
         return t if v > 0 else -t
 
-    def apply_word(self, w: Word) -> Word:
-        if w.rank != self.rank:
-            raise RankError(f"word rank {w.rank} differs from relabeling rank {self.rank}")
-        return Word(tuple(self.apply_letter(v) for v in w.letters), w.rank)
-
     def apply_cyclic(self, c: CyclicWord) -> CyclicWord:
         if c.rank != self.rank:
             raise RankError(f"class rank {c.rank} differs from relabeling rank {self.rank}")
@@ -101,12 +97,6 @@ class SignedRelabeling:
             for e in g.edges
         )
         return LabeledGraph(g.rank, g.vertices, edges)
-
-    def apply_whitehead(self, w: WhiteheadGraph) -> WhiteheadGraph:
-        edges = frozenset(
-            frozenset(self.apply_letter(v) for v in edge) for edge in w.edges
-        )
-        return WhiteheadGraph(w.rank, edges)
 
     def inverse(self) -> "SignedRelabeling":
         inv = [0] * self.rank
@@ -248,7 +238,17 @@ def recognize_almost_rose(g: LabeledGraph) -> AlmostRose | None:
 
 
 def enumerate_almost_roses(n: int) -> list[AlmostRose]:
-    """All almost-roses of rank ``n`` up to label isomorphism, deterministically."""
+    """All almost-roses of rank ``n`` up to label isomorphism, deterministically.
+
+    No two of the graphs built are label-isomorphic, so no pairwise check
+    is needed: the loop parameters (y, the loops at u, the signed
+    connectors, the loops at v) can be read back from the graph alone.
+    |y| is the only letter on two edge pairs and u is the end of its loop;
+    every other letter is then a loop at u, a loop at v or an edge between
+    them, and the direction of that edge fixes its sign, as it fixes the
+    sign of y.  Hence there are ``2n * sum C(n-1, k-1) * C(n-k, l-k) *
+    2^(l-k)`` roses, summed over the shapes (k, l).
+    """
     if n < 2:
         raise ValueError(f"rank must be at least 2, got {n}")
     signed_letters = sorted(
@@ -271,11 +271,9 @@ def enumerate_almost_roses(n: int) -> list[AlmostRose]:
                                 + [s * i for s, i in zip(signs, conn)]
                                 + loops_v
                             )
-                            rose = almost_rose(n, k, l, SignedRelabeling(tuple(targets)))
-                            if not any(
-                                is_label_isomorphic(rose.graph, r.graph) for r in roses
-                            ):
-                                roses.append(rose)
+                            roses.append(
+                                almost_rose(n, k, l, SignedRelabeling(tuple(targets)))
+                            )
     return roses
 
 
@@ -310,25 +308,6 @@ def induced_morphism(g: LabeledGraph, rose: AlmostRose) -> GraphMorphism | None:
     return m
 
 
-def _subgraph_components(adj: dict[int, set[int]]) -> list[frozenset[int]]:
-    comps: list[frozenset[int]] = []
-    seen: set[int] = set()
-    for v in sorted(adj, key=letter_key):
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for x in adj[u]:
-                if x not in comp:
-                    comp.add(x)
-                    stack.append(x)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
-
-
 def build_rose_from_whitehead(w: WhiteheadGraph) -> AlmostRose | None:
     """An almost-rose whose Whitehead graph contains ``w``.
 
@@ -345,8 +324,7 @@ def build_rose_from_whitehead(w: WhiteheadGraph) -> AlmostRose | None:
     candidates = cuts + [v for v in letters if v not in cuts]
     for c in candidates:
         sub_adj = {v: adj[v] - {c} for v in letters if v != c}
-        comps = _subgraph_components(sub_adj)
-        side1 = next(comp for comp in comps if -c in comp)
+        (side1,) = adjacency_components(sub_adj, [-c])
         side2 = {v for v in letters if v != c} - side1
         if not side2:
             continue
@@ -456,17 +434,7 @@ def _is_spanning_tree(
             return False
         adj[u].add(v)
         adj[v].add(u)
-    if not vertices:
-        return True
-    seen: set[int] = set()
-    stack = [next(iter(vertices))]
-    while stack:
-        u = stack.pop()
-        if u in seen:
-            continue
-        seen.add(u)
-        stack.extend(adj[u] - seen)
-    return seen == vertices
+    return len(adjacency_components(adj, vertices)) <= 1
 
 
 def decide_tame(classes, rank: int | None = None) -> TamenessCertificate:
@@ -545,13 +513,10 @@ def verify_certificate(classes, cert: TamenessCertificate, rank: int | None = No
         return False
     if [v for v, _ in cert.non_cut_witness] != letters:
         return False
-    for v, tree in cert.non_cut_witness:
-        rest = set(letters) - {v}
-        if any(v in pair for pair in tree):
-            return False
-        if not _is_spanning_tree(tree, rest, w.edges):
-            return False
-    return True
+    # A witness tree naming its own letter fails: that end lies outside the vertex set.
+    return all(
+        _is_spanning_tree(tree, set(letters) - {v}, w.edges) for v, tree in cert.non_cut_witness
+    )
 
 
 def _edge_token(pair: tuple[int, int]) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import LabeledGraph
+from .graphs import LabeledGraph, adjacency_components
 from .words import RankError, letter_key, letter_to_char
 
 
@@ -95,27 +95,8 @@ def whitehead_of_classes(classes, rank: int | None = None) -> WhiteheadGraph:
 
 def components(w: WhiteheadGraph) -> list[tuple[int, ...]]:
     """Connected components as letter tuples, isolated letters included."""
-    adj = w.adjacency()
-    comps: list[tuple[int, ...]] = []
-    seen: set[int] = set()
-    for v in w.letters():
-        if v in seen:
-            continue
-        stack = [v]
-        comp = {v}
-        while stack:
-            u = stack.pop()
-            for x in adj[u]:
-                if x not in comp:
-                    comp.add(x)
-                    stack.append(x)
-        seen |= comp
-        comps.append(tuple(sorted(comp, key=letter_key)))
-    return comps
-
-
-def is_connected(w: WhiteheadGraph) -> bool:
-    return len(components(w)) == 1
+    comps = adjacency_components(w.adjacency(), w.letters())
+    return [tuple(sorted(comp, key=letter_key)) for comp in comps]
 
 
 def cut_vertices(w: WhiteheadGraph) -> set[int]:

@@ -6,7 +6,7 @@ import pytest
 from rosefold import acceptance
 
 
-@pytest.mark.parametrize("criterion", acceptance.ALL_CRITERIA, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("criterion", acceptance.CRITERIA.values(), ids=lambda c: c.__name__)
 def test_criterion(criterion):
     result = criterion()
     print(result.line())

@@ -32,6 +32,11 @@ class TestWh:
         assert code == 2
         assert "error" in err
 
+    def test_rank_above_26_exits_2(self, capsys):
+        code, _, err = run(capsys, "wh", "ab", "--rank", "27")
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_dot_output(self, capsys):
         code, out, _ = run(capsys, "wh", "abAB", "--dot")
         assert code == 0 and out.startswith("graph wh {")
@@ -73,6 +78,11 @@ class TestTame:
         code, _, _ = run(capsys, "tame", "a!b")
         assert code == 2
 
+    def test_rank_above_26_exits_2(self, capsys):
+        code, _, err = run(capsys, "tame", "ab", "--rank", "27")
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "cert.txt"
         code, out, _ = run(capsys, "tame", "aab", "--out", str(target))
@@ -95,6 +105,11 @@ class TestRoseWh:
     def test_bad_shape_exits_2(self, capsys):
         code, _, _ = run(capsys, "rose-wh", "2", "2", "2")
         assert code == 2
+
+    def test_rank_above_26_exits_2(self, capsys):
+        code, _, err = run(capsys, "rose-wh", "27", "1", "2")
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestFold:

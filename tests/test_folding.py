@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hyp_st
 
 import rosefold as rf
-from rosefold.folding import NotFoldableError, random_fold_pick
+from rosefold.folding import NotFoldableError, fold_report_lines, random_fold_pick
 from rosefold.graphs import Edge, LabeledGraph, NotConnectedError
 
 from conftest import graph_st, nontrivial_word_st
@@ -109,6 +109,21 @@ class TestFoldToCompletion:
             drop = 1 if step.betti_dropped else 0
             assert rf.betti(seq.snapshots[i + 1]) == rf.betti(seq.snapshots[i]) - drop
         assert rf.is_folded(seq.final)
+
+    @given(graph_st(rank=3), hyp_st.booleans())
+    def test_report_betti_trace_matches_snapshots(self, g, double_edge):
+        # Oracle for the report's step-log trace: the Betti number of each
+        # snapshot, recomputed from its components.  Doubling an edge pair
+        # forces a Betti-dropping fold.
+        if double_edge and g.edges:
+            e = g.edges[0]
+            twin = Edge(max(x.eid for x in g.edges) + 1, e.origin, e.terminus, e.label)
+            g = LabeledGraph(g.rank, g.vertices, g.edges + (twin,))
+        seq = rf.fold_to_completion(g)
+        reported = [int(line.rsplit(" ", 1)[1]) for line in fold_report_lines(seq)]
+        assert reported == [rf.betti(s) for s in seq.snapshots] + [rf.betti(seq.final)]
+        if double_edge and g.edges:
+            assert any(step.betti_dropped for step in seq.steps)
 
     @given(graph_st(rank=2, max_vertices=5, max_edge_pairs=8))
     @settings(max_examples=40)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -194,11 +195,24 @@ class TestEnumerate:
         for g in brute:
             assert any(rf.is_label_isomorphic(g, r.graph) for r in enumerated)
 
+    @pytest.mark.parametrize("n, count", [(2, 12), (3, 90), (4, 504), (5, 2550)])
+    def test_closed_form_count(self, n, count):
+        closed_form = 2 * n * sum(
+            math.comb(n - 1, k - 1) * math.comb(n - k, l - k) * 2 ** (l - k)
+            for k in range(1, n)
+            for l in range(k, n + 1)
+        )
+        assert closed_form == count
+        assert len(rf.enumerate_almost_roses(n)) == count
+
     def test_small_stream(self):
         assert len(rf.enumerate_almost_roses(2)) < 50
 
-    def test_all_recognized_and_distinct(self):
-        roses = rf.enumerate_almost_roses(2)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_all_recognized_and_distinct(self, n):
+        # The pairwise isomorphism check is the oracle for enumeration
+        # without deduplication.
+        roses = rf.enumerate_almost_roses(n)
         for r in roses:
             assert rf.recognize_almost_rose(r.graph) is not None
         for a, b in itertools.combinations(roses, 2):
