@@ -226,8 +226,7 @@ def cmd_fold(args) -> int:
         drop_at = next(i for i, s in enumerate(seq.steps, start=1) if s.betti_dropped)
         print(f"penultimate recognition declined: betti-dropping fold at step {drop_at}")
         return 1
-    penultimate = seq.snapshots[-2]
-    rose = recognize_almost_rose(penultimate)
+    rose = recognize_almost_rose(seq.penultimate)
     if rose is None:
         print("penultimate recognition declined: not an almost-rose")
         return 1
@@ -250,8 +249,8 @@ def cmd_fold(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    if args.n < 2 or args.max_len < 1 or args.budget < 1:
-        raise CliError("need n >= 2, max_len >= 1, budget >= 1")
+    if not 2 <= args.n <= MAX_PARSE_RANK or args.max_len < 1 or args.budget < 1:
+        raise CliError(f"need 2 <= n <= {MAX_PARSE_RANK}, max_len >= 1, budget >= 1")
     orbit = primitive_orbit(args.n, args.max_len, args.budget)
     classes = normalize_classes(list(orbit.classes))
     lines = [str(c) for c in classes]
@@ -266,8 +265,8 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_sep(args) -> int:
-    if args.n < 2 or args.count < 1 or args.max_len < 2:
-        raise CliError("need n >= 2, count >= 1, max_len >= 2")
+    if not 2 <= args.n <= MAX_PARSE_RANK or args.count < 1 or args.max_len < 2:
+        raise CliError(f"need 2 <= n <= {MAX_PARSE_RANK}, count >= 1, max_len >= 2")
     try:
         classes, witness = random_separable_set(args.n, args.seed, args.count, args.max_len)
     except (ValueError, RuntimeError) as exc:

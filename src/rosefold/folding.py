@@ -48,13 +48,22 @@ class FoldStep:
 
 @dataclass(frozen=True)
 class FoldSequence:
+    """The step log of a fold run.  Only the graphs at its ends are kept:
+    ``penultimate`` is the graph before the last step (None when there
+    are no steps), and every other graph is replayed from the steps."""
+
     start: LabeledGraph
     steps: tuple[FoldStep, ...]
-    snapshots: tuple[LabeledGraph, ...]  # start, then one per step
+    penultimate: LabeledGraph | None
+    final: LabeledGraph
 
     @property
-    def final(self) -> LabeledGraph:
-        return self.snapshots[-1]
+    def snapshots(self) -> tuple[LabeledGraph, ...]:
+        """The start, then the graph after each step, replayed from the log."""
+        snaps = [self.start]
+        for step in self.steps:
+            snaps.append(fold_once(snaps[-1], (step.edge_a, step.edge_b))[0])
+        return tuple(snaps)
 
 
 def foldable_pairs(g: LabeledGraph) -> list[tuple[int, int]]:
@@ -62,9 +71,9 @@ def foldable_pairs(g: LabeledGraph) -> list[tuple[int, int]]:
     pairs = []
     for v in sorted(g.vertices):
         outs = g.out_edges(v)
-        for i, d in enumerate(outs):
-            for d2 in outs[i + 1 :]:
-                if g.dir_label(d) == g.dir_label(d2):
+        for i, (d, label, _) in enumerate(outs):
+            for d2, label2, _ in outs[i + 1 :]:
+                if label == label2:
                     pairs.append((d, d2))
     return pairs
 
@@ -73,8 +82,7 @@ def find_foldable_pair(g: LabeledGraph) -> tuple[int, int] | None:
     """First foldable pair by lowest vertex, then lowest directed edge ids."""
     for v in sorted(g.vertices):
         seen: dict[int, int] = {}
-        for d in g.out_edges(v):
-            label = g.dir_label(d)
+        for d, label, _ in g.out_edges(v):
             if label in seen:
                 return (seen[label], d)
             seen[label] = d
@@ -84,7 +92,7 @@ def find_foldable_pair(g: LabeledGraph) -> tuple[int, int] | None:
 def fold_once(g: LabeledGraph, pair: tuple[int, int]) -> tuple[LabeledGraph, FoldStep]:
     d1, d2 = pair
     ids = {abs(d1), abs(d2)}
-    if len(ids) != 2 or not ids <= {e.eid for e in g.edges}:
+    if len(ids) != 2 or not ids <= g.edge_map().keys():
         raise NotFoldableError(f"not a pair of distinct edges: {pair}")
     if g.dir_origin(d1) != g.dir_origin(d2) or g.dir_label(d1) != g.dir_label(d2):
         raise NotFoldableError(f"edges {pair} do not share origin and label")
@@ -126,16 +134,15 @@ def fold_to_completion(
     if pick is None:
         pick = find_foldable_pair
     steps: list[FoldStep] = []
-    snapshots = [g]
-    current = g
+    previous, current = None, g
     while True:
         pair = pick(current)
         if pair is None:
             assert is_folded(current)
-            return FoldSequence(g, tuple(steps), tuple(snapshots))
+            return FoldSequence(g, tuple(steps), previous, current)
+        previous = current
         current, step = fold_once(current, pair)
         steps.append(step)
-        snapshots.append(current)
 
 
 def random_fold_pick(rng: random.Random) -> Callable[[LabeledGraph], tuple[int, int] | None]:

@@ -6,13 +6,16 @@ stored orientation and reads the stored label, ``-eid`` traverses the
 reverse and reads the inverse letter.  The involution is therefore
 implicit and can never disagree with the labeling.
 
-Graphs are immutable values; every operation builds a new graph.
+Graphs are immutable values; every operation builds a new graph.  Each
+graph indexes itself once, when it is built: edge id -> ``Edge``, and
+vertex -> its outgoing ``(directed edge, label, terminus)`` entries, so
+every accessor is a lookup instead of a scan of the edge list.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 from .words import (
@@ -56,31 +59,37 @@ class LabeledGraph:
     rank: int
     vertices: frozenset[int]
     edges: tuple[Edge, ...]
+    # The index, built once in __post_init__; not part of the value.
+    _by_id: dict[int, Edge] = field(init=False, repr=False, compare=False)
+    _out: dict[int, list[tuple[int, int, int]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.rank < 2:
             raise RankError(f"rank must be at least 2, got {self.rank}")
         object.__setattr__(self, "edges", tuple(sorted(self.edges, key=lambda e: e.eid)))
-        seen: set[int] = set()
+        by_id: dict[int, Edge] = {}
+        out: dict[int, list[tuple[int, int, int]]] = {v: [] for v in self.vertices}
         for e in self.edges:
-            if e.eid in seen:
+            if e.eid in by_id:
                 raise ValueError(f"duplicate edge id {e.eid}")
-            seen.add(e.eid)
-            if e.origin not in self.vertices or e.terminus not in self.vertices:
+            by_id[e.eid] = e
+            if e.origin not in out or e.terminus not in out:
                 raise ValueError(f"edge {e.eid} endpoint outside vertex set")
             if e.label > self.rank:
                 raise RankError(f"edge {e.eid} label {e.label} exceeds rank {self.rank}")
+            out[e.origin].append((e.eid, e.label, e.terminus))
+            out[e.terminus].append((-e.eid, -e.label, e.origin))
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_out", out)
 
     # -- directed-edge accessors ------------------------------------------
 
     def edge(self, eid: int) -> Edge:
-        for e in self.edges:
-            if e.eid == eid:
-                return e
-        raise KeyError(eid)
+        return self._by_id[eid]
 
-    def edge_map(self) -> dict[int, Edge]:
-        return {e.eid: e for e in self.edges}
+    def edge_map(self) -> Mapping[int, Edge]:
+        """Edge id -> ``Edge``; shared with the graph, so read only."""
+        return self._by_id
 
     def dir_origin(self, d: int) -> int:
         e = self.edge(abs(d))
@@ -97,32 +106,18 @@ class LabeledGraph:
     def directed_edges(self) -> list[int]:
         return [s * e.eid for e in self.edges for s in (1, -1)]
 
-    def out_edges(self, v: int) -> list[int]:
-        """Directed edges with origin ``v``, in deterministic order."""
-        out = []
-        for e in self.edges:
-            if e.origin == v:
-                out.append(e.eid)
-            if e.terminus == v:
-                out.append(-e.eid)
-        out.sort(key=lambda d: (abs(d), 0 if d > 0 else 1))
-        return out
+    def out_edges(self, v: int) -> list[tuple[int, int, int]]:
+        """``(directed edge, label, terminus)`` per directed edge with origin
+        ``v``, by edge id, the stored orientation first; shared, so read only."""
+        return self._out.get(v, [])
 
     def in_labels(self, v: int) -> set[int]:
-        """Labels of directed edges terminating at ``v``."""
-        labels = set()
-        for e in self.edges:
-            if e.terminus == v:
-                labels.add(e.label)
-            if e.origin == v:
-                labels.add(-e.label)
-        return labels
+        """Labels of directed edges terminating at ``v``: the inverses of
+        the labels leaving it."""
+        return {-label for _, label, _ in self.out_edges(v)}
 
     def valence(self, v: int) -> int:
-        n = 0
-        for e in self.edges:
-            n += (e.origin == v) + (e.terminus == v)
-        return n
+        return len(self.out_edges(v))
 
 
 @dataclass(frozen=True)
@@ -278,19 +273,11 @@ def core_pair(b: BasedGraph) -> BasedGraph:
     return BasedGraph(_prune(b.graph.rank, comp, edges, b.basepoint), b.basepoint)
 
 
-def _out_by_label(g: LabeledGraph) -> dict[tuple[int, int], list[tuple[int, int]]]:
-    """(vertex, label) -> [(directed edge, terminus)], by edge id, the
-    stored orientation first."""
-    out: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for e in g.edges:
-        out.setdefault((e.origin, e.label), []).append((e.eid, e.terminus))
-        out.setdefault((e.terminus, -e.label), []).append((-e.eid, e.origin))
-    return out
-
-
 def is_folded(g: LabeledGraph) -> bool:
     """No two distinct directed edges share an origin and a label."""
-    return all(len(ds) == 1 for ds in _out_by_label(g).values())
+    return all(
+        len({label for _, label, _ in g.out_edges(v)}) == g.valence(v) for v in g.vertices
+    )
 
 
 def is_rose(g: LabeledGraph) -> bool:
@@ -303,7 +290,7 @@ def is_rose(g: LabeledGraph) -> bool:
 # -- readability -----------------------------------------------------------
 
 
-def _read_closed_path(out_by_label, start: int, letters: tuple[int, ...]) -> tuple[int, ...] | None:
+def _read_closed_path(g: LabeledGraph, start: int, letters: tuple[int, ...]) -> tuple[int, ...] | None:
     """Breadth-first search over product states (vertex, position) for a
     path from ``start`` back to ``start`` spelling ``letters``."""
     k = len(letters)
@@ -314,9 +301,9 @@ def _read_closed_path(out_by_label, start: int, letters: tuple[int, ...]) -> tup
         v, i = queue.popleft()
         if i == k:
             continue
-        for d, t in out_by_label.get((v, letters[i]), ()):
+        for d, label, t in g.out_edges(v):
             state = (t, i + 1)
-            if state not in prev:
+            if label == letters[i] and state not in prev:
                 prev[state] = (v, i, d)
                 queue.append(state)
     if goal not in prev:
@@ -337,9 +324,8 @@ def closed_path_reading(
     it need not be reduced, matching the definition of readability."""
     if g.rank != c.rank:
         raise RankError(f"graph rank {g.rank} differs from word rank {c.rank}")
-    out_by_label = _out_by_label(g)
     for start in sorted(g.vertices):
-        path = _read_closed_path(out_by_label, start, c.letters)
+        path = _read_closed_path(g, start, c.letters)
         if path is not None:
             return start, path
     return None
@@ -353,7 +339,7 @@ def path_from_vertex_reading(g: LabeledGraph, v0: int, w: Word) -> tuple[int, ..
     """A closed path based at ``v0`` spelling the word ``w`` (empty word allowed)."""
     if g.rank != w.rank:
         raise RankError(f"graph rank {g.rank} differs from word rank {w.rank}")
-    return _read_closed_path(_out_by_label(g), v0, w.letters)
+    return _read_closed_path(g, v0, w.letters)
 
 
 # -- morphisms -------------------------------------------------------------
@@ -390,7 +376,7 @@ def rose_morphism(g: LabeledGraph) -> GraphMorphism:
 
 
 def _vertex_signature(g: LabeledGraph, v: int) -> tuple[int, ...]:
-    return tuple(sorted(g.dir_label(d) for d in g.out_edges(v)))
+    return tuple(sorted(label for _, label, _ in g.out_edges(v)))
 
 
 def is_label_isomorphic(g: LabeledGraph, h: LabeledGraph) -> bool:
@@ -406,12 +392,10 @@ def is_label_isomorphic(g: LabeledGraph, h: LabeledGraph) -> bool:
     if sorted(gsigs.values()) != sorted(hsigs.values()):
         return False
 
-    def pair_labels(gr: LabeledGraph, a: int, b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        fwd = sorted(e.label for e in gr.edges if (e.origin, e.terminus) == (a, b))
-        if a == b:
-            return tuple(fwd), tuple(fwd)
-        bwd = sorted(e.label for e in gr.edges if (e.origin, e.terminus) == (b, a))
-        return tuple(fwd), tuple(bwd)
+    def pair_labels(gr: LabeledGraph, a: int, b: int) -> list[int]:
+        """Labels of the directed edges from a to b: a stored edge b -> a
+        shows as its inverse, a loop at a as its label and its inverse."""
+        return sorted(label for _, label, t in gr.out_edges(a) if t == b)
 
     gverts = sorted(g.vertices)
     hverts = sorted(h.vertices)

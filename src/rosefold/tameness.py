@@ -17,11 +17,10 @@ exactly when its Whitehead graph is disconnected or has a cut vertex.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .folding import FoldSequence, fold_to_completion, foldable_pairs
 from .graphs import (
-    Edge,
     GraphMorphism,
     LabeledGraph,
     NotConnectedError,
@@ -39,7 +38,6 @@ from .graphs import (
 )
 from .whitehead import (
     WhiteheadGraph,
-    components,
     cut_vertices,
     is_subgraph,
     whitehead_of_classes,
@@ -118,20 +116,21 @@ def _check_shape(n: int, k: int, l: int) -> None:
         raise ValueError(f"need 1 <= k <= l <= n and k < n, got k={k} l={l} n={n}")
 
 
-def _standard_graph(n: int, k: int, l: int) -> LabeledGraph:
-    """The standard two-vertex almost-rose graph, vertices u=0 and v=1.
+def _standard_graph(n: int, k: int, l: int, relabeling: SignedRelabeling) -> LabeledGraph:
+    """The standard two-vertex almost-rose graph, vertices u=0 and v=1,
+    with ``relabeling`` applied to its letters.
 
     Edge ids: 1 is the letter-1 loop at u, 2 the letter-1 edge u->v, and
     the unique edge pair labeled j>1 has id j+1.
     """
-    _check_shape(n, k, l)
-    edges = [Edge(1, 0, 0, 1), Edge(2, 0, 1, 1)]
+    f = relabeling.apply_letter
+    edges = [oriented_edge(1, 0, 0, f(1)), oriented_edge(2, 0, 1, f(1))]
     for j in range(2, k + 1):
-        edges.append(Edge(j + 1, 0, 0, j))
+        edges.append(oriented_edge(j + 1, 0, 0, f(j)))
     for j in range(k + 1, l + 1):
-        edges.append(Edge(j + 1, 0, 1, j))
+        edges.append(oriented_edge(j + 1, 0, 1, f(j)))
     for j in range(l + 1, n + 1):
-        edges.append(Edge(j + 1, 1, 1, j))
+        edges.append(oriented_edge(j + 1, 1, 1, f(j)))
     return LabeledGraph(n, frozenset({0, 1}), tuple(edges))
 
 
@@ -141,21 +140,20 @@ class AlmostRose:
     k: int
     l: int
     relabeling: SignedRelabeling
-    graph: LabeledGraph
+    graph: LabeledGraph = field(init=False)
 
     def __post_init__(self) -> None:
         _check_shape(self.rank, self.k, self.l)
         if self.relabeling.rank != self.rank:
             raise RankError("relabeling rank differs from almost-rose rank")
-        expected = self.relabeling.apply_graph(_standard_graph(self.rank, self.k, self.l))
-        if self.graph != expected:
-            raise ValueError("graph is not the relabeled standard almost-rose")
+        graph = _standard_graph(self.rank, self.k, self.l, self.relabeling)
+        object.__setattr__(self, "graph", graph)
 
 
 def almost_rose(n: int, k: int, l: int, relabeling: SignedRelabeling | None = None) -> AlmostRose:
     if relabeling is None:
         relabeling = SignedRelabeling.identity(n)
-    return AlmostRose(n, k, l, relabeling, relabeling.apply_graph(_standard_graph(n, k, l)))
+    return AlmostRose(n, k, l, relabeling)
 
 
 def standard_almost_rose(n: int, k: int, l: int) -> AlmostRose:
@@ -205,8 +203,7 @@ def recognize_almost_rose(g: LabeledGraph) -> AlmostRose | None:
     if len(pairs) != 1:
         return None
     d1, d2 = pairs[0]
-    edge_map = g.edge_map()
-    is_loop = [edge_map[abs(d)].origin == edge_map[abs(d)].terminus for d in (d1, d2)]
+    is_loop = [g.dir_origin(d) == g.dir_terminus(d) for d in (d1, d2)]
     if sum(is_loop) != 1:
         return None
     u = g.dir_origin(d1)
@@ -311,7 +308,8 @@ def induced_morphism(g: LabeledGraph, rose: AlmostRose) -> GraphMorphism | None:
 def build_rose_from_whitehead(w: WhiteheadGraph) -> AlmostRose | None:
     """An almost-rose whose Whitehead graph contains ``w``.
 
-    Requires ``w`` disconnected or with a cut vertex, else returns None.
+    Returns None exactly when ``w`` is connected and has no cut vertex:
+    only then does removing any letter leave the rest in one component.
     The wedge letter becomes letter 1; the component of its inverse in the
     punctured graph goes to the first clique side and everything else to
     the second, letters split across the sides becoming connecting edges
@@ -380,8 +378,7 @@ def factor_through_almost_rose(g: LabeledGraph) -> tuple[AlmostRose, FoldSequenc
             raise FoldFactorError(
                 "a fold dropped the Betti number; the graph was not surjective at full rank"
             )
-    penultimate = seq.snapshots[-2]
-    rose = recognize_almost_rose(penultimate)
+    rose = recognize_almost_rose(seq.penultimate)
     if rose is None:
         raise FoldFactorError(
             "penultimate fold snapshot is not an almost-rose; core-ness was lost en route"
@@ -448,12 +445,9 @@ def decide_tame(classes, rank: int | None = None) -> TamenessCertificate:
     elif norm and norm[0].rank != rank:
         raise RankError(f"classes have rank {norm[0].rank}, expected {rank}")
     w = whitehead_of_classes(norm, rank)
-    comps = components(w)
-    cuts = cut_vertices(w)
-    if len(comps) > 1 or cuts:
-        rose = build_rose_from_whitehead(w)
-        if rose is None:
-            raise RuntimeError("internal error: tame criterion held but no rose built")
+    # None exactly when w is connected and has no cut vertex.
+    rose = build_rose_from_whitehead(w)
+    if rose is not None:
         gamma = disjoint_circuits(norm, rank)
         morphism = induced_morphism(gamma, rose)
         if morphism is None:

@@ -172,6 +172,11 @@ class TestOrbit:
         assert code == 0
         assert len(target.read_text().splitlines()) == 8
 
+    def test_rank_above_26_exits_2(self, capsys):
+        code, _, err = run(capsys, "orbit", "27", "1")
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestSep:
     def test_summary_and_determinism(self, capsys):
@@ -193,6 +198,11 @@ class TestSep:
     def test_bad_count_exits_2(self, capsys):
         code, _, _ = run(capsys, "sep", "3", "--seed", "1", "--count", "0")
         assert code == 2
+
+    def test_rank_above_26_exits_2(self, capsys):
+        code, _, err = run(capsys, "sep", "27", "--seed", "1", "--count", "1", "--max-len", "2")
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestCheck:

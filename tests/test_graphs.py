@@ -171,6 +171,93 @@ class TestIsFolded:
         assert not rf.is_folded(g)
 
 
+# The linear scans of the edge list that the per-graph index replaced,
+# kept as oracles for it.
+
+
+def scan_edge(g, eid):
+    for e in g.edges:
+        if e.eid == eid:
+            return e
+    raise KeyError(eid)
+
+
+def scan_dir(g, d):
+    """(origin, terminus, label) of a directed edge."""
+    e = scan_edge(g, abs(d))
+    return (e.origin, e.terminus, e.label) if d > 0 else (e.terminus, e.origin, -e.label)
+
+
+def scan_out_edges(g, v):
+    out = []
+    for e in g.edges:
+        if e.origin == v:
+            out.append(e.eid)
+        if e.terminus == v:
+            out.append(-e.eid)
+    out.sort(key=lambda d: (abs(d), 0 if d > 0 else 1))
+    return out
+
+
+def scan_in_labels(g, v):
+    labels = set()
+    for e in g.edges:
+        if e.terminus == v:
+            labels.add(e.label)
+        if e.origin == v:
+            labels.add(-e.label)
+    return labels
+
+
+def scan_valence(g, v):
+    return sum((e.origin == v) + (e.terminus == v) for e in g.edges)
+
+
+def scan_is_folded(g):
+    out = {}
+    for e in g.edges:
+        out.setdefault((e.origin, e.label), []).append(e.eid)
+        out.setdefault((e.terminus, -e.label), []).append(-e.eid)
+    return all(len(ds) == 1 for ds in out.values())
+
+
+def assert_index_matches_scan(g):
+    for e in g.edges:
+        assert g.edge(e.eid) == scan_edge(g, e.eid)
+        for d in (e.eid, -e.eid):
+            assert (g.dir_origin(d), g.dir_terminus(d), g.dir_label(d)) == scan_dir(g, d)
+    missing = max((e.eid for e in g.edges), default=0) + 1
+    for lookup in (g.edge, g.dir_origin, g.dir_terminus, g.dir_label):
+        with pytest.raises(KeyError):
+            lookup(missing)
+    outside = max(g.vertices) + 1
+    for v in sorted(g.vertices) + [outside]:
+        expected = [(d, scan_dir(g, d)[2], scan_dir(g, d)[1]) for d in scan_out_edges(g, v)]
+        assert g.out_edges(v) == expected
+        assert g.in_labels(v) == scan_in_labels(g, v)
+        assert g.valence(v) == scan_valence(g, v)
+    assert (g.out_edges(outside), g.in_labels(outside), g.valence(outside)) == ([], set(), 0)
+    assert rf.is_folded(g) == scan_is_folded(g)
+
+
+class TestIndexMatchesScan:
+    @pytest.mark.parametrize(
+        "vertices,edges",
+        [
+            ({0}, ()),  # no edges
+            ({0}, (Edge(1, 0, 0, 1), Edge(2, 0, 0, 1), Edge(3, 0, 0, 2))),  # loops
+            ({0, 1}, (Edge(1, 0, 1, 1), Edge(2, 0, 1, 1), Edge(3, 1, 0, 1))),  # parallel
+            ({0, 1, 2, 5}, (Edge(4, 2, 0, 2), Edge(1, 0, 0, 1))),  # isolated, ids unsorted
+        ],
+    )
+    def test_examples(self, vertices, edges):
+        assert_index_matches_scan(LabeledGraph(2, frozenset(vertices), edges))
+
+    @given(graph_st(rank=3))
+    def test_random_graphs(self, g):
+        assert_index_matches_scan(g)
+
+
 class TestReadsCyclicWord:
     def test_rose_reads_everything(self):
         assert rf.reads_cyclic_word(rf.rose(2), cyc("abAB"))
