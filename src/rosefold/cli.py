@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import acceptance
 from .folding import fold_report_lines, fold_sequence_to_dot, fold_to_completion
-from .graphs import LabeledGraph, parse_graph_text, wedge_of_words
+from .graphs import LabeledGraph, closed_path_reading, parse_graph_text, wedge_of_words
 from .oracles import (
     is_verified_automorphism,
     parse_endomorphism_text,
@@ -40,7 +40,7 @@ from .words import (
     RankError,
     TrivialWordError,
     WordSyntaxError,
-    conjugacy_class,
+    cyclic_reduce,
     free_reduce,
     letter_from_char,
     letter_key,
@@ -79,15 +79,20 @@ def _parse_classes(texts: list[str], rank_flag: int | None) -> tuple[tuple[Cycli
     if not texts:
         raise CliError("no words given")
     rank = _resolve_rank(texts, rank_flag)
-    classes = []
     try:
-        for text in texts:
-            classes.append(conjugacy_class(parse_word(text, rank)))
+        classes = tuple(cyclic_reduce(parse_word(text, rank))[0] for text in texts)
     except TrivialWordError as exc:
         raise CliError(f"trivial word has no conjugacy class: {exc}") from exc
     except (WordSyntaxError, RankError) as exc:
         raise CliError(str(exc)) from exc
-    return normalize_classes(classes), rank
+    return classes, rank
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write output file: {exc}") from exc
 
 
 def _wh_report(w: WhiteheadGraph) -> list[str]:
@@ -150,9 +155,9 @@ def cmd_tame(args) -> int:
         print("internal error: certificate failed self-verification", file=sys.stderr)
         return 3
     text = certificate_to_text(cert)
-    print(text, end="")
     if args.out:
-        Path(args.out).write_text(text)
+        _write_text(args.out, text)
+    print(text, end="")
     return 0 if cert.tame else 1
 
 
@@ -235,9 +240,6 @@ def cmd_fold(args) -> int:
         f" relabel [{_relabel_text(rose.relabeling.targets)}]"
     )
     if witness_checked:
-        from .graphs import closed_path_reading
-        from .words import cyclic_reduce
-
         w1 = basis_words[0]
         cyc, conj = cyclic_reduce(parse_word(w1, g.rank))
         if len(conj) == 0 and closed_path_reading(rose.graph, cyc) is not None:
@@ -255,7 +257,7 @@ def cmd_orbit(args) -> int:
     classes = normalize_classes(list(orbit.classes))
     lines = [str(c) for c in classes]
     if args.out:
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        _write_text(args.out, "\n".join(lines) + "\n")
     else:
         for line in lines:
             print(line)
@@ -274,8 +276,8 @@ def cmd_sep(args) -> int:
     class_lines = "\n".join(str(c) for c in classes) + "\n"
     witness_text = separable_witness_to_text(witness)
     if args.out:
-        Path(args.out + ".classes").write_text(class_lines)
-        Path(args.out + ".witness").write_text(witness_text)
+        _write_text(args.out + ".classes", class_lines)
+        _write_text(args.out + ".witness", witness_text)
     else:
         print(class_lines, end="")
         print(witness_text, end="")

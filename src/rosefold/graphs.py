@@ -22,10 +22,10 @@ from .words import (
     CyclicWord,
     RankError,
     Word,
+    class_rank,
     is_reduced,
     letter_from_char,
     letter_to_char,
-    normalize_classes,
 )
 
 
@@ -158,14 +158,9 @@ def circuit(c: CyclicWord) -> LabeledGraph:
 
 
 def disjoint_circuits(classes, rank: int | None = None) -> LabeledGraph:
-    """Disjoint union of one circuit per conjugacy class, in canonical order."""
-    classes = normalize_classes(classes)
-    if rank is None:
-        if not classes:
-            raise ValueError("empty class set needs an explicit rank")
-        rank = classes[0].rank
-    elif classes and classes[0].rank != rank:
-        raise RankError(f"classes have rank {classes[0].rank}, expected {rank}")
+    """Disjoint union of one circuit per cyclic word, in the given order, none normalized."""
+    classes = list(classes)
+    rank = class_rank(classes, rank)
     vertices: set[int] = set()
     edges: list[Edge] = []
     v_off = 0

@@ -43,7 +43,7 @@ from .whitehead import (
     whitehead_of_classes,
     whitehead_of_graph,
 )
-from .words import CyclicWord, RankError, letter_key, letter_to_char, normalize_classes
+from .words import CyclicWord, RankError, class_rank, letter_key, letter_to_char, normalize_classes
 
 
 class FoldFactorError(RuntimeError):
@@ -437,13 +437,8 @@ def _is_spanning_tree(
 def decide_tame(classes, rank: int | None = None) -> TamenessCertificate:
     """Decide tameness of a set of conjugacy classes with a checkable
     certificate for either verdict."""
-    norm = normalize_classes(list(classes))
-    if rank is None:
-        if not norm:
-            raise ValueError("empty class set needs an explicit rank")
-        rank = norm[0].rank
-    elif norm and norm[0].rank != rank:
-        raise RankError(f"classes have rank {norm[0].rank}, expected {rank}")
+    norm = normalize_classes(classes)
+    rank = class_rank(norm, rank)
     w = whitehead_of_classes(norm, rank)
     # None exactly when w is connected and has no cut vertex.
     rose = build_rose_from_whitehead(w)
@@ -475,14 +470,11 @@ def decide_tame(classes, rank: int | None = None) -> TamenessCertificate:
 def verify_certificate(classes, cert: TamenessCertificate, rank: int | None = None) -> bool:
     """Re-check a certificate from scratch; False on any discrepancy."""
     try:
-        norm = normalize_classes(list(classes))
-    except (ValueError, RankError):
+        norm = normalize_classes(classes)
+        rank = class_rank(norm, cert.rank if rank is None else rank)
+    except ValueError:
         return False
-    if rank is None:
-        rank = cert.rank
     if cert.rank != rank or cert.classes != norm:
-        return False
-    if norm and norm[0].rank != rank:
         return False
     if cert.tame:
         if cert.rose is None or cert.morphism is None:

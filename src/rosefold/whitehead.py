@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import LabeledGraph, adjacency_components
-from .words import RankError, letter_key, letter_to_char
+from .words import RankError, class_rank, letter_key, letter_to_char
 
 
 @dataclass(frozen=True)
@@ -77,14 +77,9 @@ def whitehead_of_classes(classes, rank: int | None = None) -> WhiteheadGraph:
     class [x] it is the only contribution and yields the edge {x, x^-1}.
     """
     classes = list(classes)
-    if rank is None:
-        if not classes:
-            raise ValueError("empty class set needs an explicit rank")
-        rank = classes[0].rank
+    rank = class_rank(classes, rank)
     edges: set[frozenset[int]] = set()
     for c in classes:
-        if c.rank != rank:
-            raise RankError(f"class rank {c.rank} differs from {rank}")
         k = len(c)
         for i in range(k):
             u = c.letters[i]

@@ -191,13 +191,14 @@ def canonical_rotation(c: CyclicWord) -> CyclicWord:
 
     Two cyclic words represent the same conjugacy class exactly when
     their canonical rotations are identical sequences.
+
+    >>> str(canonical_rotation(parse_cyclic_word("bA", 2)))
+    'Ab'
     """
     ls = c.letters
     k = len(ls)
-    best = min(
-        range(k),
-        key=lambda r: tuple(letter_key(ls[(r + i) % k]) for i in range(k)),
-    )
+    keys = [letter_key(v) for v in ls] * 2
+    best = min(range(k), key=lambda r: keys[r : r + k])
     return CyclicWord(ls[best:] + ls[:best], c.rank)
 
 
@@ -206,12 +207,23 @@ def conjugacy_class(w: Word) -> CyclicWord:
     return canonical_rotation(cyclic_reduce(w)[0])
 
 
-def normalize_classes(words: Iterable[CyclicWord]) -> tuple[CyclicWord, ...]:
-    """Canonical, sorted, duplicate-free tuple of conjugacy classes."""
-    words = list(words)
-    ranks = {c.rank for c in words}
+def class_rank(classes: Iterable[CyclicWord], rank: int | None = None) -> int:
+    """The one rank of ``classes``, which must equal ``rank`` when given."""
+    ranks = {c.rank for c in classes}
+    if rank is not None:
+        ranks.add(rank)
+    if not ranks:
+        raise ValueError("empty class set needs an explicit rank")
     if len(ranks) > 1:
         raise RankError(f"mixed ranks {sorted(ranks)}")
+    return ranks.pop()
+
+
+def normalize_classes(words: Iterable[CyclicWord]) -> tuple[CyclicWord, ...]:
+    """Canonical, sorted, duplicate-free tuple of conjugacy classes of one rank."""
+    words = list(words)
+    if words:
+        class_rank(words)
     seen = {}
     for c in words:
         cc = canonical_rotation(c)

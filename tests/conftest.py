@@ -1,8 +1,10 @@
 import random
 
+import pytest
 from hypothesis import settings, strategies as st
 
 import rosefold as rf
+from rosefold import words
 from rosefold.oracles import random_labeled_graph
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -47,3 +49,17 @@ def graph_st(rank: int = 2, max_vertices: int = 6, max_edge_pairs: int = 10):
             random.Random(seed), rank, max_vertices, max_edge_pairs
         )
     )
+
+
+@pytest.fixture
+def rotation_calls(monkeypatch):
+    """Every ``canonical_rotation`` call the library makes, in order."""
+    calls = []
+    original = words.canonical_rotation
+
+    def counting(c):
+        calls.append(c)
+        return original(c)
+
+    monkeypatch.setattr(words, "canonical_rotation", counting)
+    return calls

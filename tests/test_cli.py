@@ -1,3 +1,5 @@
+import pytest
+
 import rosefold as rf
 from rosefold.cli import main
 from rosefold.oracles import endomorphism_to_text
@@ -89,6 +91,30 @@ class TestTame:
         assert code == 0
         assert target.read_text() == out
 
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, "tame", "aab", "--out", str(tmp_path / "missing" / "cert.txt"))
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_one_rotation_per_class_per_pass(self, capsys, rotation_calls):
+        # bAB reduces to A: two classes, rotated once by decide and once by verify
+        code, _, _ = run(capsys, "tame", "aba", "bAB")
+        assert code == 0 and len(rotation_calls) == 4
+
+
+class TestClassInputForms:
+    """Rotations, duplicates and input order do not change the output."""
+
+    @pytest.mark.parametrize("command", ["tame", "wh"])
+    def test_rotations_and_duplicates(self, capsys, command):
+        outputs = [run(capsys, command, *ws)[:2] for ws in (["aab"], ["baa"], ["aba", "aab"])]
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("command", ["tame", "wh"])
+    def test_order(self, capsys, command):
+        assert run(capsys, command, "abAB", "b")[:2] == run(capsys, command, "b", "abAB")[:2]
+        assert run(capsys, command, "aab", "ab")[:2] == run(capsys, command, "ab", "aab")[:2]
+
 
 class TestRoseWh:
     def test_standard_312_golden(self, capsys):
@@ -172,6 +198,11 @@ class TestOrbit:
         assert code == 0
         assert len(target.read_text().splitlines()) == 8
 
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, "orbit", "2", "2", "--out", str(tmp_path / "missing" / "orbit.txt"))
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_rank_above_26_exits_2(self, capsys):
         code, _, err = run(capsys, "orbit", "27", "1")
         assert code == 2
@@ -198,6 +229,12 @@ class TestSep:
     def test_bad_count_exits_2(self, capsys):
         code, _, _ = run(capsys, "sep", "3", "--seed", "1", "--count", "0")
         assert code == 2
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        prefix = str(tmp_path / "missing" / "corpus")
+        code, _, err = run(capsys, "sep", "3", "--seed", "7", "--count", "4", "--out", prefix)
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_rank_above_26_exits_2(self, capsys):
         code, _, err = run(capsys, "sep", "27", "--seed", "1", "--count", "1", "--max-len", "2")

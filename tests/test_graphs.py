@@ -65,6 +65,13 @@ class TestDisjointCircuits:
         g = rf.disjoint_circuits([cyc("aab"), cyc("abAB")])
         assert len(g.vertices) == 7 and len(g.edges) == 7
 
+    def test_words_laid_out_as_given(self):
+        # No canonical rotation and no deduplication: one circuit per word,
+        # in order, each read from its first letter.
+        g = rf.disjoint_circuits([cyc("ba"), cyc("ab"), cyc("ba")])
+        assert [e.label for e in sorted(g.edges, key=lambda e: e.eid)] == [2, 1, 1, 2, 2, 1]
+        assert len(g.vertices) == 6
+
     @given(class_set_st(rank=3))
     def test_every_class_readable(self, classes):
         g = rf.disjoint_circuits(classes, 3)

@@ -11,6 +11,7 @@ import rosefold as rf
 from rosefold.graphs import Edge, LabeledGraph
 from rosefold.oracles import random_class
 from rosefold.tameness import FoldFactorError
+from rosefold.words import RankError
 
 from conftest import class_set_st, relabeling_st
 
@@ -349,6 +350,32 @@ class TestDecideTame:
             rf.decide_tame([])
         cert = rf.decide_tame([], rank=2)
         assert cert.tame and rf.verify_certificate([], cert, rank=2)
+
+    def test_one_rotation_per_class_per_pass(self, rotation_calls):
+        classes = [cyc("aba")]
+        cert = rf.decide_tame(classes)
+        assert cert.tame and len(rotation_calls) == 1
+        assert rf.verify_certificate(classes, cert)
+        assert len(rotation_calls) == 2
+
+    @pytest.mark.parametrize(
+        "build",
+        [rf.decide_tame, rf.disjoint_circuits, rf.whitehead_of_classes],
+        ids=["decide_tame", "disjoint_circuits", "whitehead_of_classes"],
+    )
+    def test_class_set_rank_errors(self, build):
+        with pytest.raises(ValueError) as info:
+            build([])
+        assert not isinstance(info.value, RankError)
+        with pytest.raises(RankError):
+            build([cyc("ab"), cyc("ab", 3)])
+        with pytest.raises(RankError):
+            build([cyc("ab")], 3)
+
+    def test_verify_rejects_mixed_ranks(self):
+        cert = rf.decide_tame([cyc("ab")])
+        assert not rf.verify_certificate([cyc("ab"), cyc("ab", 3)], cert)
+        assert not rf.verify_certificate([cyc("ab")], cert, rank=3)
 
     def test_verdict_matches_whitehead_criterion(self):
         # Oracle: the criterion itself, computed straight from the Whitehead

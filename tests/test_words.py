@@ -2,9 +2,26 @@ import pytest
 from hypothesis import given, strategies as st
 
 import rosefold as rf
-from rosefold.words import RankError, TrivialWordError, WordSyntaxError, letter_key
+from rosefold.words import RankError, TrivialWordError, WordSyntaxError, class_rank, letter_key
 
-from conftest import nontrivial_word_st, word_st
+from conftest import class_st, nontrivial_word_st, word_st
+
+
+def least_rotation_oracle(c):
+    """The least rotation by building every rotation's key tuple: slow and plain."""
+    ls = c.letters
+    k = len(ls)
+    best = min(range(k), key=lambda r: tuple(letter_key(ls[(r + i) % k]) for i in range(k)))
+    return ls[best:] + ls[:best]
+
+
+@st.composite
+def rotated_power_st(draw, rank=2):
+    """A rotation of a power of a class: covers length one and periodic words."""
+    c = draw(class_st(rank, max_len=8))
+    ls = c.letters * draw(st.integers(1, 4))
+    r = draw(st.integers(0, len(ls) - 1))
+    return rf.CyclicWord(ls[r:] + ls[:r], rank)
 
 
 class TestParse:
@@ -92,6 +109,15 @@ class TestCanonicalRotation:
         # a < A < b < B < ...
         assert sorted([2, -1, 1, -2], key=letter_key) == [1, -1, 2, -2]
 
+    @pytest.mark.parametrize("text", ["a", "B", "abab", "BaBaBa", "baabaa", "cAbcAb", "aabaaac", "aacaaab"])
+    def test_matches_oracle_on_short_and_periodic(self, text):
+        c = rf.parse_cyclic_word(text, 3)
+        assert rf.canonical_rotation(c).letters == least_rotation_oracle(c)
+
+    @given(rotated_power_st())
+    def test_matches_oracle(self, c):
+        assert rf.canonical_rotation(c).letters == least_rotation_oracle(c)
+
     def test_inverse_class_is_distinct(self):
         # [g] and [g inverse] are different classes
         w = rf.parse_word("aab", 2)
@@ -112,3 +138,24 @@ class TestRankDiscipline:
             rf.parse_cyclic_word("abA", 2)
         with pytest.raises(TrivialWordError):
             rf.parse_cyclic_word("", 2)
+
+
+class TestClassRank:
+    def test_shared_rank(self):
+        classes = [rf.parse_cyclic_word("ab", 3), rf.parse_cyclic_word("c", 3)]
+        assert class_rank(classes) == 3
+        assert class_rank(classes, 3) == 3
+        assert class_rank([], 4) == 4
+
+    def test_empty_set_needs_rank(self):
+        with pytest.raises(ValueError) as info:
+            class_rank([])
+        assert not isinstance(info.value, RankError)
+
+    def test_mixed_ranks(self):
+        with pytest.raises(RankError):
+            class_rank([rf.parse_cyclic_word("a", 2), rf.parse_cyclic_word("a", 3)])
+
+    def test_rank_mismatch(self):
+        with pytest.raises(RankError):
+            class_rank([rf.parse_cyclic_word("ab", 2)], 3)
