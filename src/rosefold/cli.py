@@ -11,6 +11,7 @@ canonically rotated, and every randomized command is keyed by a seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -37,8 +38,8 @@ from .whitehead import WhiteheadGraph, components, cut_vertices, whitehead_of_cl
 from .words import (
     MAX_PARSE_RANK,
     CyclicWord,
-    RankError,
     TrivialWordError,
+    Word,
     WordSyntaxError,
     cyclic_reduce,
     free_reduce,
@@ -46,7 +47,6 @@ from .words import (
     letter_key,
     letter_to_char,
     normalize_classes,
-    parse_word,
 )
 
 
@@ -56,63 +56,79 @@ class CliError(Exception):
         self.code = code
 
 
-def _resolve_rank(texts: list[str], rank_flag: int | None) -> int:
-    max_index = 0
-    for text in texts:
-        for c in text:
-            try:
-                max_index = max(max_index, abs(letter_from_char(c)))
-            except WordSyntaxError as exc:
-                raise CliError(str(exc)) from exc
-    if rank_flag is not None:
-        if rank_flag < 2:
-            raise CliError(f"rank must be at least 2, got {rank_flag}")
-        if rank_flag > MAX_PARSE_RANK:
-            raise CliError(f"rank must be at most {MAX_PARSE_RANK}, got {rank_flag}")
-        if max_index > rank_flag:
-            raise CliError(f"a letter with index {max_index} exceeds rank {rank_flag}")
-        return rank_flag
-    return max(2, max_index)
+def _check_rank(n: int) -> int:
+    if n < 2:
+        raise CliError(f"rank must be at least 2, got {n}")
+    if n > MAX_PARSE_RANK:
+        raise CliError(f"rank must be at most {MAX_PARSE_RANK}, got {n}")
+    return n
+
+
+def _parse_words(texts: list[str], rank_flag: int | None) -> tuple[tuple[Word, ...], int]:
+    """Read each character once; the rank is ``--rank`` or the highest letter index (at least 2)."""
+    try:
+        letters = [tuple(letter_from_char(c) for c in text) for text in texts]
+    except WordSyntaxError as exc:
+        raise CliError(str(exc)) from exc
+    max_index = max((abs(v) for ls in letters for v in ls), default=0)
+    rank = max(2, max_index) if rank_flag is None else _check_rank(rank_flag)
+    if max_index > rank:
+        raise CliError(f"a letter with index {max_index} exceeds rank {rank}")
+    return tuple(Word(ls, rank) for ls in letters), rank
 
 
 def _parse_classes(texts: list[str], rank_flag: int | None) -> tuple[tuple[CyclicWord, ...], int]:
-    if not texts:
-        raise CliError("no words given")
-    rank = _resolve_rank(texts, rank_flag)
+    words, rank = _parse_words(texts, rank_flag)
     try:
-        classes = tuple(cyclic_reduce(parse_word(text, rank))[0] for text in texts)
+        return tuple(cyclic_reduce(w)[0] for w in words), rank
     except TrivialWordError as exc:
         raise CliError(f"trivial word has no conjugacy class: {exc}") from exc
-    except (WordSyntaxError, RankError) as exc:
-        raise CliError(str(exc)) from exc
-    return classes, rank
 
 
-def _write_text(path: str, text: str) -> None:
+def _read_text(path: str, what: str) -> str:
     try:
-        Path(path).write_text(text)
+        return Path(path).read_text()
     except OSError as exc:
+        raise CliError(f"cannot read {what} file: {exc}") from exc
+
+
+def _write_text(*files: tuple[str, str]) -> None:
+    """Write each ``(path, text)`` in order, all or none: when a write fails,
+    the files already written are removed."""
+    written: list[Path] = []
+    try:
+        for path, text in files:
+            Path(path).write_text(text)
+            written.append(Path(path))
+    except OSError as exc:
+        for p in written:
+            p.unlink(missing_ok=True)
         raise CliError(f"cannot write output file: {exc}") from exc
 
 
-def _wh_report(w: WhiteheadGraph) -> list[str]:
-    lines = [f"rank {w.rank}"]
-    tokens = [_edge_token(p) for p in w.sorted_edges()]
-    lines.append("edges: " + (" ".join(tokens) if tokens else "(none)"))
-    comps = components(w)
-    lines.append(
-        "components: " + " ".join("{" + "".join(letter_to_char(v) for v in comp) + "}" for comp in comps)
-    )
+def _cut_line(w: WhiteheadGraph) -> str:
     cuts = sorted(cut_vertices(w), key=letter_key)
-    cut_text = " ".join(letter_to_char(v) for v in cuts) if cuts else "(none)"
-    lines.append(f"cut vertices: {cut_text}")
+    return "cut vertices: " + (" ".join(letter_to_char(v) for v in cuts) or "(none)")
+
+
+def _print_wh(w: WhiteheadGraph, dot: bool) -> int:
+    if dot:
+        print(whitehead_to_dot(w), end="")
+        return 0
+    comps = components(w)
+    cut_line = _cut_line(w)
     if len(comps) > 1:
-        lines.append(f"disconnected ({len(comps)} components)")
-    elif cuts:
-        lines.append(f"connected; cut vertices: {cut_text}")
+        verdict = f"disconnected ({len(comps)} components)"
+    elif cut_line == "cut vertices: (none)":
+        verdict = "connected; no cut vertex"
     else:
-        lines.append("connected; no cut vertex")
-    return lines
+        verdict = f"connected; {cut_line}"
+    print(f"rank {w.rank}")
+    print("edges: " + (" ".join(_edge_token(p) for p in w.sorted_edges()) or "(none)"))
+    print("components: " + " ".join("{" + "".join(map(letter_to_char, comp)) + "}" for comp in comps))
+    print(cut_line)
+    print(verdict)
+    return 0
 
 
 def _relabel_text(targets: tuple[int, ...]) -> str:
@@ -120,31 +136,17 @@ def _relabel_text(targets: tuple[int, ...]) -> str:
 
 
 def cmd_reduce(args) -> int:
-    rank = _resolve_rank([args.word], args.rank)
-    try:
-        w = parse_word(args.word, rank)
-    except (WordSyntaxError, RankError) as exc:
-        raise CliError(str(exc)) from exc
+    (w,), _ = _parse_words([args.word], args.rank)
     print(str(free_reduce(w)))
     return 0
 
 
 def cmd_wh(args) -> int:
-    classes, rank = _parse_classes(args.words, args.rank)
-    w = whitehead_of_classes(classes, rank)
-    if args.dot:
-        print(whitehead_to_dot(w), end="")
-        return 0
-    for line in _wh_report(w):
-        print(line)
-    return 0
+    return _print_wh(whitehead_of_classes(*_parse_classes(args.words, args.rank)), args.dot)
 
 
 def cmd_cutvx(args) -> int:
-    classes, rank = _parse_classes(args.words, args.rank)
-    w = whitehead_of_classes(classes, rank)
-    cuts = sorted(cut_vertices(w), key=letter_key)
-    print("cut vertices: " + (" ".join(letter_to_char(v) for v in cuts) if cuts else "(none)"))
+    print(_cut_line(whitehead_of_classes(*_parse_classes(args.words, args.rank))))
     return 0
 
 
@@ -156,74 +158,59 @@ def cmd_tame(args) -> int:
         return 3
     text = certificate_to_text(cert)
     if args.out:
-        _write_text(args.out, text)
+        _write_text((args.out, text))
     print(text, end="")
     return 0 if cert.tame else 1
 
 
 def cmd_rose_wh(args) -> int:
-    if args.n > MAX_PARSE_RANK:
-        raise CliError(f"rank must be at most {MAX_PARSE_RANK}, got {args.n}")
     try:
-        rose = standard_almost_rose(args.n, args.k, args.l)
+        rose = standard_almost_rose(_check_rank(args.n), args.k, args.l)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    w = whitehead_of_almost_rose(rose)
-    if args.dot:
-        print(whitehead_to_dot(w), end="")
-        return 0
-    for line in _wh_report(w):
-        print(line)
-    return 0
+    return _print_wh(whitehead_of_almost_rose(rose), args.dot)
 
 
-def _fold_input_graph(args) -> LabeledGraph:
-    if args.basis:
-        texts = [t for t in args.basis.split(",") if t]
-        if not texts:
-            raise CliError("empty basis")
-        rank = _resolve_rank(texts, args.rank)
+def _fold_input(args) -> tuple[LabeledGraph, tuple[Word, ...]]:
+    """The graph to fold, and the basis words it wedges (none for ``--graph``)."""
+    if args.graph:
         try:
-            ws = tuple(parse_word(t, rank) for t in texts)
-            return wedge_of_words(ws, rank).graph
-        except (WordSyntaxError, RankError, ValueError) as exc:
+            return parse_graph_text(_read_text(args.graph, "graph")), ()
+        except ValueError as exc:
             raise CliError(str(exc)) from exc
+    texts = [t for t in args.basis.split(",") if t]
+    if not texts:
+        raise CliError("empty basis")
+    basis, rank = _parse_words(texts, args.rank)
     try:
-        return parse_graph_text(Path(args.graph).read_text())
-    except OSError as exc:
-        raise CliError(f"cannot read graph file: {exc}") from exc
-    except (ValueError, RankError) as exc:
+        return wedge_of_words(basis, rank).graph, basis
+    except ValueError as exc:
         raise CliError(str(exc)) from exc
 
 
 def cmd_fold(args) -> int:
-    g = _fold_input_graph(args)
+    g, basis = _fold_input(args)
     seq = fold_to_completion(g)
     if args.dot:
         print(fold_sequence_to_dot(seq), end="")
         return 0
     spec = None
     if args.witness:
-        if not args.basis:
+        if not basis:
             raise CliError("--witness only applies to --basis mode")
         try:
-            spec = parse_endomorphism_text(Path(args.witness).read_text())
-        except OSError as exc:
-            raise CliError(f"cannot read witness file: {exc}") from exc
+            spec = parse_endomorphism_text(_read_text(args.witness, "witness"))
         except ValueError as exc:
             raise CliError(str(exc)) from exc
-        basis_words = [t for t in args.basis.split(",") if t]
-        if [str(w) for w in spec.images] != basis_words:
+        if [w.letters for w in spec.images] != [w.letters for w in basis]:
             raise CliError("witness images do not match the supplied basis")
     for line in fold_report_lines(seq):
         print(line)
-    witness_checked = False
     if spec is not None:
         if not is_verified_automorphism(spec):
             print("witness: not a verified automorphism")
             return 1
         print("witness: verified automorphism")
-        witness_checked = True
     if not seq.steps:
         print("already folded; no fold steps")
         return 0
@@ -239,9 +226,8 @@ def cmd_fold(args) -> int:
         f"penultimate: almost-rose k={rose.k} l={rose.l}"
         f" relabel [{_relabel_text(rose.relabeling.targets)}]"
     )
-    if witness_checked:
-        w1 = basis_words[0]
-        cyc, conj = cyclic_reduce(parse_word(w1, g.rank))
+    if spec is not None:
+        cyc, conj = cyclic_reduce(basis[0])
         if len(conj) == 0 and closed_path_reading(rose.graph, cyc) is not None:
             print("first word readable in almost-rose: yes")
         else:
@@ -257,7 +243,7 @@ def cmd_orbit(args) -> int:
     classes = normalize_classes(list(orbit.classes))
     lines = [str(c) for c in classes]
     if args.out:
-        _write_text(args.out, "\n".join(lines) + "\n")
+        _write_text((args.out, "\n".join(lines) + "\n"))
     else:
         for line in lines:
             print(line)
@@ -276,8 +262,7 @@ def cmd_sep(args) -> int:
     class_lines = "\n".join(str(c) for c in classes) + "\n"
     witness_text = separable_witness_to_text(witness)
     if args.out:
-        _write_text(args.out + ".classes", class_lines)
-        _write_text(args.out + ".witness", witness_text)
+        _write_text((args.out + ".classes", class_lines), (args.out + ".witness", witness_text))
     else:
         print(class_lines, end="")
         print(witness_text, end="")
@@ -301,6 +286,7 @@ def cmd_check(args) -> int:
     return 0 if passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rosefold",

@@ -150,11 +150,7 @@ def rose(n: int) -> LabeledGraph:
 
 def circuit(c: CyclicWord) -> LabeledGraph:
     """A cycle of ``len(c)`` edges whose closed path reads ``c``."""
-    k = len(c)
-    edges = tuple(
-        oriented_edge(i + 1, i, (i + 1) % k, c.letters[i]) for i in range(k)
-    )
-    return LabeledGraph(c.rank, frozenset(range(k)), edges)
+    return disjoint_circuits([c])
 
 
 def disjoint_circuits(classes, rank: int | None = None) -> LabeledGraph:

@@ -28,7 +28,7 @@ from .graphs import (
     oriented_edge,
     wedge_of_words,
 )
-from .tameness import AlmostRose, SignedRelabeling, almost_rose, factor_through_almost_rose
+from .tameness import AlmostRose, almost_rose_from_parts, factor_through_almost_rose
 from .words import (
     CyclicWord,
     RankError,
@@ -464,10 +464,8 @@ def rose_for_separable(
     wedge = _wedge_at_basepoints(g1, g2)
     if is_rose(wedge.graph):
         letters1 = sorted(e.label for e in g1.graph.edges)
-        letters2 = sorted(e.label for e in g2.graph.edges)
-        y = letters1[0]
-        targets = [y] + [x for x in letters1 if x != y] + letters2
-        rose = almost_rose(n, len(letters1), len(letters1), SignedRelabeling(tuple(targets)))
+        letters2 = [e.label for e in g2.graph.edges]
+        rose = almost_rose_from_parts(n, letters1[0], letters1[1:], (), letters2)
     else:
         rose, _ = factor_through_almost_rose(wedge.graph)
     proofs = []

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .folding import FoldSequence, fold_to_completion, foldable_pairs
 from .graphs import (
@@ -156,6 +157,22 @@ def almost_rose(n: int, k: int, l: int, relabeling: SignedRelabeling | None = No
     return AlmostRose(n, k, l, relabeling)
 
 
+def almost_rose_from_parts(
+    n: int, y: int, loops_u: Iterable[int], connectors: Iterable[int], loops_v: Iterable[int]
+) -> AlmostRose:
+    """The almost-rose with letter ``y`` on the loop at u and on an edge u->v,
+    the letters ``loops_u`` on loops at u, the signed ``connectors`` on edges
+    u->v and ``loops_v`` on loops at v.
+
+    The loops are taken in ascending order and the connectors by index, so
+    the relabeling does not depend on the order the parts come in.
+    """
+    loops_u, connectors, loops_v = sorted(loops_u), sorted(connectors, key=abs), sorted(loops_v)
+    k = 1 + len(loops_u)
+    l = k + len(connectors)
+    return almost_rose(n, k, l, SignedRelabeling(tuple([y] + loops_u + connectors + loops_v)))
+
+
 def standard_almost_rose(n: int, k: int, l: int) -> AlmostRose:
     """The almost-rose with the identity relabeling."""
     return almost_rose(n, k, l)
@@ -225,10 +242,7 @@ def recognize_almost_rose(g: LabeledGraph) -> AlmostRose | None:
     unsigned = [abs(y)] + loops_u + [abs(z) for z in connectors] + loops_v
     if sorted(unsigned) != list(range(1, n + 1)):
         return None
-    k = 1 + len(loops_u)
-    l = k + len(connectors)
-    targets = [y] + sorted(loops_u) + sorted(connectors, key=abs) + sorted(loops_v)
-    rose = almost_rose(n, k, l, SignedRelabeling(tuple(targets)))
+    rose = almost_rose_from_parts(n, y, loops_u, connectors, loops_v)
     if not is_label_isomorphic(rose.graph, g):
         return None
     return rose
@@ -262,14 +276,9 @@ def enumerate_almost_roses(n: int) -> list[AlmostRose]:
                     for conn in itertools.combinations(left, n_conn):
                         loops_v = [i for i in left if i not in conn]
                         for signs in itertools.product((1, -1), repeat=n_conn):
-                            targets = (
-                                [y]
-                                + list(loops_u)
-                                + [s * i for s, i in zip(signs, conn)]
-                                + loops_v
-                            )
+                            connectors = [s * i for s, i in zip(signs, conn)]
                             roses.append(
-                                almost_rose(n, k, l, SignedRelabeling(tuple(targets)))
+                                almost_rose_from_parts(n, y, loops_u, connectors, loops_v)
                             )
     return roses
 
@@ -340,10 +349,7 @@ def build_rose_from_whitehead(w: WhiteheadGraph) -> AlmostRose | None:
             else:
                 (kept,) = {s * j for s in (1, -1)} - in1
                 split_targets.append(kept)  # the member on side two
-        k = 1 + len(wholly1)
-        l = k + len(split_targets)
-        targets = [c] + sorted(wholly1) + sorted(split_targets, key=abs) + sorted(wholly2)
-        rose = almost_rose(n, k, l, SignedRelabeling(tuple(targets)))
+        rose = almost_rose_from_parts(n, c, wholly1, split_targets, wholly2)
         if not is_subgraph(w, whitehead_of_almost_rose(rose)):
             raise RuntimeError("internal error: built almost-rose misses Whitehead edges")
         return rose

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -62,4 +63,20 @@ def rotation_calls(monkeypatch):
         return original(c)
 
     monkeypatch.setattr(words, "canonical_rotation", counting)
+    return calls
+
+
+@pytest.fixture
+def letter_parse_calls(monkeypatch):
+    """Every ``letter_from_char`` call, through any rosefold module that imported it."""
+    calls = []
+    original = words.letter_from_char
+
+    def counting(c):
+        calls.append(c)
+        return original(c)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rosefold" and getattr(module, "letter_from_char", None) is original:
+            monkeypatch.setattr(module, "letter_from_char", counting)
     return calls

@@ -1,3 +1,5 @@
+import argparse
+
 import pytest
 
 import rosefold as rf
@@ -101,9 +103,37 @@ class TestTame:
         code, _, _ = run(capsys, "tame", "aba", "bAB")
         assert code == 0 and len(rotation_calls) == 4
 
+    def test_each_letter_read_once(self, capsys, letter_parse_calls):
+        code, _, _ = run(capsys, "tame", "aab")
+        assert code == 0 and letter_parse_calls == ["a", "a", "b"]
+
+    def test_parser_built_once_per_process(self, capsys, monkeypatch):
+        run(capsys, "tame", "aab")
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert run(capsys, "tame", "aab")[0] == 0
+        assert built == []
+
 
 class TestClassInputForms:
-    """Rotations, duplicates and input order do not change the output."""
+    """Rotations, duplicates and input order do not change the output, and
+    every command that reads words holds the same rank bounds."""
+
+    @pytest.mark.parametrize("command", [["reduce"], ["wh"], ["cutvx"], ["tame"], ["fold", "--basis"]])
+    @pytest.mark.parametrize(
+        "word, rank, message",
+        [("a", "1", "at least 2"), ("a", "27", "at most 26"), ("abc", "2", "exceeds rank 2")],
+    )
+    def test_rank_bounds_exit_2(self, capsys, command, word, rank, message):
+        code, out, err = run(capsys, *command, word, "--rank", rank)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["tame", "wh"])
     def test_rotations_and_duplicates(self, capsys, command):
@@ -235,6 +265,13 @@ class TestSep:
         code, _, err = run(capsys, "sep", "3", "--seed", "7", "--count", "4", "--out", prefix)
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_failed_second_write_leaves_no_file(self, capsys, tmp_path):
+        (tmp_path / "p.witness").mkdir()
+        code, out, err = run(capsys, "sep", "3", "--seed", "7", "--count", "4", "--out", str(tmp_path / "p"))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.witness"]
 
     def test_rank_above_26_exits_2(self, capsys):
         code, _, err = run(capsys, "sep", "27", "--seed", "1", "--count", "1", "--max-len", "2")
