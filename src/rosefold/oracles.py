@@ -352,22 +352,25 @@ def brute_force_morphism(
                 return False
         return True
 
-    def extend(i: int) -> bool:
-        nonlocal visited
-        if i == len(gverts):
-            return True
+    # Depth-first over gverts with an explicit stack: choice[i] is the
+    # index in hverts of the next image to try for gverts[i].
+    choice = [0] * len(gverts)
+    i = 0
+    while 0 <= i < len(gverts):
         v = gverts[i]
-        for w in hverts:
-            visited += 1
-            if visited > max_states:
-                raise SearchLimitError(f"exceeded {max_states} partial assignments")
-            assignment[v] = w
-            if consistent(v) and extend(i + 1):
-                return True
-            del assignment[v]
-        return False
-
-    if not extend(0):
+        if choice[i] == len(hverts):
+            choice[i] = 0
+            assignment.pop(v, None)
+            i -= 1
+            continue
+        visited += 1
+        if visited > max_states:
+            raise SearchLimitError(f"exceeded {max_states} partial assignments")
+        assignment[v] = hverts[choice[i]]
+        choice[i] += 1
+        if consistent(v):
+            i += 1
+    if i < 0:
         return None
     emap = {
         e.eid: h_index[(assignment[e.origin], assignment[e.terminus], e.label)][0]

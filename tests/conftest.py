@@ -80,3 +80,17 @@ def letter_parse_calls(monkeypatch):
         if name.split(".")[0] == "rosefold" and getattr(module, "letter_from_char", None) is original:
             monkeypatch.setattr(module, "letter_from_char", counting)
     return calls
+
+
+@pytest.fixture
+def graphs_built(monkeypatch):
+    """Every ``LabeledGraph`` the library builds, in order."""
+    built = []
+    original = rf.LabeledGraph.__post_init__
+
+    def counting(g):
+        original(g)
+        built.append(g)
+
+    monkeypatch.setattr(rf.LabeledGraph, "__post_init__", counting)
+    return built

@@ -7,9 +7,9 @@ from hypothesis import strategies as hyp_st
 
 import rosefold as rf
 from rosefold.folding import NotFoldableError, fold_report_lines, random_fold_pick
-from rosefold.graphs import Edge, LabeledGraph, NotConnectedError
+from rosefold.graphs import Edge, LabeledGraph, NotConnectedError, oriented_edge
 
-from conftest import graph_st, nontrivial_word_st
+from conftest import graph_st, letter_st, nontrivial_word_st
 
 
 def gen_words_st():
@@ -29,6 +29,109 @@ def word(text, rank=2):
 
 def wedge(texts, rank=2):
     return rf.wedge_of_words(tuple(word(t, rank) for t in texts), rank).graph
+
+
+def reference_fold(g, pick=None):
+    """The graph-at-a-time loop that ``fold_to_completion`` replaced:
+    ``find_foldable_pair`` (or ``pick`` over ``foldable_pairs``), then
+    ``fold_once``.  Returns the steps, the penultimate and the final graph."""
+    steps, previous, current = [], None, g
+    while True:
+        if pick is None:
+            pair = rf.find_foldable_pair(current)
+        else:
+            pairs = rf.foldable_pairs(current)
+            pair = pick(pairs) if pairs else None
+        if pair is None:
+            return tuple(steps), previous, current
+        previous = current
+        current, step = rf.fold_once(current, pair)
+        steps.append(step)
+
+
+@hyp_st.composite
+def fold_graph_st(draw, rank=3, max_vertices=7, max_edge_pairs=14):
+    """Graphs with loops, parallel edges, isolated vertices and several
+    components; a repeated edge makes a later fold drop the Betti number."""
+    n = draw(hyp_st.integers(1, max_vertices))
+    vertex = hyp_st.integers(0, n - 1)
+    ends = draw(
+        hyp_st.lists(
+            hyp_st.tuples(vertex, vertex, letter_st(rank), hyp_st.booleans()),
+            max_size=max_edge_pairs,
+        )
+    )
+    edges = []
+    for o, t, letter, twin in ends:
+        for _ in range(1 + twin):
+            edges.append(oriented_edge(len(edges) + 1, o, t, letter))
+    return LabeledGraph(rank, frozenset(range(n)), tuple(edges))
+
+
+def transvection_wedge(rank, letters, seed):
+    """The wedge of a positive basis grown by transvections x_i -> x_i x_j
+    or x_j x_i until it has at least ``letters`` letters."""
+    rng = random.Random(seed)
+    basis = [[i] for i in range(1, rank + 1)]
+    while sum(map(len, basis)) < letters:
+        i, j = rng.sample(range(rank), 2)
+        basis[i] = basis[i] + basis[j] if rng.random() < 0.5 else basis[j] + basis[i]
+    return rf.wedge_of_words(tuple(rf.Word(tuple(w), rank) for w in basis), rank).graph
+
+
+class TestAgainstGraphAtATimeFolds:
+    @given(fold_graph_st(), hyp_st.integers(0, 10**6))
+    @settings(max_examples=150)
+    def test_same_steps_and_graphs(self, g, seed):
+        seq = rf.fold_to_completion(g)
+        steps, penultimate, final = reference_fold(g)
+        assert seq.steps == steps
+        assert seq.penultimate == penultimate
+        assert seq.final == final
+        rnd = rf.fold_to_completion(g, random_fold_pick(random.Random(seed)))
+        assert rnd.steps == reference_fold(g, random_fold_pick(random.Random(seed)))[0]
+
+    def test_mixed_shapes(self):
+        # a loop, parallel edges, a Betti drop, an isolated vertex and two components
+        g = LabeledGraph(
+            2,
+            frozenset(range(6)),
+            (
+                Edge(1, 0, 0, 1),
+                Edge(2, 0, 1, 1),
+                Edge(3, 0, 1, 1),
+                Edge(4, 1, 2, 2),
+                Edge(5, 0, 2, 2),
+                Edge(6, 3, 4, 2),
+                Edge(7, 4, 3, 2),
+            ),
+        )
+        seq = rf.fold_to_completion(g)
+        assert (seq.steps, seq.penultimate, seq.final) == reference_fold(g)
+        assert any(s.betti_dropped for s in seq.steps)
+        assert 5 in seq.final.vertices
+
+    def test_pick_must_return_a_listed_pair(self):
+        with pytest.raises(NotFoldableError):
+            rf.fold_to_completion(wedge(("ab", "b")), lambda pairs: (1, 2))
+
+
+class TestFoldScale:
+    def test_builds_at_most_two_graphs(self, graphs_built):
+        g = transvection_wedge(3, 300, seed=6)
+        graphs_built.clear()
+        seq = rf.fold_to_completion(g)
+        assert len(seq.steps) > 100
+        assert len(graphs_built) <= 2
+
+    def test_ten_thousand_letter_basis_folds_to_the_rose(self):
+        n = 3
+        g = transvection_wedge(n, 10_000, seed=6)
+        seq = rf.fold_to_completion(g)
+        assert len(seq.steps) == len(g.edges) - n
+        assert not any(s.betti_dropped for s in seq.steps)
+        assert rf.is_rose(seq.final)
+        assert rf.recognize_almost_rose(seq.penultimate) is not None
 
 
 class TestFindFoldablePair:

@@ -25,6 +25,65 @@ def cyc(text, rank=2):
     return rf.parse_cyclic_word(text, rank)
 
 
+def recursive_brute_force_morphism(g, h, max_states=10_000_000):
+    """The recursive backtracking search that ``brute_force_morphism``
+    replaced: one level of recursion per vertex of ``g``."""
+    gverts = sorted(g.vertices)
+    hverts = sorted(h.vertices)
+    h_index = {}
+    for e in h.edges:
+        h_index.setdefault((e.origin, e.terminus, e.label), []).append(e.eid)
+    for eids in h_index.values():
+        eids.sort()
+    incident = {v: [] for v in gverts}
+    for e in g.edges:
+        incident[e.origin].append(e)
+        if e.terminus != e.origin:
+            incident[e.terminus].append(e)
+    assignment = {}
+    visited = 0
+
+    def consistent(v):
+        for e in incident[v]:
+            fo = assignment.get(e.origin)
+            ft = assignment.get(e.terminus)
+            if fo is not None and ft is not None and (fo, ft, e.label) not in h_index:
+                return False
+        return True
+
+    def extend(i):
+        nonlocal visited
+        if i == len(gverts):
+            return True
+        v = gverts[i]
+        for w in hverts:
+            visited += 1
+            if visited > max_states:
+                raise SearchLimitError(f"exceeded {max_states} partial assignments")
+            assignment[v] = w
+            if consistent(v) and extend(i + 1):
+                return True
+            del assignment[v]
+        return False
+
+    if not extend(0):
+        return None
+    emap = {
+        e.eid: h_index[(assignment[e.origin], assignment[e.terminus], e.label)][0]
+        for e in g.edges
+    }
+    return rf.GraphMorphism(vertex_map=dict(assignment), edge_map=emap)
+
+
+def search_outcome(search, g, h, max_states):
+    """The morphism found, with its vertex-map order, or the limit error."""
+    try:
+        m = search(g, h, max_states)
+    except SearchLimitError as exc:
+        return ("limit", str(exc))
+    return None if m is None else (list(m.vertex_map.items()), m.edge_map)
+
+
 def spec(images, inverses=None, rank=2):
     return rf.EndomorphismSpec(
         rank,
@@ -152,6 +211,27 @@ class TestBruteForceMorphism:
         g = random_labeled_graph(rng, 2, max_vertices=6, max_edge_pairs=6)
         with pytest.raises(SearchLimitError):
             rf.brute_force_morphism(g, rf.rose(2), max_states=2)
+
+    @given(
+        graph_st(rank=2, max_vertices=6, max_edge_pairs=8),
+        graph_st(rank=2, max_vertices=3, max_edge_pairs=5),
+        hyp_st.integers(1, 60),
+    )
+    def test_matches_recursive_search(self, g, h, max_states):
+        # same first morphism, in the same vertex order, and the same
+        # state count at which the limit trips
+        for limit in (max_states, 10_000_000):
+            assert search_outcome(rf.brute_force_morphism, g, h, limit) == search_outcome(
+                recursive_brute_force_morphism, g, h, limit
+            )
+
+    def test_long_circuit_needs_no_recursion(self):
+        # the recursive search raised RecursionError at these sizes: one
+        # frame per vertex.  The second search backtracks from the last vertex.
+        g = rf.circuit(cyc("abc" * 416 + "ab", 3))
+        m = rf.brute_force_morphism(g, rf.rose(3))
+        assert len(g.vertices) == 1250 and rf.verify_morphism(m, g, rf.rose(3))
+        assert rf.brute_force_morphism(rf.circuit(cyc("ab" * 624 + "aB")), rf.circuit(cyc("ab"))) is None
 
     @given(graph_st(rank=2, max_vertices=5, max_edge_pairs=7))
     @settings(max_examples=60)
