@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -92,18 +93,49 @@ def _read_text(path: str, what: str) -> str:
         raise CliError(f"cannot read {what} file: {exc}") from exc
 
 
+def _temp_beside(path: Path, tag: str) -> Path:
+    return path.with_name(f".{path.name}.{os.getpid()}.{tag}")
+
+
 def _write_text(*files: tuple[str, str]) -> None:
-    """Write each ``(path, text)`` in order, all or none: when a write fails,
-    the files already written are removed."""
-    written: list[Path] = []
+    """Write each ``(path, text)``, all or none.
+
+    Each text goes to a new temporary file beside its target (created with
+    ``open(..., "x")``, so it gets the umask's mode), and the temporaries
+    are moved into place with ``os.replace`` once all are written.  Every
+    target but the last is hard-linked to a backup first: when a later
+    move fails, the moved targets get their old bytes back, or are removed
+    if they did not exist.  On failure only temporary files are deleted.
+    A symlink target is written through: the file it names is replaced.
+    """
+    targets = [Path(os.path.realpath(path)) for path, _ in files]
+    temps: list[Path] = []
+    backups: dict[Path, Path] = {}  # target -> hard link to its old contents
+    moved: list[Path] = []
     try:
-        for path, text in files:
-            Path(path).write_text(text)
-            written.append(Path(path))
+        for target, (_, text) in zip(targets, files):
+            tmp = _temp_beside(target, "tmp")
+            with open(tmp, "x") as f:
+                temps.append(tmp)
+                f.write(text)
+        for target in targets[:-1]:
+            if target.exists():
+                backups[target] = _temp_beside(target, "bak")
+                os.link(target, backups[target])
+        for target, tmp in zip(targets, temps):
+            os.replace(tmp, target)
+            moved.append(target)
     except OSError as exc:
-        for p in written:
+        for done in moved:
+            if done in backups:
+                os.replace(backups.pop(done), done)
+            else:
+                done.unlink()
+        for p in temps + list(backups.values()):
             p.unlink(missing_ok=True)
-        raise CliError(f"cannot write output file: {exc}") from exc
+        raise CliError(f"cannot write output file {target}: {exc.strerror or exc}") from exc
+    for b in backups.values():
+        b.unlink(missing_ok=True)
 
 
 def _cut_line(w: WhiteheadGraph) -> str:

@@ -373,8 +373,12 @@ def _vertex_signature(g: LabeledGraph, v: int) -> tuple[int, ...]:
 def is_label_isomorphic(g: LabeledGraph, h: LabeledGraph) -> bool:
     """Existence of a label-preserving graph isomorphism.
 
-    Backtracking over vertex bijections with signature pruning; intended
-    for the small graphs this library works with.
+    Backtracking over vertex bijections with signature pruning, on an
+    explicit stack, so the depth is not bounded by the recursion limit:
+    the vertices of ``g`` are assigned in ascending order, each to the
+    unused vertices of ``h`` in ascending order.  A candidate must carry
+    the same labels to every vertex assigned so far; only neighbours can
+    carry any, so the check costs the valence, not the assignment size.
     """
     if g.rank != h.rank or len(g.vertices) != len(h.vertices) or len(g.edges) != len(h.edges):
         return False
@@ -383,39 +387,52 @@ def is_label_isomorphic(g: LabeledGraph, h: LabeledGraph) -> bool:
     if sorted(gsigs.values()) != sorted(hsigs.values()):
         return False
 
-    def pair_labels(gr: LabeledGraph, a: int, b: int) -> list[int]:
-        """Labels of the directed edges from a to b: a stored edge b -> a
-        shows as its inverse, a loop at a as its label and its inverse."""
-        return sorted(label for _, label, t in gr.out_edges(a) if t == b)
+    def pair_labels(gr: LabeledGraph) -> dict[int, dict[int, list[int]]]:
+        """Per vertex a, per vertex b: the sorted labels of the directed edges
+        from a to b.  A stored edge b -> a shows as its inverse, a loop at a
+        as its label and its inverse."""
+        out: dict[int, dict[int, list[int]]] = {}
+        for a in gr.vertices:
+            by_end: dict[int, list[int]] = {}
+            for _, label, t in gr.out_edges(a):
+                by_end.setdefault(t, []).append(label)
+            for labels in by_end.values():
+                labels.sort()
+            out[a] = by_end
+        return out
 
+    gpairs, hpairs = pair_labels(g), pair_labels(h)
     gverts = sorted(g.vertices)
     hverts = sorted(h.vertices)
     assignment: dict[int, int] = {}
     used: set[int] = set()
-
-    def extend(i: int) -> bool:
+    # next_candidate[i]: where the search for the image of gverts[i] resumes in hverts.
+    next_candidate = [0]
+    while next_candidate:
+        i = len(next_candidate) - 1
         if i == len(gverts):
             return True
         v = gverts[i]
-        for w in hverts:
+        gv = gpairs[v]
+        to_assigned = {assignment[u]: labels for u, labels in gv.items() if u in assignment}
+        for j in range(next_candidate[i], len(hverts)):
+            w = hverts[j]
             if w in used or hsigs[w] != gsigs[v]:
                 continue
-            ok = pair_labels(g, v, v) == pair_labels(h, w, w)
-            if ok:
-                for u, x in assignment.items():
-                    if pair_labels(g, v, u) != pair_labels(h, w, x):
-                        ok = False
-                        break
-            if ok:
+            hw = hpairs[w]
+            if gv.get(v) != hw.get(w):
+                continue
+            if to_assigned == {x: labels for x, labels in hw.items() if x in used}:
+                next_candidate[i] = j + 1
                 assignment[v] = w
                 used.add(w)
-                if extend(i + 1):
-                    return True
-                del assignment[v]
-                used.remove(w)
-        return False
-
-    return extend(0)
+                next_candidate.append(0)
+                break
+        else:
+            next_candidate.pop()
+            if i:
+                used.remove(assignment.pop(gverts[i - 1]))
+    return False
 
 
 # -- text formats ----------------------------------------------------------

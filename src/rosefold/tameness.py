@@ -314,6 +314,45 @@ def induced_morphism(g: LabeledGraph, rose: AlmostRose) -> GraphMorphism | None:
     return m
 
 
+def _circuit_morphism(classes: tuple[CyclicWord, ...], rose: AlmostRose) -> GraphMorphism:
+    """The morphism ``induced_morphism(disjoint_circuits(classes), rose)``,
+    read from the letters without building either graph; the caller has
+    already checked the Whitehead inclusion.
+
+    ``disjoint_circuits`` numbers the circuit of a class c from an offset
+    ``off``, the same for vertices and edges: vertex ``off + i`` sits
+    between letters x = c[i-1] and x' = c[i] and receives x and x'^-1, so
+    it goes to v exactly when one of them is the image of a second-side
+    letter other than 1.  Edge ``off + i + 1`` reads x' from that vertex
+    to the next.
+    """
+    f = rose.relabeling.apply_letter
+    inv = rose.relabeling.inverse().apply_letter
+    _, v2 = clique_sides(rose.rank, rose.k, rose.l)
+    to_v = {f(y) for y in v2 if y != 1}
+    vmap: dict[int, int] = {}
+    emap: dict[int, int] = {}
+    off = 0
+    for c in classes:
+        ls = c.letters
+        k = len(ls)
+        prev = ls[-1]
+        for i, x in enumerate(ls):
+            vmap[off + i] = 1 if prev in to_v or -x in to_v else 0
+            prev = x
+        for i, x in enumerate(ls):
+            y = inv(x)
+            if abs(y) != 1:
+                emap[off + i + 1] = abs(y) + 1
+            else:
+                # The relabeled edge reads 1 toward its head: the next vertex
+                # when y = 1, this one when y = -1.
+                head = off + (i + 1) % k if y == 1 else off + i
+                emap[off + i + 1] = 2 if vmap[head] else 1
+        off += k
+    return GraphMorphism(vertex_map=vmap, edge_map=emap)
+
+
 def build_rose_from_whitehead(w: WhiteheadGraph) -> AlmostRose | None:
     """An almost-rose whose Whitehead graph contains ``w``.
 
@@ -449,10 +488,9 @@ def decide_tame(classes, rank: int | None = None) -> TamenessCertificate:
     # None exactly when w is connected and has no cut vertex.
     rose = build_rose_from_whitehead(w)
     if rose is not None:
-        gamma = disjoint_circuits(norm, rank)
-        morphism = induced_morphism(gamma, rose)
-        if morphism is None:
-            raise RuntimeError("internal error: Whitehead inclusion failed for built rose")
+        morphism = _circuit_morphism(norm, rose)
+        if not verify_morphism(morphism, disjoint_circuits(norm, rank), rose.graph):
+            raise RuntimeError("internal error: morphism read from the letters failed verification")
         return TamenessCertificate(
             tame=True, rank=rank, classes=norm, rose=rose, morphism=morphism
         )

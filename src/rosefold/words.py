@@ -40,6 +40,12 @@ def letter_key(letter: int) -> int:
     return 2 * abs(letter) + (0 if letter > 0 else 1)
 
 
+def _letter_keys(letters: tuple[int, ...]) -> list[int]:
+    """``letter_key`` of each letter, with one call per distinct letter."""
+    key_of = {v: letter_key(v) for v in set(letters)}
+    return list(map(key_of.__getitem__, letters))
+
+
 def letter_to_char(letter: int) -> str:
     i = abs(letter)
     if not 1 <= i <= MAX_PARSE_RANK:
@@ -192,13 +198,31 @@ def canonical_rotation(c: CyclicWord) -> CyclicWord:
     Two cyclic words represent the same conjugacy class exactly when
     their canonical rotations are identical sequences.
 
+    O(L) in the length L: Duval's Lyndon factorization (J. Algorithms 4,
+    1983) run over the doubled key sequence, where the least rotation
+    starts at the last Lyndon factor that begins in the first copy.
+
     >>> str(canonical_rotation(parse_cyclic_word("bA", 2)))
     'Ab'
     """
     ls = c.letters
     k = len(ls)
-    keys = [letter_key(v) for v in ls] * 2
-    best = min(range(k), key=lambda r: keys[r : r + k])
+    keys = _letter_keys(ls)
+    keys += keys
+    n = 2 * k
+    i = best = 0
+    while i < k:
+        best = i
+        # Extend the run of equal Lyndon words that starts at i: keys[p]
+        # is the key that repeating the current factor predicts at j.
+        j, p = i + 1, i
+        while j < n and keys[p] <= keys[j]:
+            p = i if keys[p] < keys[j] else p + 1
+            j += 1
+        while i <= p:
+            i += j - p
+    if best == 0:
+        return c
     return CyclicWord(ls[best:] + ls[:best], c.rank)
 
 
@@ -229,5 +253,5 @@ def normalize_classes(words: Iterable[CyclicWord]) -> tuple[CyclicWord, ...]:
         cc = canonical_rotation(c)
         seen[cc.letters] = cc
     return tuple(
-        sorted(seen.values(), key=lambda c: (len(c), tuple(letter_key(v) for v in c.letters)))
+        sorted(seen.values(), key=lambda c: (len(c), _letter_keys(c.letters)))
     )

@@ -1,4 +1,5 @@
 import argparse
+import errno
 
 import pytest
 
@@ -97,6 +98,46 @@ class TestTame:
         code, _, err = run(capsys, "tame", "aab", "--out", str(tmp_path / "missing" / "cert.txt"))
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_failed_write_keeps_old_file(self, capsys, tmp_path, monkeypatch):
+        # the disk fills up halfway through the certificate
+        target = tmp_path / "cert.txt"
+        target.write_text("old certificate\n")
+
+        class HalfFull:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, text):
+                self.f.write(text[: len(text) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(rf.cli, "open", lambda path, mode: HalfFull(open(path, mode)), raising=False)
+        code, out, err = run(capsys, "tame", "aab", "--out", str(target))
+        assert code == 2 and out == ""
+        assert "No space left on device" in err and "Traceback" not in err
+        assert target.read_text() == "old certificate\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cert.txt"]
+
+    def test_out_writes_through_a_symlink(self, capsys, tmp_path):
+        (tmp_path / "real.txt").write_text("old\n")
+        link = tmp_path / "cert.txt"
+        link.symlink_to("real.txt")
+        code, out, _ = run(capsys, "tame", "aab", "--out", str(link))
+        assert code == 0 and link.is_symlink() and (tmp_path / "real.txt").read_text() == out
+
+    def test_out_replaces_old_file(self, capsys, tmp_path):
+        target = tmp_path / "cert.txt"
+        target.write_text("old certificate, longer than the new one " * 20)
+        code, out, _ = run(capsys, "tame", "aab", "--out", str(target))
+        assert code == 0 and target.read_text() == out
+        assert [p.name for p in tmp_path.iterdir()] == ["cert.txt"]
 
     def test_one_rotation_per_class_per_pass(self, capsys, rotation_calls):
         # bAB reduces to A: two classes, rotated once by decide and once by verify
@@ -272,6 +313,25 @@ class TestSep:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["p.witness"]
+
+    def test_failed_second_write_keeps_old_first_file(self, capsys, tmp_path):
+        (tmp_path / "p.classes").write_text("old classes\n")
+        (tmp_path / "p.witness").mkdir()
+        code, out, err = run(capsys, "sep", "3", "--seed", "7", "--count", "4", "--out", str(tmp_path / "p"))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert (tmp_path / "p.classes").read_text() == "old classes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.classes", "p.witness"]
+
+    def test_out_files_replace_old_ones(self, capsys, tmp_path):
+        prefix = tmp_path / "p"
+        for suffix in (".classes", ".witness"):
+            (tmp_path / ("p" + suffix)).write_text("old\n")
+        code, _, _ = run(capsys, "sep", "3", "--seed", "7", "--count", "4", "--out", str(prefix))
+        assert code == 0
+        assert (tmp_path / "p.witness").read_text().startswith("separable-witness\n")
+        assert len((tmp_path / "p.classes").read_text().splitlines()) == 4
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.classes", "p.witness"]
 
     def test_rank_above_26_exits_2(self, capsys):
         code, _, err = run(capsys, "sep", "27", "--seed", "1", "--count", "1", "--max-len", "2")

@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 import rosefold as rf
 from rosefold.graphs import Edge, LabeledGraph, subdivide_edge
@@ -14,6 +16,67 @@ def cyc(text, rank=2):
 
 def word(text, rank=2):
     return rf.parse_word(text, rank)
+
+
+def recursive_is_label_isomorphic(g, h):
+    """The recursive backtracking search that ``is_label_isomorphic``
+    replaced: one level of recursion per vertex, and every assigned vertex
+    compared at each step."""
+    if g.rank != h.rank or len(g.vertices) != len(h.vertices) or len(g.edges) != len(h.edges):
+        return False
+
+    def signature(gr, v):
+        return tuple(sorted(label for _, label, _ in gr.out_edges(v)))
+
+    gsigs = {v: signature(g, v) for v in g.vertices}
+    hsigs = {v: signature(h, v) for v in h.vertices}
+    if sorted(gsigs.values()) != sorted(hsigs.values()):
+        return False
+
+    def pair_labels(gr, a, b):
+        return sorted(label for _, label, t in gr.out_edges(a) if t == b)
+
+    gverts = sorted(g.vertices)
+    hverts = sorted(h.vertices)
+    assignment = {}
+    used = set()
+
+    def extend(i):
+        if i == len(gverts):
+            return True
+        v = gverts[i]
+        for w in hverts:
+            if w in used or hsigs[w] != gsigs[v]:
+                continue
+            ok = pair_labels(g, v, v) == pair_labels(h, w, w)
+            if ok:
+                for u, x in assignment.items():
+                    if pair_labels(g, v, u) != pair_labels(h, w, x):
+                        ok = False
+                        break
+            if ok:
+                assignment[v] = w
+                used.add(w)
+                if extend(i + 1):
+                    return True
+                del assignment[v]
+                used.remove(w)
+        return False
+
+    return extend(0)
+
+
+def renamed(g, perm_seed):
+    """``g`` with its vertices permuted and shifted, edge ids shifted."""
+    vs = sorted(g.vertices)
+    images = vs[:]
+    random.Random(perm_seed).shuffle(images)
+    to = {v: w + 100 for v, w in zip(vs, images)}
+    return LabeledGraph(
+        g.rank,
+        frozenset(to.values()),
+        tuple(Edge(e.eid + 50, to[e.origin], to[e.terminus], e.label) for e in g.edges),
+    )
 
 
 class TestRose:
@@ -338,6 +401,24 @@ class TestLabelIsomorphism:
             tuple(Edge(e.eid + 50, e.origin + 100, e.terminus + 100, e.label) for e in g.edges),
         )
         assert rf.is_label_isomorphic(g, shifted)
+
+    @given(graph_st(rank=2, max_vertices=6, max_edge_pairs=8), graph_st(rank=2, max_vertices=6, max_edge_pairs=8))
+    def test_matches_recursive_search(self, g, h):
+        assert rf.is_label_isomorphic(g, h) == recursive_is_label_isomorphic(g, h)
+
+    @given(graph_st(rank=3, max_vertices=7, max_edge_pairs=9), st.integers(0, 10**6))
+    def test_matches_recursive_search_on_renamed_copies(self, g, perm_seed):
+        h = renamed(g, perm_seed)
+        assert rf.is_label_isomorphic(g, h) == recursive_is_label_isomorphic(g, h) is True
+
+    def test_long_circuit_needs_no_recursion(self):
+        # the recursive search raised RecursionError here: one frame per vertex
+        c = cyc("abc" * 500, 3)
+        g = rf.circuit(c)
+        assert len(g.vertices) == 1500
+        assert rf.is_label_isomorphic(g, rf.circuit(c))
+        assert rf.is_label_isomorphic(g, renamed(g, 1500))
+        assert not rf.is_label_isomorphic(g, rf.circuit(cyc("abc" * 499 + "acb", 3)))
 
 
 class TestTextFormats:

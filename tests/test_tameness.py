@@ -11,7 +11,7 @@ import rosefold as rf
 from rosefold.graphs import Edge, LabeledGraph
 from rosefold.oracles import random_class
 from rosefold.tameness import FoldFactorError
-from rosefold.words import RankError
+from rosefold.words import RankError, letter_to_char, normalize_classes
 
 from conftest import class_set_st, relabeling_st
 
@@ -234,6 +234,86 @@ class TestInducedMorphism:
         rose = rf.build_rose_from_whitehead(w)
         m = rf.induced_morphism(rf.disjoint_circuits([cyc("ab")]), rose)
         assert m is not None
+
+
+def tame_class_sets(seed, count):
+    """Seeded tame class sets at ranks 2-5 with their ranks: random classes,
+    some over a proper subset of the generators, with repeated and
+    length-one classes mixed in."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        n = rng.randint(2, 5)
+        gens = rng.sample(range(1, n + 1), rng.randint(1, n))
+        letters = [s * i for i in gens for s in (1, -1)]
+        classes = []
+        for _ in range(rng.randint(1, 4)):
+            w = rf.Word(tuple(rng.choice(letters) for _ in range(rng.randint(1, 9))), n)
+            if rf.free_reduce(w).letters:
+                classes.append(rf.conjugacy_class(w))
+        if not classes:
+            continue
+        if rng.random() < 0.3:
+            classes.append(classes[0])
+        if rng.random() < 0.3:
+            classes.append(cyc(letter_to_char(rng.choice(letters)), n))
+        if rf.decide_tame(classes, n).tame:
+            found.append((classes, n))
+    return found
+
+
+class TestCircuitMorphism:
+    """``decide_tame`` reads the tame morphism from the letters;
+    ``induced_morphism`` on the circuit graph is its oracle."""
+
+    def test_matches_induced_morphism(self):
+        ranks = set()
+        for classes, n in tame_class_sets(7, 1000):
+            norm = normalize_classes(classes)
+            rose = rf.build_rose_from_whitehead(rf.whitehead_of_classes(norm, n))
+            fast = rf.tameness._circuit_morphism(norm, rose)
+            slow = rf.induced_morphism(rf.disjoint_circuits(norm, n), rose)
+            assert fast.vertex_map == slow.vertex_map and fast.edge_map == slow.edge_map
+            ranks.add(n)
+        assert ranks == {2, 3, 4, 5}
+
+    def test_decide_builds_no_relabeled_graph(self, monkeypatch):
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            rf.SignedRelabeling, "apply_graph", counting("apply_graph", rf.SignedRelabeling.apply_graph)
+        )
+        for module in (rf.tameness, rf.whitehead):
+            monkeypatch.setattr(module, "whitehead_of_graph", counting("whitehead_of_graph", module.whitehead_of_graph))
+        for classes, n in tame_class_sets(8, 50):
+            assert rf.decide_tame(classes, n).tame
+        assert calls == []
+        # the counters do see the oracle's calls
+        rose = rf.almost_rose(2, 1, 2, rf.SignedRelabeling((1, -2)))
+        assert rf.induced_morphism(rf.circuit(cyc("aab")), rose) is not None
+        assert calls == ["whitehead_of_graph", "apply_graph"]
+
+    def test_flipped_vertex_fails_the_self_check(self, monkeypatch):
+        original = rf.tameness._circuit_morphism
+        sets = tame_class_sets(9, 20)
+
+        def flipped(classes, rose):
+            m = original(classes, rose)
+            vmap = dict(m.vertex_map)
+            vmap[0] = 1 - vmap[0]
+            return rf.GraphMorphism(vertex_map=vmap, edge_map=m.edge_map)
+
+        monkeypatch.setattr(rf.tameness, "_circuit_morphism", flipped)
+        for classes, n in sets:
+            with pytest.raises(RuntimeError):
+                rf.decide_tame(classes, n)
 
 
 class TestBuildRoseFromWhitehead:

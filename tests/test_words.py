@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +14,16 @@ def least_rotation_oracle(c):
     ls = c.letters
     k = len(ls)
     best = min(range(k), key=lambda r: tuple(letter_key(ls[(r + i) % k]) for i in range(k)))
+    return ls[best:] + ls[:best]
+
+
+def slice_rotation_oracle(c):
+    """The slice-comparing least rotation that Duval's scan replaced: the
+    same definition, O(L^2) but in C, so it reaches 10^4 letters."""
+    ls = c.letters
+    k = len(ls)
+    keys = [letter_key(v) for v in ls] * 2
+    best = min(range(k), key=lambda r: keys[r : r + k])
     return ls[best:] + ls[:best]
 
 
@@ -109,14 +121,26 @@ class TestCanonicalRotation:
         # a < A < b < B < ...
         assert sorted([2, -1, 1, -2], key=letter_key) == [1, -1, 2, -2]
 
-    @pytest.mark.parametrize("text", ["a", "B", "abab", "BaBaBa", "baabaa", "cAbcAb", "aabaaac", "aacaaab"])
+    @pytest.mark.parametrize("text", ["a", "A", "b", "B", "c", "C", "abab", "BaBaBa", "baabaa", "cAbcAb", "aabaaac", "aacaaab"])
     def test_matches_oracle_on_short_and_periodic(self, text):
         c = rf.parse_cyclic_word(text, 3)
         assert rf.canonical_rotation(c).letters == least_rotation_oracle(c)
 
-    @given(rotated_power_st())
+    @given(st.sampled_from((2, 3)).flatmap(lambda rank: rotated_power_st(rank)))
     def test_matches_oracle(self, c):
         assert rf.canonical_rotation(c).letters == least_rotation_oracle(c)
+
+    def test_ten_thousand_letters(self):
+        rng = random.Random(10_000)
+        ls = [1]
+        while len(ls) < 10_000 or ls[-1] == -ls[0]:
+            ls.append(rng.choice([v for v in (1, -1, 2, -2, 3, -3) if v != -ls[-1]]))
+        # the random word and a power of one of its cyclically reduced prefixes
+        period = next(p for p in range(100, 200) if ls[p - 1] != -ls[0])
+        for c in (rf.CyclicWord(tuple(ls), 3), rf.CyclicWord(tuple(ls[:period]) * 60, 3)):
+            r = 7_919
+            c = rf.CyclicWord(c.letters[r:] + c.letters[:r], 3)
+            assert rf.canonical_rotation(c).letters == slice_rotation_oracle(c)
 
     def test_inverse_class_is_distinct(self):
         # [g] and [g inverse] are different classes
