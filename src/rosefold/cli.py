@@ -11,8 +11,11 @@ canonically rotated, and every randomized command is keyed by a seed.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import os
+import secrets
+import stat
 import sys
 from pathlib import Path
 
@@ -93,49 +96,127 @@ def _read_text(path: str, what: str) -> str:
         raise CliError(f"cannot read {what} file: {exc}") from exc
 
 
-def _temp_beside(path: Path, tag: str) -> Path:
-    return path.with_name(f".{path.name}.{os.getpid()}.{tag}")
+def _beside(path: Path, tag: str, make):
+    """``(p, make(p))`` for the first free hidden name ``p`` beside ``path``;
+    names carry a random part, so a file left by a killed run is skipped."""
+    for _ in range(100):
+        p = path.with_name(f".{path.name}.{secrets.token_hex(4)}.{tag}")
+        try:
+            return p, make(p)
+        except FileExistsError:
+            continue
+    raise FileExistsError(errno.EEXIST, "no free temporary name", str(path))
+
+
+def _temp_copy(target: Path, data: str | bytes, old: os.stat_result | None) -> Path:
+    """A new hidden file beside ``target`` holding ``data``, with the
+    permission bits of ``old`` (the replaced file) or else the umask's."""
+    tmp, f = _beside(target, "tmp", lambda p: open(p, "xb" if isinstance(data, bytes) else "x"))
+    try:
+        with f:
+            f.write(data)
+        if old is not None:
+            os.chmod(tmp, stat.S_IMODE(old.st_mode))
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return tmp
+
+
+def _replaceable(path: str, st: os.stat_result | None) -> bool:
+    """Whether a new file can stand in for ``path``: it is absent, or a
+    regular file with no other name and the caller as owner, and the
+    caller may create files in its directory."""
+    if st is not None and not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and st.st_uid == os.geteuid()):
+        return False
+    return os.access(os.path.dirname(os.path.realpath(path)), os.W_OK | os.X_OK)
 
 
 def _write_text(*files: tuple[str, str]) -> None:
     """Write each ``(path, text)``, all or none.
 
-    Each text goes to a new temporary file beside its target (created with
-    ``open(..., "x")``, so it gets the umask's mode), and the temporaries
-    are moved into place with ``os.replace`` once all are written.  Every
-    target but the last is hard-linked to a backup first: when a later
-    move fails, the moved targets get their old bytes back, or are removed
-    if they did not exist.  On failure only temporary files are deleted.
-    A symlink target is written through: the file it names is replaced.
+    A replaceable target (see ``_replaceable``; a symlink is followed) is
+    replaced atomically: its text goes to a temporary file beside it,
+    which ``os.replace`` moves into place once every temporary is written;
+    an existing target keeps its permission bits, and one the caller may
+    not write is refused.  Any other target (a device such as /dev/null,
+    a FIFO, a file with other hard links or another owner) is written in
+    place, as ``Path.write_text`` does, after the replacements; so is
+    any target in a directory the caller may not add files to.
+
+    When several files are written, each existing replaceable target is
+    first kept as a hard link beside it (or in memory, where the file
+    system has no hard links).  If a step fails, the replaced targets get
+    their old contents back, or are removed if they were absent, and only
+    temporary files are deleted; in-place writes cannot be undone.
     """
-    targets = [Path(os.path.realpath(path)) for path, _ in files]
+    swaps: list[tuple[Path, str, os.stat_result | None]] = []
+    in_place: list[tuple[str, str]] = []
     temps: list[Path] = []
-    backups: dict[Path, Path] = {}  # target -> hard link to its old contents
-    moved: list[Path] = []
+    backups: dict[Path, Path | bytes] = {}  # target -> hard link to, or bytes of, its old contents
+    moved = 0
+    current = ""
     try:
-        for target, (_, text) in zip(targets, files):
-            tmp = _temp_beside(target, "tmp")
-            with open(tmp, "x") as f:
-                temps.append(tmp)
-                f.write(text)
-        for target in targets[:-1]:
-            if target.exists():
-                backups[target] = _temp_beside(target, "bak")
-                os.link(target, backups[target])
-        for target, tmp in zip(targets, temps):
+        for path, text in files:
+            current = path
+            try:
+                st = os.stat(path)
+            except FileNotFoundError:
+                st = None
+            if not _replaceable(path, st):
+                in_place.append((path, text))
+                continue
+            if st is not None and not os.access(path, os.W_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+            swaps.append((Path(os.path.realpath(path)), text, st))
+        for target, text, st in swaps:
+            current = str(target)
+            temps.append(_temp_copy(target, text, st))
+            if st is not None and len(files) > 1:
+                try:
+                    backups[target] = _beside(target, "bak", lambda p: os.link(target, p))[0]
+                except OSError:
+                    backups[target] = target.read_bytes()
+        for (target, _, _), tmp in zip(swaps, temps):
+            current = str(target)
             os.replace(tmp, target)
-            moved.append(target)
+            moved += 1
+        for path, text in in_place:
+            current = path
+            Path(path).write_text(text)
     except OSError as exc:
-        for done in moved:
-            if done in backups:
-                os.replace(backups.pop(done), done)
-            else:
-                done.unlink()
-        for p in temps + list(backups.values()):
+        problems = _roll_back(swaps[:moved], backups, temps)
+        raise CliError(f"cannot write output file {current}: {exc.strerror or exc}{problems}") from exc
+    problems = _roll_back([], backups, [])
+    if problems:
+        raise CliError(f"wrote the output files, but{problems[1:]}")
+
+
+def _roll_back(moved, backups: dict[Path, Path | bytes], temps: list[Path]) -> str:
+    """Give each moved target its old contents back (removing it if it was
+    absent), then delete every temporary file and every backup not needed
+    to recover a target that could not be restored; returns a
+    ``"; could not ..."`` note per step that failed, or ``""``."""
+    problems = ""
+    for target, _, st in moved:
+        old = backups.pop(target, None)
+        try:
+            if st is None:
+                target.unlink()
+            elif isinstance(old, Path):
+                os.replace(old, target)
+            elif old is not None:
+                temps.append(_temp_copy(target, old, st))
+                os.replace(temps[-1], target)
+        except OSError as exc:
+            kept = f" (its old contents are in {old})" if isinstance(old, Path) else ""
+            problems += f"; could not restore {target}{kept}: {exc.strerror or exc}"
+    for p in temps + [b for b in backups.values() if isinstance(b, Path)]:
+        try:
             p.unlink(missing_ok=True)
-        raise CliError(f"cannot write output file {target}: {exc.strerror or exc}") from exc
-    for b in backups.values():
-        b.unlink(missing_ok=True)
+        except OSError as exc:
+            problems += f"; could not remove {p}: {exc.strerror or exc}"
+    return problems
 
 
 def _cut_line(w: WhiteheadGraph) -> str:

@@ -295,18 +295,7 @@ def induced_morphism(g: LabeledGraph, rose: AlmostRose) -> GraphMorphism | None:
     """
     if not is_subgraph(whitehead_of_graph(g), whitehead_of_almost_rose(rose)):
         return None
-    gs = rose.relabeling.inverse().apply_graph(g)
-    n, k, l = rose.rank, rose.k, rose.l
-    _, v2 = clique_sides(n, k, l)
-    v2_strict = set(v2) - {1}
-    vmap = {p: (1 if gs.in_labels(p) & v2_strict else 0) for p in gs.vertices}
-    emap: dict[int, int] = {}
-    for e in gs.edges:
-        if e.label != 1:
-            emap[e.eid] = e.label + 1
-        else:
-            emap[e.eid] = 2 if vmap[e.terminus] == 1 else 1
-    m = GraphMorphism(vertex_map=vmap, edge_map=emap)
+    m = _induced_map(g, rose)
     if not verify_morphism(m, g, rose.graph):
         raise RuntimeError(
             "internal error: induced morphism failed verification despite inclusion"
@@ -314,42 +303,32 @@ def induced_morphism(g: LabeledGraph, rose: AlmostRose) -> GraphMorphism | None:
     return m
 
 
-def _circuit_morphism(classes: tuple[CyclicWord, ...], rose: AlmostRose) -> GraphMorphism:
-    """The morphism ``induced_morphism(disjoint_circuits(classes), rose)``,
-    read from the letters without building either graph; the caller has
-    already checked the Whitehead inclusion.
+def _induced_map(g: LabeledGraph, rose: AlmostRose) -> GraphMorphism:
+    """The maps of ``induced_morphism``, unchecked: the caller has checked
+    the Whitehead inclusion and verifies the result.
 
-    ``disjoint_circuits`` numbers the circuit of a class c from an offset
-    ``off``, the same for vertices and edges: vertex ``off + i`` sits
-    between letters x = c[i-1] and x' = c[i] and receives x and x'^-1, so
-    it goes to v exactly when one of them is the image of a second-side
-    letter other than 1.  Edge ``off + i + 1`` reads x' from that vertex
-    to the next.
+    Each edge's label is read in standard coordinates as it is met, so no
+    relabeled copy of ``g`` is built: an edge reading b (possibly negative)
+    from its origin to its terminus brings b into the terminus and b^-1
+    into the origin.
     """
-    f = rose.relabeling.apply_letter
     inv = rose.relabeling.inverse().apply_letter
     _, v2 = clique_sides(rose.rank, rose.k, rose.l)
-    to_v = {f(y) for y in v2 if y != 1}
-    vmap: dict[int, int] = {}
+    v2_strict = set(v2) - {1}
+    labels = [(e, inv(e.label)) for e in g.edges]
+    vmap = dict.fromkeys(g.vertices, 0)
+    for e, b in labels:
+        if b in v2_strict:
+            vmap[e.terminus] = 1
+        if -b in v2_strict:
+            vmap[e.origin] = 1
     emap: dict[int, int] = {}
-    off = 0
-    for c in classes:
-        ls = c.letters
-        k = len(ls)
-        prev = ls[-1]
-        for i, x in enumerate(ls):
-            vmap[off + i] = 1 if prev in to_v or -x in to_v else 0
-            prev = x
-        for i, x in enumerate(ls):
-            y = inv(x)
-            if abs(y) != 1:
-                emap[off + i + 1] = abs(y) + 1
-            else:
-                # The relabeled edge reads 1 toward its head: the next vertex
-                # when y = 1, this one when y = -1.
-                head = off + (i + 1) % k if y == 1 else off + i
-                emap[off + i + 1] = 2 if vmap[head] else 1
-        off += k
+    for e, b in labels:
+        if abs(b) != 1:
+            emap[e.eid] = abs(b) + 1
+        else:
+            # the edge reads 1 toward its terminus when b = 1, its origin when b = -1
+            emap[e.eid] = 2 if vmap[e.terminus if b == 1 else e.origin] else 1
     return GraphMorphism(vertex_map=vmap, edge_map=emap)
 
 
@@ -488,9 +467,11 @@ def decide_tame(classes, rank: int | None = None) -> TamenessCertificate:
     # None exactly when w is connected and has no cut vertex.
     rose = build_rose_from_whitehead(w)
     if rose is not None:
-        morphism = _circuit_morphism(norm, rose)
-        if not verify_morphism(morphism, disjoint_circuits(norm, rank), rose.graph):
-            raise RuntimeError("internal error: morphism read from the letters failed verification")
+        # build_rose_from_whitehead has checked the Whitehead inclusion
+        gamma = disjoint_circuits(norm, rank)
+        morphism = _induced_map(gamma, rose)
+        if not verify_morphism(morphism, gamma, rose.graph):
+            raise RuntimeError("internal error: induced morphism failed verification")
         return TamenessCertificate(
             tame=True, rank=rank, classes=norm, rose=rose, morphism=morphism
         )

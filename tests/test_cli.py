@@ -1,5 +1,10 @@
 import argparse
 import errno
+import os
+import stat
+import subprocess
+import sys
+import threading
 
 import pytest
 
@@ -138,6 +143,67 @@ class TestTame:
         code, out, _ = run(capsys, "tame", "aab", "--out", str(target))
         assert code == 0 and target.read_text() == out
         assert [p.name for p in tmp_path.iterdir()] == ["cert.txt"]
+
+    def test_out_to_a_fifo_writes_into_it(self, capsys, tmp_path):
+        fifo = tmp_path / "cert.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        code, out, _ = run(capsys, "tame", "aab", "--out", str(fifo))
+        reader.join(timeout=10)
+        assert not reader.is_alive() and code == 0 and received == [out]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["cert.fifo"]
+
+    def test_out_to_stdout_pipe(self):
+        # /dev/stdout names the pipe itself: it cannot be replaced, only written
+        if not os.path.exists("/dev/stdout"):
+            pytest.skip("no /dev/stdout")
+        p = subprocess.run(
+            [sys.executable, "-m", "rosefold", "tame", "aab", "--out", "/dev/stdout"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert p.returncode == 0 and p.stderr == ""
+        assert p.stdout.startswith("tameness-certificate\n") and p.stdout == 2 * p.stdout[: len(p.stdout) // 2]
+
+    def test_out_keeps_the_old_mode(self, capsys, tmp_path):
+        target = tmp_path / "cert.txt"
+        target.write_text("old\n")
+        target.chmod(0o600)
+        code, out, _ = run(capsys, "tame", "aab", "--out", str(target))
+        assert code == 0 and target.read_text() == out
+        assert stat.S_IMODE(target.stat().st_mode) == 0o600
+
+    def test_out_refuses_a_file_it_may_not_write(self, capsys, tmp_path, monkeypatch):
+        # as Path.write_text would; the check is patched so that it also holds for root
+        target = tmp_path / "cert.txt"
+        target.write_text("old\n")
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda p, mode: str(p) != str(target) and access(p, mode))
+        code, _, err = run(capsys, "tame", "aab", "--out", str(target))
+        assert code == 2 and "Permission denied" in err and "Traceback" not in err
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cert.txt"]
+
+    def test_out_writes_a_hard_linked_file_in_place(self, capsys, tmp_path):
+        target = tmp_path / "cert.txt"
+        target.write_text("old\n")
+        other = tmp_path / "other.txt"
+        other.hardlink_to(target)
+        inode = target.stat().st_ino
+        code, out, _ = run(capsys, "tame", "aab", "--out", str(target))
+        assert code == 0 and target.stat().st_ino == inode and other.read_text() == out
+
+    def test_out_skips_a_temporary_left_by_a_killed_run(self, capsys, tmp_path, monkeypatch):
+        names = iter(["dead", "beef"])
+        monkeypatch.setattr(rf.cli.secrets, "token_hex", lambda n: next(names))
+        stale = tmp_path / ".cert.txt.dead.tmp"
+        stale.write_text("stale\n")
+        target = tmp_path / "cert.txt"
+        code, out, _ = run(capsys, "tame", "aab", "--out", str(target))
+        assert code == 0 and target.read_text() == out and stale.read_text() == "stale\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".cert.txt.dead.tmp", "cert.txt"]
 
     def test_one_rotation_per_class_per_pass(self, capsys, rotation_calls):
         # bAB reduces to A: two classes, rotated once by decide and once by verify
@@ -322,6 +388,42 @@ class TestSep:
         assert err.startswith("error:") and "Traceback" not in err
         assert (tmp_path / "p.classes").read_text() == "old classes\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["p.classes", "p.witness"]
+
+    def test_without_hard_links_old_file_is_restored_from_memory(self, capsys, tmp_path, monkeypatch):
+        def no_links(src, dst):
+            raise OSError(errno.EPERM, "Operation not permitted")
+
+        monkeypatch.setattr(os, "link", no_links)
+        (tmp_path / "p.classes").write_text("old classes\n")
+        (tmp_path / "p.classes").chmod(0o640)
+        (tmp_path / "p.witness").mkdir()
+        code, out, err = run(capsys, "sep", "3", "--seed", "7", "--count", "4", "--out", str(tmp_path / "p"))
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert (tmp_path / "p.classes").read_text() == "old classes\n"
+        assert stat.S_IMODE((tmp_path / "p.classes").stat().st_mode) == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.classes", "p.witness"]
+        (tmp_path / "p.witness").rmdir()
+        (tmp_path / "p.witness").write_text("old\n")
+        code, _, _ = run(capsys, "sep", "3", "--seed", "7", "--count", "4", "--out", str(tmp_path / "p"))
+        assert code == 0 and (tmp_path / "p.witness").read_text().startswith("separable-witness\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.classes", "p.witness"]
+
+    def test_failed_restore_exits_2_and_keeps_the_backup(self, capsys, tmp_path, monkeypatch):
+        replace = os.replace
+
+        def no_restore(src, dst):
+            if str(src).endswith(".bak"):
+                raise OSError(errno.EIO, "Input/output error")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", no_restore)
+        (tmp_path / "p.classes").write_text("old classes\n")
+        (tmp_path / "p.witness").mkdir()
+        code, out, err = run(capsys, "sep", "3", "--seed", "7", "--count", "4", "--out", str(tmp_path / "p"))
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "could not restore" in err and "Input/output error" in err
+        (backup,) = tmp_path.glob(".p.classes.*.bak")
+        assert backup.read_text() == "old classes\n" and str(backup) in err
 
     def test_out_files_replace_old_ones(self, capsys, tmp_path):
         prefix = tmp_path / "p"

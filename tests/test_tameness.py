@@ -13,7 +13,7 @@ from rosefold.oracles import random_class
 from rosefold.tameness import FoldFactorError
 from rosefold.words import RankError, letter_to_char, normalize_classes
 
-from conftest import class_set_st, relabeling_st
+from conftest import class_set_st, graph_st, relabeling_st
 
 
 def cyc(text, rank=2):
@@ -262,20 +262,47 @@ def tame_class_sets(seed, count):
     return found
 
 
-class TestCircuitMorphism:
-    """``decide_tame`` reads the tame morphism from the letters;
-    ``induced_morphism`` on the circuit graph is its oracle."""
+def induced_map_oracle(g, rose):
+    """The maps of ``induced_morphism`` computed on a relabeled copy of
+    ``g``, as the morphism was built before ``_induced_map``."""
+    gs = rose.relabeling.inverse().apply_graph(g)
+    _, v2 = rf.tameness.clique_sides(rose.rank, rose.k, rose.l)
+    v2_strict = set(v2) - {1}
+    vmap = {p: (1 if gs.in_labels(p) & v2_strict else 0) for p in gs.vertices}
+    emap = {}
+    for e in gs.edges:
+        if e.label != 1:
+            emap[e.eid] = e.label + 1
+        else:
+            emap[e.eid] = 2 if vmap[e.terminus] == 1 else 1
+    return vmap, emap
 
-    def test_matches_induced_morphism(self):
+
+class TestInducedMap:
+    """``decide_tame`` maps the circuit graph it already builds with
+    ``_induced_map``, which reads each label in standard coordinates;
+    the relabeled-copy construction is its oracle."""
+
+    def test_matches_relabeled_copy_on_circuits(self):
         ranks = set()
         for classes, n in tame_class_sets(7, 1000):
             norm = normalize_classes(classes)
             rose = rf.build_rose_from_whitehead(rf.whitehead_of_classes(norm, n))
-            fast = rf.tameness._circuit_morphism(norm, rose)
-            slow = rf.induced_morphism(rf.disjoint_circuits(norm, n), rose)
-            assert fast.vertex_map == slow.vertex_map and fast.edge_map == slow.edge_map
+            gamma = rf.disjoint_circuits(norm, n)
+            m = rf.tameness._induced_map(gamma, rose)
+            assert (m.vertex_map, m.edge_map) == induced_map_oracle(gamma, rose)
+            assert rf.verify_morphism(m, gamma, rose.graph)
             ranks.add(n)
         assert ranks == {2, 3, 4, 5}
+
+    @settings(max_examples=100, deadline=None)
+    @given(graph_st(2))
+    def test_matches_relabeled_copy_on_random_graphs(self, g):
+        # every rank-2 almost-rose whose Whitehead graph contains g's
+        for rose in rf.enumerate_almost_roses(2):
+            m = rf.induced_morphism(g, rose)
+            if m is not None:
+                assert (m.vertex_map, m.edge_map) == induced_map_oracle(g, rose)
 
     def test_decide_builds_no_relabeled_graph(self, monkeypatch):
         calls = []
@@ -295,22 +322,23 @@ class TestCircuitMorphism:
         for classes, n in tame_class_sets(8, 50):
             assert rf.decide_tame(classes, n).tame
         assert calls == []
-        # the counters do see the oracle's calls
+        # the counters do see induced_morphism's and the oracle's calls
         rose = rf.almost_rose(2, 1, 2, rf.SignedRelabeling((1, -2)))
         assert rf.induced_morphism(rf.circuit(cyc("aab")), rose) is not None
+        induced_map_oracle(rf.circuit(cyc("aab")), rose)
         assert calls == ["whitehead_of_graph", "apply_graph"]
 
     def test_flipped_vertex_fails_the_self_check(self, monkeypatch):
-        original = rf.tameness._circuit_morphism
+        original = rf.tameness._induced_map
         sets = tame_class_sets(9, 20)
 
-        def flipped(classes, rose):
-            m = original(classes, rose)
+        def flipped(g, rose):
+            m = original(g, rose)
             vmap = dict(m.vertex_map)
             vmap[0] = 1 - vmap[0]
             return rf.GraphMorphism(vertex_map=vmap, edge_map=m.edge_map)
 
-        monkeypatch.setattr(rf.tameness, "_circuit_morphism", flipped)
+        monkeypatch.setattr(rf.tameness, "_induced_map", flipped)
         for classes, n in sets:
             with pytest.raises(RuntimeError):
                 rf.decide_tame(classes, n)
