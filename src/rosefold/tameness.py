@@ -16,9 +16,10 @@ exactly when its Whitehead graph is disconnected or has a cut vertex.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections.abc import Iterable, Set
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .folding import FoldSequence, fold_to_completion, foldable_pairs
 from .graphs import (
@@ -37,13 +38,7 @@ from .graphs import (
     reads_cyclic_word,
     verify_morphism,
 )
-from .whitehead import (
-    WhiteheadGraph,
-    cut_vertices,
-    is_subgraph,
-    whitehead_of_classes,
-    whitehead_of_graph,
-)
+from .whitehead import WhiteheadGraph, cut_vertices, whitehead_of_classes
 from .words import CyclicWord, RankError, class_rank, letter_key, letter_to_char, normalize_classes
 
 
@@ -150,6 +145,35 @@ class AlmostRose:
         graph = _standard_graph(self.rank, self.k, self.l, self.relabeling)
         object.__setattr__(self, "graph", graph)
 
+    @functools.cached_property
+    def sides(self) -> tuple[frozenset[int], frozenset[int]]:
+        """The two relabeled clique sides, the letters arriving at u and at v.
+
+        The rose's Whitehead graph is the wedge of their complete graphs at
+        the wedge letter, the image of letter 1, which lies on both.  Built
+        on first use and kept, so enumerating roses does not pay for it.
+        """
+        f = self.relabeling.apply_letter
+        side1, side2 = clique_sides(self.rank, self.k, self.l)
+        return frozenset(map(f, side1)), frozenset(map(f, side2))
+
+    def side_of(self, letters: Set[int]) -> int | None:
+        """0 when ``letters`` all lie on the first clique side, else 1 when
+        they all lie on the second, else None.
+
+        Every pair of ``letters`` is a Whitehead edge of the rose exactly
+        when the answer is not None.  The index is also the rose vertex (u
+        is 0, v is 1) that a vertex receiving ``letters`` maps to, so it
+        goes to v exactly when it receives a second-side letter other than
+        the wedge letter.
+        """
+        side1, side2 = self.sides
+        if letters <= side1:
+            return 0
+        if letters <= side2:
+            return 1
+        return None
+
 
 def almost_rose(n: int, k: int, l: int, relabeling: SignedRelabeling | None = None) -> AlmostRose:
     if relabeling is None:
@@ -191,14 +215,8 @@ def clique_sides(n: int, k: int, l: int) -> tuple[frozenset[int], frozenset[int]
 
 def whitehead_of_almost_rose(rose: AlmostRose) -> WhiteheadGraph:
     """Closed form: the wedge at the image of letter 1 of the complete
-    graphs on the two relabeled clique sides."""
-    v1, v2 = clique_sides(rose.rank, rose.k, rose.l)
-    f = rose.relabeling.apply_letter
-    edges: set[frozenset[int]] = set()
-    for side in (v1, v2):
-        letters = [f(v) for v in side]
-        for x, y in itertools.combinations(letters, 2):
-            edges.add(frozenset((x, y)))
+    graphs on the two relabeled clique sides stored in ``rose.sides``."""
+    edges = {frozenset(p) for side in rose.sides for p in itertools.combinations(side, 2)}
     return WhiteheadGraph(rose.rank, frozenset(edges))
 
 
@@ -287,48 +305,51 @@ def induced_morphism(g: LabeledGraph, rose: AlmostRose) -> GraphMorphism | None:
     """The label-preserving morphism into the almost-rose induced by the
     Whitehead inclusion, or None when the inclusion fails.
 
-    Working in standard coordinates (the relabeling undone), an edge
-    labeled j != 1 maps to the unique edge pair with that label.  An edge
-    labeled 1 maps to the connecting edge when its terminal vertex also
-    receives some label from the second clique side, and to the loop at u
-    otherwise; the vertex map follows the same dichotomy.
+    The rose's Whitehead graph is two complete graphs wedged at the wedge
+    letter, so ``g``'s lies inside it exactly when, at every vertex, the
+    incoming letters all lie on one of the two clique sides kept in
+    ``rose.sides``.  One pass over the vertices tests this and picks each
+    vertex's image: v when it receives a second-side letter other than the
+    wedge letter, u otherwise.  An edge whose letter is not the wedge
+    letter maps to the unique edge pair with that letter; a wedge-letter
+    edge maps to the connecting edge when the end receiving the wedge
+    letter maps to v, and to the loop at u otherwise.  No Whitehead graph
+    is built; the result is checked with ``verify_morphism``.
     """
-    if not is_subgraph(whitehead_of_graph(g), whitehead_of_almost_rose(rose)):
-        return None
+    if g.rank != rose.rank:
+        raise RankError(f"rank mismatch: graph {g.rank} vs almost-rose {rose.rank}")
     m = _induced_map(g, rose)
-    if not verify_morphism(m, g, rose.graph):
+    if m is not None and not verify_morphism(m, g, rose.graph):
         raise RuntimeError(
             "internal error: induced morphism failed verification despite inclusion"
         )
     return m
 
 
-def _induced_map(g: LabeledGraph, rose: AlmostRose) -> GraphMorphism:
-    """The maps of ``induced_morphism``, unchecked: the caller has checked
-    the Whitehead inclusion and verifies the result.
+def _induced_map(g: LabeledGraph, rose: AlmostRose) -> GraphMorphism | None:
+    """The maps of ``induced_morphism``, unchecked, or None when some vertex
+    receives a letter of each clique side other than the wedge letter.
 
-    Each edge's label is read in standard coordinates as it is met, so no
-    relabeled copy of ``g`` is built: an edge reading b (possibly negative)
-    from its origin to its terminus brings b into the terminus and b^-1
-    into the origin.
+    An edge reading x from its origin to its terminus brings x into the
+    terminus and x^-1 into the origin, so the letters arriving at a vertex
+    are the inverses of those leaving it.
     """
-    inv = rose.relabeling.inverse().apply_letter
-    _, v2 = clique_sides(rose.rank, rose.k, rose.l)
-    v2_strict = set(v2) - {1}
-    labels = [(e, inv(e.label)) for e in g.edges]
-    vmap = dict.fromkeys(g.vertices, 0)
-    for e, b in labels:
-        if b in v2_strict:
-            vmap[e.terminus] = 1
-        if -b in v2_strict:
-            vmap[e.origin] = 1
+    vmap: dict[int, int] = {}
+    for p in g.vertices:
+        side = rose.side_of({-label for _, label, _ in g.out_edges(p)})
+        if side is None:
+            return None
+        vmap[p] = side
+    wedge = rose.relabeling.targets[0]
+    # edge pair j + 1 of the rose carries the image of letter j
+    pair_of = {abs(t): j + 1 for j, t in enumerate(rose.relabeling.targets, start=1)}
     emap: dict[int, int] = {}
-    for e, b in labels:
-        if abs(b) != 1:
-            emap[e.eid] = abs(b) + 1
+    for e in g.edges:
+        if e.label != abs(wedge):
+            emap[e.eid] = pair_of[e.label]
         else:
-            # the edge reads 1 toward its terminus when b = 1, its origin when b = -1
-            emap[e.eid] = 2 if vmap[e.terminus if b == 1 else e.origin] else 1
+            # the terminus receives the wedge letter when it is positive, the origin otherwise
+            emap[e.eid] = 2 if vmap[e.terminus if wedge > 0 else e.origin] else 1
     return GraphMorphism(vertex_map=vmap, edge_map=emap)
 
 
@@ -340,7 +361,9 @@ def build_rose_from_whitehead(w: WhiteheadGraph) -> AlmostRose | None:
     The wedge letter becomes letter 1; the component of its inverse in the
     punctured graph goes to the first clique side and everything else to
     the second, letters split across the sides becoming connecting edges
-    (inverted when the forbidden orientation lands on side one).
+    (inverted when the forbidden orientation lands on side one).  The
+    result is checked edge by edge: each edge of ``w`` must lie on one of
+    the rose's clique sides (``AlmostRose.side_of``).
     """
     n = w.rank
     adj = w.adjacency()
@@ -368,7 +391,7 @@ def build_rose_from_whitehead(w: WhiteheadGraph) -> AlmostRose | None:
                 (kept,) = {s * j for s in (1, -1)} - in1
                 split_targets.append(kept)  # the member on side two
         rose = almost_rose_from_parts(n, c, wholly1, split_targets, wholly2)
-        if not is_subgraph(w, whitehead_of_almost_rose(rose)):
+        if any(rose.side_of(edge) is None for edge in w.edges):
             raise RuntimeError("internal error: built almost-rose misses Whitehead edges")
         return rose
     return None
@@ -470,7 +493,7 @@ def decide_tame(classes, rank: int | None = None) -> TamenessCertificate:
         # build_rose_from_whitehead has checked the Whitehead inclusion
         gamma = disjoint_circuits(norm, rank)
         morphism = _induced_map(gamma, rose)
-        if not verify_morphism(morphism, gamma, rose.graph):
+        if morphism is None or not verify_morphism(morphism, gamma, rose.graph):
             raise RuntimeError("internal error: induced morphism failed verification")
         return TamenessCertificate(
             tame=True, rank=rank, classes=norm, rose=rose, morphism=morphism

@@ -75,17 +75,16 @@ def whitehead_of_classes(classes, rank: int | None = None) -> WhiteheadGraph:
 
     The wrap-around pair realizes the "powers" clause; for a length-one
     class [x] it is the only contribution and yields the edge {x, x^-1}.
+    The distinct pairs are collected first, so a long class builds one
+    edge per distinct pair rather than one per letter.
     """
     classes = list(classes)
     rank = class_rank(classes, rank)
-    edges: set[frozenset[int]] = set()
+    pairs: set[tuple[int, int]] = set()
     for c in classes:
-        k = len(c)
-        for i in range(k):
-            u = c.letters[i]
-            v = c.letters[(i + 1) % k]
-            edges.add(whitehead_edge(u, -v))
-    return WhiteheadGraph(rank, frozenset(edges))
+        letters = c.letters
+        pairs.update(zip(letters, letters[1:] + letters[:1]))
+    return WhiteheadGraph(rank, frozenset(whitehead_edge(u, -v) for u, v in pairs))
 
 
 def components(w: WhiteheadGraph) -> list[tuple[int, ...]]:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hyp_st
 
 import rosefold as rf
-from rosefold.graphs import Edge, LabeledGraph
+from rosefold.graphs import Edge, LabeledGraph, oriented_edge
 from rosefold.oracles import random_class
 from rosefold.tameness import FoldFactorError
 from rosefold.words import RankError, letter_to_char, normalize_classes
@@ -318,15 +319,23 @@ class TestInducedMap:
             rf.SignedRelabeling, "apply_graph", counting("apply_graph", rf.SignedRelabeling.apply_graph)
         )
         for module in (rf.tameness, rf.whitehead):
-            monkeypatch.setattr(module, "whitehead_of_graph", counting("whitehead_of_graph", module.whitehead_of_graph))
+            for name in ("whitehead_of_graph", "whitehead_of_almost_rose"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         for classes, n in tame_class_sets(8, 50):
             assert rf.decide_tame(classes, n).tame
-        assert calls == []
-        # the counters do see induced_morphism's and the oracle's calls
+        # induced_morphism tests the inclusion in closed form, either way
         rose = rf.almost_rose(2, 1, 2, rf.SignedRelabeling((1, -2)))
-        assert rf.induced_morphism(rf.circuit(cyc("aab")), rose) is not None
-        induced_map_oracle(rf.circuit(cyc("aab")), rose)
-        assert calls == ["whitehead_of_graph", "apply_graph"]
+        g = rf.circuit(cyc("aab"))
+        assert rf.induced_morphism(g, rose) is not None
+        assert rf.induced_morphism(rf.circuit(cyc("abAB")), rose) is None
+        assert calls == []
+        # the counters do see the oracles' calls
+        assert rf.whitehead.is_subgraph(
+            rf.whitehead.whitehead_of_graph(g), rf.tameness.whitehead_of_almost_rose(rose)
+        )
+        induced_map_oracle(g, rose)
+        assert calls == ["whitehead_of_graph", "whitehead_of_almost_rose", "apply_graph"]
 
     def test_flipped_vertex_fails_the_self_check(self, monkeypatch):
         original = rf.tameness._induced_map
@@ -342,6 +351,103 @@ class TestInducedMap:
         for classes, n in sets:
             with pytest.raises(RuntimeError):
                 rf.decide_tame(classes, n)
+
+
+@functools.cache
+def roses_with_whitehead(n):
+    """Every almost-rose at ranks 2-3 and a seeded sample at rank 4, each
+    with its Whitehead graph, for the inclusion oracle."""
+    roses = rf.enumerate_almost_roses(n)
+    if n == 4:
+        roses = random.Random(4).sample(roses, 60)
+    return [(rose, rf.whitehead_of_almost_rose(rose)) for rose in roses]
+
+
+@hyp_st.composite
+def wild_graph_st(draw):
+    """Graphs at ranks 2-4 with loops, parallel same-label edges and isolated
+    vertices, each edge drawn with a signed letter, so in either orientation."""
+    n = draw(hyp_st.integers(2, 4))
+    nv = draw(hyp_st.integers(1, 4))
+    vertex = hyp_st.integers(0, nv - 1)
+    letter = hyp_st.integers(-n, n).filter(bool)
+    drawn = draw(hyp_st.lists(hyp_st.tuples(vertex, vertex, letter), max_size=7))
+    if drawn:
+        drawn += draw(hyp_st.lists(hyp_st.sampled_from(drawn), max_size=3))
+    edges = tuple(oriented_edge(i, o, t, x) for i, (o, t, x) in enumerate(drawn, start=1))
+    isolated = draw(hyp_st.integers(0, 2))
+    return LabeledGraph(n, frozenset(range(nv + isolated)), edges)
+
+
+class TestClosedFormInclusion:
+    """``induced_morphism`` tests the Whitehead inclusion vertex by vertex
+    against the rose's clique sides; comparing the Whitehead graphs
+    themselves is the oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(wild_graph_st())
+    def test_matches_the_inclusion_oracle(self, g):
+        wg = rf.whitehead_of_graph(g)
+        for rose, wr in roses_with_whitehead(g.rank):
+            m = rf.induced_morphism(g, rose)
+            assert (m is not None) == rf.is_subgraph(wg, wr)
+            if m is not None:
+                assert (m.vertex_map, m.edge_map) == induced_map_oracle(g, rose)
+
+    def test_roses_cover_both_wedge_orientations(self):
+        for n in (2, 3, 4):
+            signs = {rose.relabeling.targets[0] > 0 for rose, _ in roses_with_whitehead(n)}
+            assert signs == {True, False}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_side_of_a_letter_pair_is_a_whitehead_edge(self, n):
+        # the test build_rose_from_whitehead runs on each edge of w
+        letters = [s * i for i in range(1, n + 1) for s in (1, -1)]
+        for rose, wr in roses_with_whitehead(n):
+            for pair in itertools.combinations(letters, 2):
+                edge = frozenset(pair)
+                assert (rose.side_of(edge) is not None) == (edge in wr.edges)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_sides_are_the_relabeled_clique_sides(self, n):
+        for rose in rf.enumerate_almost_roses(n):
+            f = rose.relabeling.apply_letter
+            v1, v2 = rf.clique_sides(n, rose.k, rose.l)
+            assert rose.sides == ({f(v) for v in v1}, {f(v) for v in v2})
+            # the letters arriving at u and at v
+            assert rose.sides == (rose.graph.in_labels(0), rose.graph.in_labels(1))
+            assert rf.whitehead_of_almost_rose(rose).edges == rf.whitehead_of_graph(rose.graph).edges
+
+    def test_sides_built_once_on_first_use(self, monkeypatch):
+        calls = []
+        original = rf.tameness.clique_sides
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(rf.tameness, "clique_sides", counting)
+        roses = rf.enumerate_almost_roses(3)
+        assert calls == []
+        rose = roses[7]
+        for text in ("abc", "aab", "abAB", "c"):
+            rf.induced_morphism(rf.circuit(cyc(text, 3)), rose)
+        rf.whitehead_of_almost_rose(rose)
+        assert calls == [(3, rose.k, rose.l)]
+
+    def test_rank_mismatch_raises(self):
+        with pytest.raises(RankError):
+            rf.induced_morphism(rf.circuit(cyc("aab")), rf.standard_almost_rose(3, 1, 2))
+        with pytest.raises(RankError):
+            rf.induced_morphism(rf.circuit(cyc("abc", 3)), rf.standard_almost_rose(2, 1, 1))
+
+    def test_built_rose_missing_an_edge_fails_the_self_check(self, monkeypatch):
+        # aab has the Whitehead edge {b, A}, which the (2, 1, 2) rose lacks
+        monkeypatch.setattr(
+            rf.tameness, "almost_rose_from_parts", lambda *args: rf.standard_almost_rose(2, 1, 2)
+        )
+        with pytest.raises(RuntimeError):
+            rf.build_rose_from_whitehead(rf.whitehead_of_classes([cyc("aab")], 2))
 
 
 class TestBuildRoseFromWhitehead:

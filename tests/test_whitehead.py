@@ -43,6 +43,17 @@ def brute_cut_vertices(w: WhiteheadGraph) -> set[int]:
     return cuts
 
 
+def per_pair_whitehead_edges(classes) -> frozenset[frozenset[int]]:
+    """Oracle: one Whitehead edge built per cyclic letter pair, the set
+    dropping the repeats."""
+    edges = set()
+    for c in classes:
+        k = len(c)
+        for i in range(k):
+            edges.add(whitehead_edge(c.letters[i], -c.letters[(i + 1) % k]))
+    return frozenset(edges)
+
+
 class TestWhOfGraph:
     def test_rose_is_complete(self):
         w = rf.whitehead_of_graph(rf.rose(2))
@@ -86,6 +97,20 @@ class TestWhOfClasses:
         assert rf.whitehead_of_classes([c], 3).edges == rf.whitehead_of_classes([rotated], 3).edges
         conjugated = rf.conjugacy_class(rf.conjugate(rf.Word(c.letters, 3), u))
         assert rf.whitehead_of_classes([c], 3).edges == rf.whitehead_of_classes([conjugated], 3).edges
+
+    @given(hyp_st.integers(2, 4).flatmap(lambda n: hyp_st.tuples(hyp_st.just(n), class_set_st(n, 6))))
+    def test_matches_per_pair_construction(self, case):
+        n, classes = case
+        assert rf.whitehead_of_classes(classes, n).edges == per_pair_whitehead_edges(classes)
+
+    def test_long_class_matches_per_pair_construction(self):
+        import random
+
+        from rosefold.oracles import random_class
+
+        rng = random.Random(12)
+        classes = [random_class(rng, 4, 10**4) for _ in range(3)] + [cyc("c", 4), cyc("cc", 4)]
+        assert rf.whitehead_of_classes(classes, 4).edges == per_pair_whitehead_edges(classes)
 
     @given(class_set_st(rank=3))
     def test_matches_disjoint_circuits(self, classes):
