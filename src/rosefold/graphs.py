@@ -15,7 +15,7 @@ every accessor is a lookup instead of a scan of the edge list.
 from __future__ import annotations
 
 from collections import Counter, deque
-from collections.abc import Iterable, Mapping
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .words import (
@@ -153,24 +153,31 @@ def circuit(c: CyclicWord) -> LabeledGraph:
     return disjoint_circuits([c])
 
 
+def _circuit_edges(classes) -> list[tuple[int, int, int, int]]:
+    """``(edge id, origin, terminus, letter)`` for each letter of each class,
+    in order: the edges of ``disjoint_circuits``, each in the direction its
+    class reads it, so the letter may be negative.
+
+    Class j's circuit takes the vertices and the edge ids after those of
+    the classes before it; its i-th letter runs from its i-th vertex to the
+    next one, and the last letter wraps around to the first vertex.  So
+    the vertices are ``range(len(edges))`` and the edge ids run from 1.
+    """
+    edges: list[tuple[int, int, int, int]] = []
+    for c in classes:
+        off, k = len(edges), len(c)
+        edges += [(off + i + 1, off + i, off + (i + 1) % k, x) for i, x in enumerate(c.letters)]
+    return edges
+
+
 def disjoint_circuits(classes, rank: int | None = None) -> LabeledGraph:
     """Disjoint union of one circuit per cyclic word, in the given order, none normalized."""
     classes = list(classes)
     rank = class_rank(classes, rank)
-    vertices: set[int] = set()
-    edges: list[Edge] = []
-    v_off = 0
-    e_off = 0
-    for c in classes:
-        k = len(c)
-        vertices.update(range(v_off, v_off + k))
-        for i in range(k):
-            edges.append(
-                oriented_edge(e_off + i + 1, v_off + i, v_off + (i + 1) % k, c.letters[i])
-            )
-        v_off += k
-        e_off += k
-    return LabeledGraph(rank, frozenset(vertices), tuple(edges))
+    edges = _circuit_edges(classes)
+    return LabeledGraph(
+        rank, frozenset(range(len(edges))), tuple(oriented_edge(*e) for e in edges)
+    )
 
 
 def wedge_of_words(ws: tuple[Word, ...], rank: int) -> BasedGraph:
@@ -337,23 +344,53 @@ def path_from_vertex_reading(g: LabeledGraph, v0: int, w: Word) -> tuple[int, ..
 
 
 def verify_morphism(m: GraphMorphism, src: LabeledGraph, dst: LabeledGraph) -> bool:
-    """Check that ``m`` is a total label-preserving graph morphism."""
+    """Check that ``m`` is a total label-preserving graph morphism.
+
+    The ranks are compared here; the rest is ``_is_morphism_on`` over
+    ``src``'s edge list, the check that ``verify_certificate`` runs over the
+    circuit edges of a class set without building their graph.
+    """
     if src.rank != dst.rank:
         return False
-    if set(m.vertex_map) != set(src.vertices):
+    return _is_morphism_on(m, src.vertices, _edge_list(src), dst)
+
+
+def _edge_list(g: LabeledGraph) -> list[tuple[int, int, int, int]]:
+    """``(edge id, origin, terminus, letter)`` per stored edge of ``g``."""
+    return [(e.eid, e.origin, e.terminus, e.label) for e in g.edges]
+
+
+def _is_morphism_on(
+    m: GraphMorphism,
+    vertices: Collection[int],
+    edges: Sequence[tuple[int, int, int, int]],
+    dst: LabeledGraph,
+) -> bool:
+    """Check that ``m`` is a total label-preserving morphism into ``dst``
+    from the graph with these vertices and ``(edge id, origin, terminus,
+    letter)`` edges, whose ids are distinct; the ranks are the caller's to
+    compare.
+
+    An edge reading a negative letter maps onto the reverse of its image,
+    so its origin goes to the image's terminus.  On the edges of
+    ``_circuit_edges`` this reads each class along the closed path that
+    ``m`` names: every image carries the class's letter, consecutive
+    images meet at the image of the vertex they share, and the last one
+    returns to the image of the first vertex.
+    """
+    vmap, emap = m.vertex_map, m.edge_map
+    if len(vmap) != len(vertices) or not all(map(vmap.__contains__, vertices)):
         return False
-    if any(img not in dst.vertices for img in m.vertex_map.values()):
+    if not dst.vertices.issuperset(vmap.values()) or len(emap) != len(edges):
         return False
-    if set(m.edge_map) != {e.eid for e in src.edges}:
-        return False
-    dst_edges = dst.edge_map()
-    for e in src.edges:
-        img = dst_edges.get(m.edge_map[e.eid])
-        if img is None:
-            return False
-        if img.label != e.label:
-            return False
-        if m.vertex_map[e.origin] != img.origin or m.vertex_map[e.terminus] != img.terminus:
+    # stored label, origin, terminus per edge id of dst
+    ends = {e.eid: (e.label, e.origin, e.terminus) for e in dst.edges}
+    for eid, origin, terminus, x in edges:
+        if x > 0:
+            wanted = (x, vmap[origin], vmap[terminus])
+        else:
+            wanted = (-x, vmap[terminus], vmap[origin])
+        if ends.get(emap.get(eid)) != wanted:
             return False
     return True
 

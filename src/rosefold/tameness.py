@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Iterable, Set
+from collections.abc import Iterable, Sequence, Set
 from dataclasses import dataclass, field
 
 from .folding import FoldSequence, fold_to_completion, foldable_pairs
@@ -26,17 +26,17 @@ from .graphs import (
     GraphMorphism,
     LabeledGraph,
     NotConnectedError,
+    _circuit_edges,
+    _edge_list,
+    _is_morphism_on,
     adjacency_components,
     betti,
     core,
-    disjoint_circuits,
     graph_to_text,
     is_connected,
     is_label_isomorphic,
     is_rose,
     oriented_edge,
-    reads_cyclic_word,
-    verify_morphism,
 )
 from .whitehead import WhiteheadGraph, cut_vertices, whitehead_of_classes
 from .words import CyclicWord, RankError, class_rank, letter_key, letter_to_char, normalize_classes
@@ -157,6 +157,13 @@ class AlmostRose:
         side1, side2 = clique_sides(self.rank, self.k, self.l)
         return frozenset(map(f, side1)), frozenset(map(f, side2))
 
+    @functools.cached_property
+    def whitehead(self) -> WhiteheadGraph:
+        """The rose's Whitehead graph: the wedge at the wedge letter of the
+        complete graphs on the two sides.  Built on first use and kept."""
+        edges = {frozenset(p) for side in self.sides for p in itertools.combinations(side, 2)}
+        return WhiteheadGraph(self.rank, frozenset(edges))
+
     def side_of(self, letters: Set[int]) -> int | None:
         """0 when ``letters`` all lie on the first clique side, else 1 when
         they all lie on the second, else None.
@@ -215,9 +222,9 @@ def clique_sides(n: int, k: int, l: int) -> tuple[frozenset[int], frozenset[int]
 
 def whitehead_of_almost_rose(rose: AlmostRose) -> WhiteheadGraph:
     """Closed form: the wedge at the image of letter 1 of the complete
-    graphs on the two relabeled clique sides stored in ``rose.sides``."""
-    edges = {frozenset(p) for side in rose.sides for p in itertools.combinations(side, 2)}
-    return WhiteheadGraph(rose.rank, frozenset(edges))
+    graphs on the two relabeled clique sides stored in ``rose.sides``,
+    built once per rose and kept as ``rose.whitehead``."""
+    return rose.whitehead
 
 
 def recognize_almost_rose(g: LabeledGraph) -> AlmostRose | None:
@@ -308,35 +315,45 @@ def induced_morphism(g: LabeledGraph, rose: AlmostRose) -> GraphMorphism | None:
     The rose's Whitehead graph is two complete graphs wedged at the wedge
     letter, so ``g``'s lies inside it exactly when, at every vertex, the
     incoming letters all lie on one of the two clique sides kept in
-    ``rose.sides``.  One pass over the vertices tests this and picks each
-    vertex's image: v when it receives a second-side letter other than the
-    wedge letter, u otherwise.  An edge whose letter is not the wedge
-    letter maps to the unique edge pair with that letter; a wedge-letter
-    edge maps to the connecting edge when the end receiving the wedge
-    letter maps to v, and to the loop at u otherwise.  No Whitehead graph
-    is built; the result is checked with ``verify_morphism``.
+    ``rose.sides``.  One pass over ``g``'s edge list tests this and picks
+    each vertex's image (``_induced_map``, which ``decide_tame`` runs on the
+    circuit edges read from the letters).  No Whitehead graph is built;
+    the result is checked over the same edge list with the check of
+    ``verify_morphism``.
     """
     if g.rank != rose.rank:
         raise RankError(f"rank mismatch: graph {g.rank} vs almost-rose {rose.rank}")
-    m = _induced_map(g, rose)
-    if m is not None and not verify_morphism(m, g, rose.graph):
+    edges = _edge_list(g)
+    m = _induced_map(g.vertices, edges, rose)
+    if m is not None and not _is_morphism_on(m, g.vertices, edges, rose.graph):
         raise RuntimeError(
             "internal error: induced morphism failed verification despite inclusion"
         )
     return m
 
 
-def _induced_map(g: LabeledGraph, rose: AlmostRose) -> GraphMorphism | None:
-    """The maps of ``induced_morphism``, unchecked, or None when some vertex
-    receives a letter of each clique side other than the wedge letter.
+def _induced_map(
+    vertices: Iterable[int], edges: Sequence[tuple[int, int, int, int]], rose: AlmostRose
+) -> GraphMorphism | None:
+    """The maps of ``induced_morphism``, unchecked, for the graph with these
+    vertices and ``(edge id, origin, terminus, letter)`` edges, or None
+    when some vertex receives a letter of each clique side other than the
+    wedge letter.
 
-    An edge reading x from its origin to its terminus brings x into the
-    terminus and x^-1 into the origin, so the letters arriving at a vertex
-    are the inverses of those leaving it.
+    An edge reading x brings x into its terminus and x^-1 into its origin.
+    A vertex maps to v when it receives a second-side letter other than
+    the wedge letter, to u otherwise.  An edge whose letter is not the
+    wedge letter or its inverse maps to the unique edge pair with that
+    letter; a wedge-letter edge maps to the connecting edge when the end
+    receiving the wedge letter maps to v, and to the loop at u otherwise.
     """
+    arriving: dict[int, set[int]] = {p: set() for p in vertices}
+    for _, origin, terminus, x in edges:
+        arriving[terminus].add(x)
+        arriving[origin].add(-x)
     vmap: dict[int, int] = {}
-    for p in g.vertices:
-        side = rose.side_of({-label for _, label, _ in g.out_edges(p)})
+    for p, letters in arriving.items():
+        side = rose.side_of(letters)
         if side is None:
             return None
         vmap[p] = side
@@ -344,12 +361,11 @@ def _induced_map(g: LabeledGraph, rose: AlmostRose) -> GraphMorphism | None:
     # edge pair j + 1 of the rose carries the image of letter j
     pair_of = {abs(t): j + 1 for j, t in enumerate(rose.relabeling.targets, start=1)}
     emap: dict[int, int] = {}
-    for e in g.edges:
-        if e.label != abs(wedge):
-            emap[e.eid] = pair_of[e.label]
+    for eid, origin, terminus, x in edges:
+        if abs(x) != abs(wedge):
+            emap[eid] = pair_of[abs(x)]
         else:
-            # the terminus receives the wedge letter when it is positive, the origin otherwise
-            emap[e.eid] = 2 if vmap[e.terminus if wedge > 0 else e.origin] else 1
+            emap[eid] = 2 if vmap[terminus if x == wedge else origin] else 1
     return GraphMorphism(vertex_map=vmap, edge_map=emap)
 
 
@@ -491,9 +507,14 @@ def decide_tame(classes, rank: int | None = None) -> TamenessCertificate:
     rose = build_rose_from_whitehead(w)
     if rose is not None:
         # build_rose_from_whitehead has checked the Whitehead inclusion
-        gamma = disjoint_circuits(norm, rank)
-        morphism = _induced_map(gamma, rose)
-        if morphism is None or not verify_morphism(morphism, gamma, rose.graph):
+        edges = _circuit_edges(norm)
+        vertices = range(len(edges))
+        morphism = _induced_map(vertices, edges, rose)
+        if (
+            morphism is None
+            or rose.rank != rank
+            or not _is_morphism_on(morphism, vertices, edges, rose.graph)
+        ):
             raise RuntimeError("internal error: induced morphism failed verification")
         return TamenessCertificate(
             tame=True, rank=rank, classes=norm, rose=rose, morphism=morphism
@@ -516,7 +537,16 @@ def decide_tame(classes, rank: int | None = None) -> TamenessCertificate:
 
 
 def verify_certificate(classes, cert: TamenessCertificate, rank: int | None = None) -> bool:
-    """Re-check a certificate from scratch; False on any discrepancy."""
+    """Re-check a certificate from scratch; False on any discrepancy.
+
+    A tame certificate's rose must have the classes' rank and be an
+    almost-rose.  Its morphism is then checked over the circuit edges read
+    straight from the letters (``_circuit_edges``), with no circuit graph
+    built: this reads each class along the closed path the certificate
+    names, so no search for a reading path is needed.  Every image edge
+    carries the class's letter, consecutive image edges meet at the image
+    of the vertex they share, and the last one returns to the first.
+    """
     try:
         norm = normalize_classes(classes)
         rank = class_rank(norm, cert.rank if rank is None else rank)
@@ -527,12 +557,10 @@ def verify_certificate(classes, cert: TamenessCertificate, rank: int | None = No
     if cert.tame:
         if cert.rose is None or cert.morphism is None:
             return False
-        if recognize_almost_rose(cert.rose.graph) is None:
+        if cert.rose.rank != rank or recognize_almost_rose(cert.rose.graph) is None:
             return False
-        gamma = disjoint_circuits(norm, rank)
-        if not verify_morphism(cert.morphism, gamma, cert.rose.graph):
-            return False
-        return all(reads_cyclic_word(cert.rose.graph, c) for c in norm)
+        edges = _circuit_edges(norm)
+        return _is_morphism_on(cert.morphism, range(len(edges)), edges, cert.rose.graph)
     if (
         cert.whitehead_edges is None
         or cert.spanning_tree is None

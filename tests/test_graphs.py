@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import rosefold as rf
-from rosefold.graphs import Edge, LabeledGraph, subdivide_edge
+from rosefold.graphs import Edge, LabeledGraph, oriented_edge, subdivide_edge
 from rosefold.words import RankError
 
-from conftest import class_set_st, graph_st
+from conftest import class_set_st, class_st, graph_st, letter_st
 
 
 def cyc(text, rank=2):
@@ -140,6 +140,45 @@ class TestDisjointCircuits:
         g = rf.disjoint_circuits(classes, 3)
         for c in classes:
             assert rf.reads_cyclic_word(g, c)
+
+
+@st.composite
+def layout_class_sets(draw):
+    """Rank and class sets with repeated and length-one classes, or none."""
+    n = draw(st.integers(2, 4))
+    classes = draw(st.lists(class_st(n), max_size=4))
+    classes += [cyc(rf.words.letter_to_char(x), n) for x in draw(st.lists(letter_st(n), max_size=2))]
+    if classes:
+        classes += draw(st.lists(st.sampled_from(classes), max_size=3))
+    return n, draw(st.permutations(classes))
+
+
+class TestCircuitEdges:
+    """``_circuit_edges`` is the one circuit layout: ``disjoint_circuits``
+    builds its graph from it, and the tame decision and verifier read it
+    without building a graph."""
+
+    @given(layout_class_sets())
+    def test_matches_disjoint_circuits_edge_for_edge(self, drawn):
+        n, classes = drawn
+        edges = rf.graphs._circuit_edges(classes)
+        g = rf.disjoint_circuits(classes, n)
+        assert g.edges == tuple(oriented_edge(*e) for e in edges)
+        assert g.vertices == frozenset(range(len(edges)))
+        assert [eid for eid, _, _, _ in edges] == list(range(1, len(edges) + 1))
+        # each class is a closed walk along its own edges, read in order
+        start = 0
+        for c in classes:
+            own = edges[start : start + len(c)]
+            assert [x for _, _, _, x in own] == list(c.letters)
+            assert [o for _, o, _, _ in own] == list(range(start, start + len(c)))
+            assert [t for _, _, t, _ in own] == [o for _, o, _, _ in own[1:]] + [start]
+            start += len(c)
+
+    def test_empty_set_with_rank(self):
+        assert rf.graphs._circuit_edges([]) == []
+        g = rf.disjoint_circuits([], 3)
+        assert g.rank == 3 and not g.vertices and not g.edges
 
 
 class TestWedgeOfWords:
@@ -377,6 +416,74 @@ class TestMorphisms:
     @given(graph_st(rank=3))
     def test_rose_morphism_always_verifies(self, g):
         assert rf.verify_morphism(rf.rose_morphism(g), g, rf.rose(3))
+
+    def test_rank_mismatch_rejected(self):
+        g = rf.circuit(cyc("ab"))
+        assert not rf.verify_morphism(rf.rose_morphism(g), g, rf.rose(3))
+
+    @given(graph_st(rank=2, max_vertices=3), st.integers(0, 10**9))
+    def test_matches_graph_form_oracle_under_tampering(self, g, seed):
+        # The edge-list check, on the stored edges and on every edge read
+        # backwards, agrees with the check written against the graph.
+        rng = random.Random(seed)
+        dst = rf.wedge_of_words((word("ab"), word("b")), 2).graph
+        m = tampered(rng, induced_or_random(rng, g, dst), g, dst)
+        expected = graph_form_verify_morphism(m, g, dst)
+        assert rf.verify_morphism(m, g, dst) is expected
+        backwards = [(e.eid, e.terminus, e.origin, -e.label) for e in g.edges]
+        assert rf.graphs._is_morphism_on(m, g.vertices, backwards, dst) is expected
+
+
+def graph_form_verify_morphism(m, src, dst):
+    """``verify_morphism`` as written against the graphs, before the edge
+    test moved to an edge list."""
+    if src.rank != dst.rank:
+        return False
+    if set(m.vertex_map) != set(src.vertices):
+        return False
+    if any(img not in dst.vertices for img in m.vertex_map.values()):
+        return False
+    if set(m.edge_map) != {e.eid for e in src.edges}:
+        return False
+    for e in src.edges:
+        img = dst.edge_map().get(m.edge_map[e.eid])
+        if img is None or img.label != e.label:
+            return False
+        if m.vertex_map[e.origin] != img.origin or m.vertex_map[e.terminus] != img.terminus:
+            return False
+    return True
+
+
+def induced_or_random(rng, g, dst):
+    """A morphism into ``dst`` found by search when there is one, else
+    random maps."""
+    m = rf.brute_force_morphism(g, dst)
+    if m is not None:
+        return m
+    return rf.GraphMorphism(
+        {v: rng.choice(sorted(dst.vertices)) for v in g.vertices},
+        {e.eid: rng.choice([x.eid for x in dst.edges]) for e in g.edges},
+    )
+
+
+def tampered(rng, m, g, dst):
+    """``m`` unchanged, or with one value changed or one key dropped or added."""
+    vmap, emap = dict(m.vertex_map), dict(m.edge_map)
+    kind = rng.randrange(5)
+    if kind == 1 and vmap:
+        vmap[rng.choice(sorted(vmap))] = rng.choice(sorted(dst.vertices) + [max(dst.vertices) + 1])
+    elif kind == 2 and emap:
+        emap[rng.choice(sorted(emap))] = rng.choice([e.eid for e in dst.edges] + [0, -1])
+    elif kind == 3:
+        target = vmap if rng.random() < 0.5 else emap
+        if target:
+            del target[rng.choice(sorted(target))]
+    elif kind == 4:
+        if rng.random() < 0.5:
+            vmap[max(g.vertices, default=0) + 1] = 0
+        else:
+            emap[max((e.eid for e in g.edges), default=0) + 1] = 1
+    return rf.GraphMorphism(vmap, emap)
 
 
 class TestLabelIsomorphism:

@@ -12,7 +12,7 @@ import rosefold as rf
 from rosefold.graphs import Edge, LabeledGraph, oriented_edge
 from rosefold.oracles import random_class
 from rosefold.tameness import FoldFactorError
-from rosefold.words import RankError, letter_to_char, normalize_classes
+from rosefold.words import RankError, class_rank, letter_to_char, normalize_classes
 
 from conftest import class_set_st, graph_st, relabeling_st
 
@@ -280,9 +280,9 @@ def induced_map_oracle(g, rose):
 
 
 class TestInducedMap:
-    """``decide_tame`` maps the circuit graph it already builds with
-    ``_induced_map``, which reads each label in standard coordinates;
-    the relabeled-copy construction is its oracle."""
+    """``decide_tame`` maps the circuit edge list with ``_induced_map``,
+    which reads each label in standard coordinates; the relabeled-copy
+    construction on the circuit graph is its oracle."""
 
     def test_matches_relabeled_copy_on_circuits(self):
         ranks = set()
@@ -290,7 +290,8 @@ class TestInducedMap:
             norm = normalize_classes(classes)
             rose = rf.build_rose_from_whitehead(rf.whitehead_of_classes(norm, n))
             gamma = rf.disjoint_circuits(norm, n)
-            m = rf.tameness._induced_map(gamma, rose)
+            edges = rf.graphs._circuit_edges(norm)
+            m = rf.tameness._induced_map(range(len(edges)), edges, rose)
             assert (m.vertex_map, m.edge_map) == induced_map_oracle(gamma, rose)
             assert rf.verify_morphism(m, gamma, rose.graph)
             ranks.add(n)
@@ -341,8 +342,8 @@ class TestInducedMap:
         original = rf.tameness._induced_map
         sets = tame_class_sets(9, 20)
 
-        def flipped(g, rose):
-            m = original(g, rose)
+        def flipped(vertices, edges, rose):
+            m = original(vertices, edges, rose)
             vmap = dict(m.vertex_map)
             vmap[0] = 1 - vmap[0]
             return rf.GraphMorphism(vertex_map=vmap, edge_map=m.edge_map)
@@ -417,6 +418,22 @@ class TestClosedFormInclusion:
             # the letters arriving at u and at v
             assert rose.sides == (rose.graph.in_labels(0), rose.graph.in_labels(1))
             assert rf.whitehead_of_almost_rose(rose).edges == rf.whitehead_of_graph(rose.graph).edges
+            # built once per rose and kept
+            assert rf.whitehead_of_almost_rose(rose) is rf.whitehead_of_almost_rose(rose)
+
+    def test_enumeration_builds_no_whitehead_graph(self, monkeypatch):
+        built = []
+        original = rf.WhiteheadGraph.__post_init__
+
+        def counting(w):
+            original(w)
+            built.append(w)
+
+        monkeypatch.setattr(rf.WhiteheadGraph, "__post_init__", counting)
+        roses = rf.enumerate_almost_roses(3)
+        assert built == []
+        rf.whitehead_of_almost_rose(roses[5])
+        assert len(built) == 1
 
     def test_sides_built_once_on_first_use(self, monkeypatch):
         calls = []
@@ -617,6 +634,127 @@ class TestDecideTame:
         before = rf.decide_tame(classes, 3).tame
         relabeled = [rf.canonical_rotation(s.apply_cyclic(c)) for c in classes]
         assert rf.decide_tame(relabeled, 3).tame == before
+
+
+def graph_form_verify_certificate(classes, cert, rank=None):
+    """``verify_certificate`` as written against the circuit graph: build
+    ``disjoint_circuits``, check the morphism with ``verify_morphism``, then
+    search for a reading path of each class in the rose."""
+    try:
+        norm = normalize_classes(classes)
+        rank = class_rank(norm, cert.rank if rank is None else rank)
+    except ValueError:
+        return False
+    if cert.rank != rank or cert.classes != norm:
+        return False
+    if not cert.tame:
+        return rf.verify_certificate(classes, cert, rank)
+    if cert.rose is None or cert.morphism is None:
+        return False
+    if rf.recognize_almost_rose(cert.rose.graph) is None:
+        return False
+    gamma = rf.disjoint_circuits(norm, rank)
+    if not rf.verify_morphism(cert.morphism, gamma, cert.rose.graph):
+        return False
+    return all(rf.reads_cyclic_word(cert.rose.graph, c) for c in norm)
+
+
+@functools.cache
+def tame_certificates():
+    return [(classes, n, rf.decide_tame(classes, n)) for classes, n in tame_class_sets(11, 60)]
+
+
+@functools.cache
+def all_roses(n):
+    return rf.enumerate_almost_roses(n)
+
+
+def with_maps(cert, vmap, emap):
+    return dataclasses.replace(cert, morphism=rf.GraphMorphism(vmap, emap))
+
+
+@hyp_st.composite
+def mutated_tame_certificate(draw):
+    """A tame certificate with one part changed: a vmap or emap value, a
+    dropped or an extra key, or the rose."""
+    classes, n, cert = draw(hyp_st.sampled_from(tame_certificates()))
+    vmap, emap = dict(cert.morphism.vertex_map), dict(cert.morphism.edge_map)
+    kind = draw(hyp_st.sampled_from(
+        ["flip", "emap", "drop", "extra", "rose", "vmap-range", "emap-range"]
+    ))
+    if kind == "flip" and vmap:
+        p = draw(hyp_st.sampled_from(sorted(vmap)))
+        vmap[p] = 1 - vmap[p]
+    elif kind == "emap" and emap:
+        eid = draw(hyp_st.sampled_from(sorted(emap)))
+        emap[eid] = draw(hyp_st.sampled_from([j for j in range(1, n + 2) if j != emap[eid]]))
+    elif kind == "drop":
+        target = draw(hyp_st.sampled_from([vmap, emap]))
+        if target:
+            del target[draw(hyp_st.sampled_from(sorted(target)))]
+    elif kind == "extra":
+        target = draw(hyp_st.sampled_from([vmap, emap]))
+        target[draw(hyp_st.integers(-2, len(target) + 2))] = draw(hyp_st.integers(0, 1))
+    elif kind == "rose":
+        rank = draw(hyp_st.sampled_from([r for r in (n - 1, n, n + 1) if r >= 2]))
+        rose = draw(hyp_st.sampled_from(all_roses(rank)))
+        return classes, n, dataclasses.replace(cert, rose=rose)
+    elif kind == "vmap-range" and vmap:
+        vmap[draw(hyp_st.sampled_from(sorted(vmap)))] = draw(hyp_st.sampled_from([-1, 2, 5]))
+    elif kind == "emap-range" and emap:
+        emap[draw(hyp_st.sampled_from(sorted(emap)))] = draw(hyp_st.sampled_from([-1, 0, n + 2]))
+    return classes, n, with_maps(cert, vmap, emap)
+
+
+class TestVerifyAgainstGraphForm:
+    """The tame branch of ``verify_certificate`` checks the morphism over
+    the circuit edge list; the graph-form verifier is its oracle."""
+
+    def test_accepts_every_decided_certificate(self):
+        for classes, n, cert in tame_certificates():
+            assert rf.verify_certificate(classes, cert, n)
+            assert graph_form_verify_certificate(classes, cert, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_tame_certificate())
+    def test_agrees_on_mutations(self, drawn):
+        classes, n, cert = drawn
+        assert rf.verify_certificate(classes, cert, n) == graph_form_verify_certificate(
+            classes, cert, n
+        )
+
+    def test_wrap_around_edge_is_checked(self):
+        # the last letter of each class returns to its first vertex
+        for classes, n, cert in tame_certificates():
+            end = 0
+            for c in cert.classes:
+                end += len(c)
+                emap = dict(cert.morphism.edge_map)
+                emap[end] = 1 if emap[end] != 1 else 2
+                bad = with_maps(cert, dict(cert.morphism.vertex_map), emap)
+                assert not rf.verify_certificate(classes, bad, n)
+                assert not graph_form_verify_certificate(classes, bad, n)
+
+    def test_extra_keys_rejected(self):
+        for classes, n, cert in tame_certificates():
+            vmap, emap = cert.morphism.vertex_map, cert.morphism.edge_map
+            extra_vertex = with_maps(cert, vmap | {len(vmap): 0}, dict(emap))
+            extra_edge = with_maps(cert, dict(vmap), emap | {len(emap) + 1: 1})
+            for bad in (extra_vertex, extra_edge):
+                assert not rf.verify_certificate(classes, bad, n)
+                assert not graph_form_verify_certificate(classes, bad, n)
+
+    def test_decide_and_verify_build_no_circuit_graph(self, graphs_built, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("searched for a reading path")
+
+        monkeypatch.setattr(rf.graphs, "_read_closed_path", no_search)
+        rng = random.Random(12)
+        c = cyc("".join(rng.choice("ab") for _ in range(10**4)), 3)
+        cert = rf.decide_tame([c], 3)
+        assert cert.tame and rf.verify_certificate([c], cert, 3)
+        assert len(cert.morphism.edge_map) == len(c) == 10**4
+        assert graphs_built and max(len(g.edges) for g in graphs_built) <= 3 + 1
 
 
 class TestVerifyCertificate:
