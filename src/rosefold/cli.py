@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import acceptance
 from .folding import fold_report_lines, fold_sequence_to_dot, fold_to_completion
-from .graphs import LabeledGraph, closed_path_reading, parse_graph_text, wedge_of_words
+from .graphs import LabeledGraph, circuit, parse_graph_text, wedge_of_words
 from .oracles import (
     is_verified_automorphism,
     parse_endomorphism_text,
@@ -33,6 +33,7 @@ from .tameness import (
     _edge_token,
     certificate_to_text,
     decide_tame,
+    induced_morphism,
     recognize_almost_rose,
     standard_almost_rose,
     verify_certificate,
@@ -340,8 +341,8 @@ def cmd_fold(args) -> int:
         f" relabel [{_relabel_text(rose.relabeling.targets)}]"
     )
     if spec is not None:
-        cyc, conj = cyclic_reduce(basis[0])
-        if len(conj) == 0 and closed_path_reading(rose.graph, cyc) is not None:
+        cyc, _ = cyclic_reduce(basis[0])
+        if induced_morphism(circuit(cyc), rose) is not None:
             print("first word readable in almost-rose: yes")
         else:
             print("first word readable in almost-rose: no")

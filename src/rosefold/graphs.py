@@ -10,11 +10,15 @@ Graphs are immutable values; every operation builds a new graph.  Each
 graph indexes itself once, when it is built: edge id -> ``Edge``, and
 vertex -> its outgoing ``(directed edge, label, terminus)`` entries, so
 every accessor is a lookup instead of a scan of the edge list.
+
+A graph reads a class when the class's circuit maps into it.  There is no
+path search here: into an almost-rose the map is ``tameness.induced_morphism``,
+and into any graph ``oracles.brute_force_morphism`` decides it.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -285,61 +289,6 @@ def is_rose(g: LabeledGraph) -> bool:
     )
 
 
-# -- readability -----------------------------------------------------------
-
-
-def _read_closed_path(g: LabeledGraph, start: int, letters: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Breadth-first search over product states (vertex, position) for a
-    path from ``start`` back to ``start`` spelling ``letters``."""
-    k = len(letters)
-    goal = (start, k)
-    prev: dict[tuple[int, int], tuple[int, int, int] | None] = {(start, 0): None}
-    queue = deque([(start, 0)])
-    while queue and goal not in prev:
-        v, i = queue.popleft()
-        if i == k:
-            continue
-        for d, label, t in g.out_edges(v):
-            state = (t, i + 1)
-            if label == letters[i] and state not in prev:
-                prev[state] = (v, i, d)
-                queue.append(state)
-    if goal not in prev:
-        return None
-    path: list[int] = []
-    state = goal
-    while prev[state] is not None:
-        v, i, d = prev[state]  # type: ignore[misc]
-        path.append(d)
-        state = (v, i)
-    return tuple(reversed(path))
-
-
-def closed_path_reading(
-    g: LabeledGraph, c: CyclicWord
-) -> tuple[int, tuple[int, ...]] | None:
-    """A closed path spelling ``c``, as ``(start vertex, directed edges)``;
-    it need not be reduced, matching the definition of readability."""
-    if g.rank != c.rank:
-        raise RankError(f"graph rank {g.rank} differs from word rank {c.rank}")
-    for start in sorted(g.vertices):
-        path = _read_closed_path(g, start, c.letters)
-        if path is not None:
-            return start, path
-    return None
-
-
-def reads_cyclic_word(g: LabeledGraph, c: CyclicWord) -> bool:
-    return closed_path_reading(g, c) is not None
-
-
-def path_from_vertex_reading(g: LabeledGraph, v0: int, w: Word) -> tuple[int, ...] | None:
-    """A closed path based at ``v0`` spelling the word ``w`` (empty word allowed)."""
-    if g.rank != w.rank:
-        raise RankError(f"graph rank {g.rank} differs from word rank {w.rank}")
-    return _read_closed_path(g, v0, w.letters)
-
-
 # -- morphisms -------------------------------------------------------------
 
 
@@ -393,14 +342,6 @@ def _is_morphism_on(
         if ends.get(emap.get(eid)) != wanted:
             return False
     return True
-
-
-def rose_morphism(g: LabeledGraph) -> GraphMorphism:
-    """The unique label-preserving morphism to the rose of the same rank."""
-    return GraphMorphism(
-        vertex_map={v: 0 for v in g.vertices},
-        edge_map={e.eid: e.label for e in g.edges},
-    )
 
 
 def _vertex_signature(g: LabeledGraph, v: int) -> tuple[int, ...]:
@@ -519,14 +460,3 @@ def graph_to_dot(g: LabeledGraph, name: str = "G") -> str:
         lines.append(f'  v{e.origin} -> v{e.terminus} [label="{letter_to_char(e.label)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def subdivide_edge(g: LabeledGraph, eid: int) -> LabeledGraph:
-    """Replace one edge by a two-edge path through a fresh vertex."""
-    e = g.edge(eid)
-    fresh_v = max(g.vertices) + 1
-    fresh_e = max(x.eid for x in g.edges) + 1
-    edges = [x for x in g.edges if x.eid != eid]
-    edges.append(Edge(eid, e.origin, fresh_v, e.label))
-    edges.append(Edge(fresh_e, fresh_v, e.terminus, e.label))
-    return LabeledGraph(g.rank, g.vertices | {fresh_v}, tuple(edges))

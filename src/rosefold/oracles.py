@@ -23,12 +23,17 @@ from .graphs import (
     Edge,
     GraphMorphism,
     LabeledGraph,
-    closed_path_reading,
+    circuit,
     is_rose,
     oriented_edge,
     wedge_of_words,
 )
-from .tameness import AlmostRose, almost_rose_from_parts, factor_through_almost_rose
+from .tameness import (
+    AlmostRose,
+    almost_rose_from_parts,
+    factor_through_almost_rose,
+    induced_morphism,
+)
 from .words import (
     CyclicWord,
     RankError,
@@ -391,6 +396,26 @@ class ReadingProof:
     path: tuple[int, ...]
 
 
+def _reading_proof(c: CyclicWord, rose: AlmostRose) -> ReadingProof:
+    """The closed path along which ``rose`` reads the cyclically reduced
+    class ``c``, read off ``induced_morphism(circuit(c), rose)``: it starts
+    at the image of circuit vertex 0, and its i-th directed edge is the
+    image of circuit edge i + 1, reversed when letter i is negative.
+
+    This is the only closed path reading ``c`` from that start.  Only the
+    wedge letter y has two edges leaving u, the loop and the edge to v, and
+    every other letter leaves each vertex at most once.  The letter after
+    y can be read from both u and v only when it is y^-1, and a cyclically
+    reduced class has no such pair, so the branch is decided at once.
+    """
+    m = induced_morphism(circuit(c), rose)
+    if m is None:
+        raise RuntimeError(f"internal error: class {c!s} unreadable in the almost-rose")
+    emap = m.edge_map
+    path = tuple(emap[i] if x > 0 else -emap[i] for i, x in enumerate(c.letters, start=1))
+    return ReadingProof(c, m.vertex_map[0], path)
+
+
 def rose_for_basis(basis: EndomorphismSpec) -> tuple[AlmostRose, FoldSequence, ReadingProof]:
     """Fold the wedge of circles spelling a verified basis into an
     almost-rose that reads the first basis word.
@@ -413,11 +438,7 @@ def rose_for_basis(basis: EndomorphismSpec) -> tuple[AlmostRose, FoldSequence, R
         raise ValueError(f"first basis word must be cyclically reduced, got {w1!s}")
     wedge = wedge_of_words(basis.images, n)
     rose, seq = factor_through_almost_rose(wedge.graph)
-    found = closed_path_reading(rose.graph, cyc)
-    if found is None:
-        raise RuntimeError("internal error: first basis word unreadable in the almost-rose")
-    start, path = found
-    return rose, seq, ReadingProof(cyc, start, path)
+    return rose, seq, _reading_proof(cyc, rose)
 
 
 def _wedge_at_basepoints(a: BasedGraph, b: BasedGraph) -> BasedGraph:
@@ -471,14 +492,7 @@ def rose_for_separable(
         rose = almost_rose_from_parts(n, letters1[0], letters1[1:], (), letters2)
     else:
         rose, _ = factor_through_almost_rose(wedge.graph)
-    proofs = []
-    for c in classes:
-        found = closed_path_reading(rose.graph, c)
-        if found is None:
-            raise RuntimeError(f"internal error: class {c!s} unreadable in the almost-rose")
-        start, path = found
-        proofs.append(ReadingProof(c, start, path))
-    return rose, tuple(proofs)
+    return rose, tuple(_reading_proof(c, rose) for c in classes)
 
 
 # -- random corpora ------------------------------------------------------------

@@ -31,10 +31,6 @@ class TrivialWordError(ValueError):
     """The identity has no cyclically reduced representative."""
 
 
-def inverse_letter(letter: int) -> int:
-    return -letter
-
-
 def letter_key(letter: int) -> int:
     """Sort key realizing the total order a < A < b < B < ..."""
     return 2 * abs(letter) + (0 if letter > 0 else 1)

@@ -34,6 +34,11 @@ def class_set_st(rank: int = 2, max_classes: int = 4):
     return st.lists(class_st(rank), min_size=1, max_size=max_classes)
 
 
+def reads(g, c) -> bool:
+    """Whether ``g`` reads the class ``c``: its circuit maps into ``g``."""
+    return rf.brute_force_morphism(rf.circuit(c), g) is not None
+
+
 def relabeling_st(rank: int):
     return st.builds(
         lambda perm, signs: rf.SignedRelabeling(

@@ -310,6 +310,20 @@ class TestFold:
         assert "witness: verified automorphism" in out
         assert "first word readable in almost-rose: yes" in out
 
+    def test_witness_first_word_not_cyclically_reduced(self, capsys, tmp_path):
+        # abA is conjugate to b, which the rose reads: the class is what is read
+        spec = rf.EndomorphismSpec(
+            2,
+            (rf.parse_word("abA", 2), rf.parse_word("a", 2)),
+            (rf.parse_word("b", 2), rf.parse_word("Bab", 2)),
+        )
+        path = tmp_path / "basis.witness"
+        path.write_text(endomorphism_to_text(spec))
+        code, out, _ = run(capsys, "fold", "--basis", "abA,a", "--witness", str(path))
+        assert code == 0
+        assert "penultimate: almost-rose k=1 l=1" in out
+        assert out.endswith("first word readable in almost-rose: yes\n")
+
     def test_dot_snapshots(self, capsys):
         code, out, _ = run(capsys, "fold", "--basis", "ab,b", "--dot")
         assert code == 0

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import rosefold as rf
-from rosefold.graphs import Edge, LabeledGraph, oriented_edge, subdivide_edge
+from rosefold.graphs import Edge, LabeledGraph, oriented_edge
 from rosefold.words import RankError
 
-from conftest import class_set_st, class_st, graph_st, letter_st
+from conftest import class_set_st, class_st, graph_st, letter_st, reads
 
 
 def cyc(text, rank=2):
@@ -98,7 +98,7 @@ class TestCircuit:
     def test_two_cycle(self):
         g = rf.circuit(cyc("ab"))
         assert len(g.vertices) == 2 and len(g.edges) == 2
-        assert rf.reads_cyclic_word(g, cyc("ab"))
+        assert reads(g, cyc("ab"))
 
     def test_single_loop(self):
         g = rf.circuit(cyc("a"))
@@ -112,7 +112,7 @@ class TestCircuit:
     def test_inverse_letters_store_positively(self):
         g = rf.circuit(cyc("aB"))
         assert all(e.label > 0 for e in g.edges)
-        assert rf.reads_cyclic_word(g, cyc("aB"))
+        assert reads(g, cyc("aB"))
 
 
 class TestDisjointCircuits:
@@ -139,7 +139,7 @@ class TestDisjointCircuits:
     def test_every_class_readable(self, classes):
         g = rf.disjoint_circuits(classes, 3)
         for c in classes:
-            assert rf.reads_cyclic_word(g, c)
+            assert reads(g, c)
 
 
 @st.composite
@@ -186,8 +186,8 @@ class TestWedgeOfWords:
         b = rf.wedge_of_words((word("ab"), word("b")), 2)
         assert b.basepoint == 0
         assert len(b.graph.vertices) == 2 and len(b.graph.edges) == 3
-        assert rf.reads_cyclic_word(b.graph, cyc("ab"))
-        assert rf.reads_cyclic_word(b.graph, cyc("b"))
+        assert reads(b.graph, cyc("ab"))
+        assert reads(b.graph, cyc("b"))
 
     def test_single_loop(self):
         b = rf.wedge_of_words((word("a"),), 2)
@@ -209,12 +209,6 @@ class TestBetti:
         assert rf.betti(rf.rose(2)) == 2
         assert rf.betti(rf.circuit(cyc("aab"))) == 1
         assert rf.betti(rf.disjoint_circuits([cyc("a"), cyc("b")])) == 2
-
-    @given(graph_st(rank=2))
-    def test_invariant_under_subdivision(self, g):
-        if not g.edges:
-            return
-        assert rf.betti(subdivide_edge(g, g.edges[0].eid)) == rf.betti(g)
 
 
 def tailed_circuit():
@@ -369,39 +363,41 @@ class TestIndexMatchesScan:
 
 class TestReadsCyclicWord:
     def test_rose_reads_everything(self):
-        assert rf.reads_cyclic_word(rf.rose(2), cyc("abAB"))
+        assert reads(rf.rose(2), cyc("abAB"))
 
     def test_circuit_reads_its_word(self):
-        assert rf.reads_cyclic_word(rf.circuit(cyc("ab")), cyc("ab"))
+        assert reads(rf.circuit(cyc("ab")), cyc("ab"))
 
     def test_circuit_rejects_other_word(self):
-        assert not rf.reads_cyclic_word(rf.circuit(cyc("ab")), cyc("aab"))
+        assert not reads(rf.circuit(cyc("ab")), cyc("aab"))
 
     def test_rank_mismatch(self):
         with pytest.raises(RankError):
-            rf.reads_cyclic_word(rf.rose(2), cyc("ab", rank=3))
+            reads(rf.rose(2), cyc("ab", rank=3))
 
     def test_rotation_invariant(self):
         g = rf.circuit(cyc("aab"))
         for rot in ("aab", "aba", "baa"):
-            assert rf.reads_cyclic_word(g, cyc(rot))
+            assert reads(g, cyc(rot))
 
     def test_unreduced_paths_allowed(self):
         # A single a-loop reads a^k for every k, including via backtracking
         # paths; readability does not require the path be reduced.
         g = rf.circuit(cyc("a"))
-        assert rf.reads_cyclic_word(g, cyc("aa"))
-        assert not rf.reads_cyclic_word(g, cyc("b"))
+        assert reads(g, cyc("aa"))
+        assert not reads(g, cyc("b"))
 
 
 class TestMorphisms:
     def test_unique_morphism_to_rose(self):
         g = rf.circuit(cyc("ab"))
-        assert rf.verify_morphism(rf.rose_morphism(g), g, rf.rose(2))
+        m = rf.brute_force_morphism(g, rf.rose(2))
+        assert m == rf.GraphMorphism(vertex_map={0: 0, 1: 0}, edge_map={1: 1, 2: 2})
+        assert rf.verify_morphism(m, g, rf.rose(2))
 
     def test_identity_on_rose(self):
         r = rf.rose(2)
-        assert rf.verify_morphism(rf.rose_morphism(r), r, r)
+        assert rf.verify_morphism(rf.GraphMorphism(vertex_map={0: 0}, edge_map={1: 1, 2: 2}), r, r)
 
     def test_label_violation_rejected(self):
         g = rf.circuit(cyc("ab"))
@@ -415,11 +411,15 @@ class TestMorphisms:
 
     @given(graph_st(rank=3))
     def test_rose_morphism_always_verifies(self, g):
-        assert rf.verify_morphism(rf.rose_morphism(g), g, rf.rose(3))
+        r = rf.rose(3)
+        assert rf.verify_morphism(rf.brute_force_morphism(g, r), g, r)
 
     def test_rank_mismatch_rejected(self):
+        # the morphism into rose(2), checked against rose(3)
         g = rf.circuit(cyc("ab"))
-        assert not rf.verify_morphism(rf.rose_morphism(g), g, rf.rose(3))
+        m = rf.GraphMorphism(vertex_map={0: 0, 1: 0}, edge_map={1: 1, 2: 2})
+        assert rf.verify_morphism(m, g, rf.rose(2))
+        assert not rf.verify_morphism(m, g, rf.rose(3))
 
     @given(graph_st(rank=2, max_vertices=3), st.integers(0, 10**9))
     def test_matches_graph_form_oracle_under_tampering(self, g, seed):

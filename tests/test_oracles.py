@@ -6,15 +6,18 @@ from hypothesis import strategies as hyp_st
 
 import rosefold as rf
 from rosefold.oracles import (
+    ReadingProof,
     SearchLimitError,
+    _reading_proof,
     endomorphism_to_text,
     parse_endomorphism_text,
     random_basis,
+    random_class,
     random_labeled_graph,
     separable_witness_to_text,
 )
 
-from conftest import graph_st
+from conftest import graph_st, reads
 
 
 def word(text, rank=2):
@@ -258,7 +261,7 @@ class TestRoseForBasis:
         basis = spec(("aab", "ab"), inverses=("aB", "bAb"))
         assert rf.is_verified_automorphism(basis)
         rose, _, proof = rf.rose_for_basis(basis)
-        assert rf.reads_cyclic_word(rose.graph, cyc("aab"))
+        assert reads(rose.graph, cyc("aab"))
         assert str(proof.cyclic) == "aab"
 
     def test_single_letter_rejected(self):
@@ -283,7 +286,73 @@ class TestRoseForBasis:
         basis = random_basis(random.Random(seed), 2)
         rose, seq, proof = rf.rose_for_basis(basis)
         assert not any(s.betti_dropped for s in seq.steps)
-        assert rf.reads_cyclic_word(rose.graph, proof.cyclic)
+        assert reads(rose.graph, proof.cyclic)
+
+
+def closed_walk_class(rng, g, max_len):
+    """The class a random closed walk in ``g`` spells, when the walk's
+    letters form a nonempty cyclically reduced word; else None."""
+    start = v = rng.choice(sorted(g.vertices))
+    letters = []
+    for _ in range(rng.randint(1, max_len)):
+        _, label, v = rng.choice(g.out_edges(v))
+        letters.append(label)
+    k = len(letters)
+    if v != start or any(letters[(i + 1) % k] == -letters[i] for i in range(k)):
+        return None
+    return rf.CyclicWord(tuple(letters), g.rank)
+
+
+def reading_classes(rng, rose):
+    """Every length-1 class, powers of the wedge letter and its inverse,
+    random classes, and classes spelt by random closed walks in the rose."""
+    n, y = rose.rank, rose.relabeling.targets[0]
+    classes = [rf.CyclicWord((s * i,), n) for i in range(1, n + 1) for s in (1, -1)]
+    classes += [rf.CyclicWord((s * y,) * k, n) for k in (2, 3) for s in (1, -1)]
+    classes += [random_class(rng, n, 6) for _ in range(8)]
+    walks = (closed_walk_class(rng, rose.graph, 7) for _ in range(40))
+    return classes + [c for c in walks if c is not None]
+
+
+def is_closed_reading(g, start, path, c):
+    """Whether the directed edges ``path`` form a closed walk at ``start``
+    in ``g`` spelling the letters of ``c``."""
+    v = start
+    for d, x in zip(path, c.letters, strict=True):
+        if g.dir_origin(d) != v or g.dir_label(d) != x:
+            return False
+        v = g.dir_terminus(d)
+    return v == start
+
+
+class TestReadingProof:
+    """``_reading_proof`` reads a class through the induced morphism of its
+    circuit; brute force decides readability and gives the one reading."""
+
+    def roses(self):
+        sample = random.Random(4).sample(rf.enumerate_almost_roses(4), 40)
+        return rf.enumerate_almost_roses(2) + rf.enumerate_almost_roses(3) + sample
+
+    def test_matches_brute_force(self):
+        rng = random.Random(10)
+        readable = unreadable = 0
+        for rose in self.roses():
+            for c in reading_classes(rng, rose):
+                brute = rf.brute_force_morphism(rf.circuit(c), rose.graph)
+                if brute is None:
+                    unreadable += 1
+                    with pytest.raises(RuntimeError, match="unreadable"):
+                        _reading_proof(c, rose)
+                    continue
+                readable += 1
+                emap = brute.edge_map
+                start = brute.vertex_map[0]
+                path = tuple(
+                    emap[i + 1] if x > 0 else -emap[i + 1] for i, x in enumerate(c.letters)
+                )
+                assert is_closed_reading(rose.graph, start, path, c)
+                assert _reading_proof(c, rose) == ReadingProof(c, start, path)
+        assert readable > 1000 and unreadable > 1000
 
 
 class TestRoseForSeparable:
@@ -347,7 +416,7 @@ class TestRoseForSeparable:
         rose, proofs = rf.rose_for_separable(witness, classes)
         assert len(proofs) == 2
         for c in classes:
-            assert rf.reads_cyclic_word(rose.graph, c)
+            assert reads(rose.graph, c)
 
     @given(hyp_st.integers(0, 2000))
     @settings(max_examples=30)
@@ -357,7 +426,7 @@ class TestRoseForSeparable:
         for c, proof in zip(classes, proofs):
             assert proof.cyclic == c
             assert len(proof.path) == len(c)
-            assert rf.reads_cyclic_word(rose.graph, c)
+            assert reads(rose.graph, c)
 
 
 class TestWitnessFiles:
