@@ -45,8 +45,6 @@ from .folding import (
     FoldSequence,
     FoldStep,
     NotFoldableError,
-    find_foldable_pair,
-    fold_once,
     fold_to_completion,
     foldable_pairs,
     is_pi1_surjective,
@@ -75,7 +73,6 @@ from .tameness import (
     factor_through_almost_rose,
     induced_morphism,
     recognize_almost_rose,
-    standard_almost_rose,
     verify_certificate,
     whitehead_of_almost_rose,
 )

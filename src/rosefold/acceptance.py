@@ -29,10 +29,10 @@ from .oracles import (
     verify_separable_witness,
 )
 from .tameness import (
+    almost_rose,
     decide_tame,
     enumerate_almost_roses,
     induced_morphism,
-    standard_almost_rose,
     verify_certificate,
     whitehead_of_almost_rose,
 )
@@ -66,7 +66,7 @@ def _best_of(fn, repeats: int = 3) -> float:
 def criterion_wedge_closed_form() -> CriterionResult:
     """The (3,1,2) almost-rose: Whitehead graph is the expected wedge of
     complete graphs and its only cut vertex is the shared letter."""
-    rose = standard_almost_rose(3, 1, 2)
+    rose = almost_rose(3, 1, 2)
     side1 = [1, -1, -2]
     side2 = [1, 2, 3, -3]
     expected = {
@@ -95,7 +95,7 @@ def criterion_cut_vertex_sweep() -> CriterionResult:
     for n in range(2, 7):
         for k in range(1, n):
             for l in range(k, n + 1):
-                rose = standard_almost_rose(n, k, l)
+                rose = almost_rose(n, k, l)
                 closed = whitehead_of_almost_rose(rose)
                 direct = whitehead_of_graph(rose.graph)
                 if closed.edges != direct.edges:
@@ -109,10 +109,11 @@ def criterion_cut_vertex_sweep() -> CriterionResult:
     return CriterionResult("cut-vertex-sweep", passed, elapsed, 1.0, detail)
 
 
-def criterion_morphism_equivalence(graphs_per_rank: int = 500) -> CriterionResult:
+def criterion_morphism_equivalence() -> CriterionResult:
     """Morphism existence into an almost-rose is equivalent to Whitehead
     inclusion, with the exhaustive search as the arbiter, and the induced
     morphism verifies whenever the inclusion holds."""
+    graphs_per_rank = 500
     t0 = time.perf_counter()
     rng = random.Random(0x5EED3)
     disagreements = 0
@@ -161,9 +162,10 @@ def criterion_primitive_classes() -> CriterionResult:
     return CriterionResult("primitive-classes-tame", passed, elapsed, 60.0, detail)
 
 
-def criterion_separable_sets(sets_per_rank: int = 250) -> CriterionResult:
+def criterion_separable_sets() -> CriterionResult:
     """Seeded separable sets at ranks 3 and 4 all decide tame, with both
     the witness replay and the certificate verifying."""
+    sets_per_rank = 250
     t0 = time.perf_counter()
     exceptions = 0
     total = 0
@@ -203,9 +205,10 @@ def criterion_negative_controls() -> CriterionResult:
     return CriterionResult("negative-controls", passed, elapsed, 0.001, detail)
 
 
-def criterion_basis_pipeline(bases_per_rank: int = 60) -> CriterionResult:
+def criterion_basis_pipeline() -> CriterionResult:
     """Folding the wedge of a verified basis never drops Betti, lands on a
     recognized almost-rose, and reads the first basis word."""
+    bases_per_rank = 60
     t0 = time.perf_counter()
     rng = random.Random(0xBA515)
     failures = 0
@@ -229,9 +232,10 @@ def criterion_basis_pipeline(bases_per_rank: int = 60) -> CriterionResult:
     return CriterionResult("basis-fold-pipeline", passed, elapsed, 60.0, detail)
 
 
-def criterion_fold_confluence(count: int = 1000) -> CriterionResult:
+def criterion_fold_confluence() -> CriterionResult:
     """Deterministic and randomized fold orders produce label-isomorphic
     folded images."""
+    count = 1000
     t0 = time.perf_counter()
     rng = random.Random(0xF01D)
     failures = 0
@@ -248,9 +252,10 @@ def criterion_fold_confluence(count: int = 1000) -> CriterionResult:
     return CriterionResult("fold-confluence", passed, elapsed, 30.0, detail)
 
 
-def criterion_set_vs_circuit_whitehead(count: int = 1000) -> CriterionResult:
+def criterion_set_vs_circuit_whitehead() -> CriterionResult:
     """The Whitehead graph of a class set equals the Whitehead graph of its
     disjoint circuits, edge set for edge set."""
+    count = 1000
     t0 = time.perf_counter()
     rng = random.Random(0xC1AC)
     failures = 0

@@ -31,11 +31,11 @@ from .oracles import (
 )
 from .tameness import (
     _edge_token,
+    almost_rose,
     certificate_to_text,
     decide_tame,
     induced_morphism,
     recognize_almost_rose,
-    standard_almost_rose,
     verify_certificate,
     whitehead_of_almost_rose,
 )
@@ -279,7 +279,7 @@ def cmd_tame(args) -> int:
 
 def cmd_rose_wh(args) -> int:
     try:
-        rose = standard_almost_rose(_check_rank(args.n), args.k, args.l)
+        rose = almost_rose(_check_rank(args.n), args.k, args.l)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     return _print_wh(whitehead_of_almost_rose(rose), args.dot)

@@ -10,16 +10,15 @@ test suite checks by re-running with randomized pair choices.
 ``fold_to_completion`` keeps one fold state for the whole run: a
 union-find over the vertices, and per vertex class a heap of outgoing
 directed edges per label, merged smaller into larger, with a heap of the
-vertices that have a label collision.  Its default pick is
-``find_foldable_pair``'s rule (the lowest vertex with a collision; there,
-the label whose second entry comes first in ``out_edges`` order, and that
-label's first two entries).  Each edge moves between heaps O(log E)
-times and each pick scans at most 2·rank labels, so a run is
-near-linear in the number E of edge pairs, and it builds only the final
-and penultimate graphs.  ``fold_once`` folds a whole graph and is the
-reference the tests compare against; ``FoldSequence.snapshots`` replays
-the steps through it, which costs O(E · folds) and serves only
-``--dot`` and the tests.
+vertices that have a label collision.  Its default pick is the lowest
+vertex with a collision; there, the label whose second outgoing edge
+comes first in ``out_edges`` order, and that label's first two edges.
+Each edge moves between heaps O(log E) times and each pick scans at most
+2·rank labels, so a run is near-linear in the number E of edge pairs.
+A run builds only the final and penultimate graphs, each with
+``_replay``, which builds the graph after a prefix of the steps from the
+merges they record.  ``FoldSequence.snapshots`` replays every prefix the
+same way, at O(E · folds); only ``--dot`` and the tests use it.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from typing import Callable
 from .graphs import (
     BasedGraph,
     Edge,
-    GraphMorphism,
     LabeledGraph,
     NotConnectedError,
     betti,
@@ -75,12 +73,9 @@ class FoldSequence:
 
     @property
     def snapshots(self) -> tuple[LabeledGraph, ...]:
-        """The start, then the graph after each step, replayed from the log
-        through ``fold_once``: O(E · folds) time and memory."""
-        snaps = [self.start]
-        for step in self.steps:
-            snaps.append(fold_once(snaps[-1], (step.edge_a, step.edge_b))[0])
-        return tuple(snaps)
+        """The start, then the graph after each step, each replayed from the
+        log: O(E · folds) time and memory."""
+        return tuple(_replay(self.start, self.steps[:i]) for i in range(len(self.steps) + 1))
 
 
 def foldable_pairs(g: LabeledGraph) -> list[tuple[int, int]]:
@@ -93,53 +88,6 @@ def foldable_pairs(g: LabeledGraph) -> list[tuple[int, int]]:
                 if label == label2:
                     pairs.append((d, d2))
     return pairs
-
-
-def find_foldable_pair(g: LabeledGraph) -> tuple[int, int] | None:
-    """First foldable pair by lowest vertex, then lowest directed edge ids."""
-    for v in sorted(g.vertices):
-        seen: dict[int, int] = {}
-        for d, label, _ in g.out_edges(v):
-            if label in seen:
-                return (seen[label], d)
-            seen[label] = d
-    return None
-
-
-def fold_once(g: LabeledGraph, pair: tuple[int, int]) -> tuple[LabeledGraph, FoldStep]:
-    d1, d2 = pair
-    ids = {abs(d1), abs(d2)}
-    if len(ids) != 2 or not ids <= g.edge_map().keys():
-        raise NotFoldableError(f"not a pair of distinct edges: {pair}")
-    if g.dir_origin(d1) != g.dir_origin(d2) or g.dir_label(d1) != g.dir_label(d2):
-        raise NotFoldableError(f"edges {pair} do not share origin and label")
-    t1, t2 = g.dir_terminus(d1), g.dir_terminus(d2)
-    keep_e, drop_e = min(ids), max(ids)
-    betti_dropped = t1 == t2
-    if betti_dropped:
-        identified = None
-        vmap = {v: v for v in g.vertices}
-        vertices = set(g.vertices)
-    else:
-        kept_v, removed_v = min(t1, t2), max(t1, t2)
-        identified = (kept_v, removed_v)
-        vmap = {v: (kept_v if v == removed_v else v) for v in g.vertices}
-        vertices = set(g.vertices) - {removed_v}
-    edges = tuple(
-        Edge(e.eid, vmap[e.origin], vmap[e.terminus], e.label)
-        for e in g.edges
-        if e.eid != drop_e
-    )
-    step = FoldStep(
-        edge_a=d1,
-        edge_b=d2,
-        origin=g.dir_origin(d1),
-        label=g.dir_label(d1),
-        identified_vertices=identified,
-        identified_edges=(keep_e, drop_e),
-        betti_dropped=betti_dropped,
-    )
-    return LabeledGraph(g.rank, frozenset(vertices), edges), step
 
 
 def _find(parent: dict[int, int], v: int) -> int:
@@ -163,7 +111,7 @@ class _FoldState:
     """The graph in the middle of a fold run, changed in place.
 
     A union-find over the vertices names each class by its smallest
-    vertex, the vertex that ``fold_once`` keeps.  Each class maps a label
+    vertex, the vertex a fold keeps.  Each class maps a label
     to a heap of the ``_key``s of its outgoing directed edges with that
     label; when two classes merge, the smaller heaps are pushed into the
     larger.  A folded-away edge pair is only marked dead, and its keys
@@ -198,9 +146,9 @@ class _FoldState:
         return (live[0], live[1]) if len(live) == 2 else None
 
     def first_pair(self) -> tuple[int, int] | None:
-        """The pair ``find_foldable_pair`` picks in the current graph: at the
-        lowest vertex with a collision, the first two entries of the label
-        whose second entry comes first."""
+        """The default pick in the current graph: at the lowest vertex with
+        a collision, the first two entries of the label whose second entry
+        comes first."""
         todo = self.todo
         while todo:
             v = todo[0]
@@ -300,8 +248,8 @@ def fold_to_completion(
     """Fold until no foldable pair remains; terminates since each fold
     removes an edge pair.
 
-    Without ``pick``, each fold is ``find_foldable_pair``'s choice, found
-    in O(rank · log E) from one fold state, so the run is near-linear in
+    Without ``pick``, each fold is the default pick (see the module
+    docstring), found in O(rank · log E) from one fold state, so the run is near-linear in
     the number of edge pairs.  A ``pick`` receives the current
     ``foldable_pairs``, in that order, and returns one of them; listing
     them costs O(E log E) per fold."""
@@ -329,17 +277,6 @@ def is_pi1_surjective(g: LabeledGraph) -> bool:
     if not is_connected(g):
         raise NotConnectedError("pi1-surjectivity is defined for connected graphs")
     return is_rose(core(fold_to_completion(g).final))
-
-
-def fold_morphism(before: LabeledGraph, step: FoldStep, after: LabeledGraph) -> GraphMorphism:
-    """The quotient morphism of a single fold."""
-    kept_e, drop_e = step.identified_edges
-    vmap = {v: v for v in before.vertices}
-    if step.identified_vertices is not None:
-        kept_v, removed_v = step.identified_vertices
-        vmap[removed_v] = kept_v
-    emap = {e.eid: (kept_e if e.eid == drop_e else e.eid) for e in before.edges}
-    return GraphMorphism(vertex_map=vmap, edge_map=emap)
 
 
 def subgroup_graph(generators, rank: int) -> BasedGraph:

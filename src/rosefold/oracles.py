@@ -555,6 +555,12 @@ def endomorphism_to_text(spec: EndomorphismSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _one_per_generator(keys: dict[int, Word], rank: int) -> bool:
+    """Whether the keys are exactly 1..rank, checked without building that
+    range, so a huge declared rank costs nothing before it is rejected."""
+    return len(keys) == rank and all(1 <= i <= rank for i in keys)
+
+
 def parse_endomorphism_text(text: str) -> EndomorphismSpec:
     rank: int | None = None
     images: dict[int, Word] = {}
@@ -573,11 +579,11 @@ def parse_endomorphism_text(text: str) -> EndomorphismSpec:
             target[int(parts[1])] = _parse_word_token(parts[3], rank)
         else:
             raise ValueError(f"unrecognized witness line: {raw!r}")
-    if rank is None or sorted(images) != list(range(1, rank + 1)):
+    if rank is None or not _one_per_generator(images, rank):
         raise ValueError("witness text must give one image per generator")
     inv = None
     if inverses:
-        if sorted(inverses) != list(range(1, rank + 1)):
+        if not _one_per_generator(inverses, rank):
             raise ValueError("witness text must give one inverse image per generator")
         inv = tuple(inverses[i] for i in range(1, rank + 1))
     return EndomorphismSpec(rank, tuple(images[i] for i in range(1, rank + 1)), inv)

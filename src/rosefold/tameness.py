@@ -3,9 +3,9 @@
 An *almost-rose* is a core graph of Betti number n that folds onto the
 rank-n rose with a single fold.  Such a graph has two vertices u, v and
 n+1 edge pairs, and up to permuting/inverting letters it is the standard
-graph ``standard_almost_rose(n, k, l)``: a loop at u and an edge u->v
-both labeled by letter 1, loops at u labeled 2..k, edges u->v labeled
-k+1..l, and loops at v labeled l+1..n.
+graph ``almost_rose(n, k, l)``, built with no relabeling: a loop at u and
+an edge u->v both labeled by letter 1, loops at u labeled 2..k, edges
+u->v labeled k+1..l, and loops at v labeled l+1..n.
 
 A set of conjugacy classes is *tame* when a single almost-rose reads all
 of them.  This is decidable via the Whitehead graph: the set is tame
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Iterable, Sequence, Set
+from collections.abc import Collection, Iterable, Sequence, Set
 from dataclasses import dataclass, field
 
 from .folding import FoldSequence, fold_to_completion, foldable_pairs
@@ -71,38 +71,9 @@ class SignedRelabeling:
     def rank(self) -> int:
         return len(self.targets)
 
-    def is_identity(self) -> bool:
-        return self.targets == tuple(range(1, self.rank + 1))
-
     def apply_letter(self, v: int) -> int:
         t = self.targets[abs(v) - 1]
         return t if v > 0 else -t
-
-    def apply_cyclic(self, c: CyclicWord) -> CyclicWord:
-        if c.rank != self.rank:
-            raise RankError(f"class rank {c.rank} differs from relabeling rank {self.rank}")
-        return CyclicWord(tuple(self.apply_letter(v) for v in c.letters), c.rank)
-
-    def apply_graph(self, g: LabeledGraph) -> LabeledGraph:
-        if g.rank != self.rank:
-            raise RankError(f"graph rank {g.rank} differs from relabeling rank {self.rank}")
-        edges = tuple(
-            oriented_edge(e.eid, e.origin, e.terminus, self.apply_letter(e.label))
-            for e in g.edges
-        )
-        return LabeledGraph(g.rank, g.vertices, edges)
-
-    def inverse(self) -> "SignedRelabeling":
-        inv = [0] * self.rank
-        for i, t in enumerate(self.targets, start=1):
-            inv[abs(t) - 1] = i if t > 0 else -i
-        return SignedRelabeling(tuple(inv))
-
-    def compose(self, other: "SignedRelabeling") -> "SignedRelabeling":
-        """The relabeling acting as self-after-other."""
-        if other.rank != self.rank:
-            raise RankError("cannot compose relabelings of different ranks")
-        return SignedRelabeling(tuple(self.apply_letter(t) for t in other.targets))
 
 
 def _check_shape(n: int, k: int, l: int) -> None:
@@ -202,11 +173,6 @@ def almost_rose_from_parts(
     k = 1 + len(loops_u)
     l = k + len(connectors)
     return almost_rose(n, k, l, SignedRelabeling(tuple([y] + loops_u + connectors + loops_v)))
-
-
-def standard_almost_rose(n: int, k: int, l: int) -> AlmostRose:
-    """The almost-rose with the identity relabeling."""
-    return almost_rose(n, k, l)
 
 
 def clique_sides(n: int, k: int, l: int) -> tuple[frozenset[int], frozenset[int]]:
@@ -323,12 +289,18 @@ def induced_morphism(g: LabeledGraph, rose: AlmostRose) -> GraphMorphism | None:
     """
     if g.rank != rose.rank:
         raise RankError(f"rank mismatch: graph {g.rank} vs almost-rose {rose.rank}")
-    edges = _edge_list(g)
-    m = _induced_map(g.vertices, edges, rose)
-    if m is not None and not _is_morphism_on(m, g.vertices, edges, rose.graph):
-        raise RuntimeError(
-            "internal error: induced morphism failed verification despite inclusion"
-        )
+    return _checked_map(g.vertices, _edge_list(g), rose)
+
+
+def _checked_map(
+    vertices: Collection[int], edges: Sequence[tuple[int, int, int, int]], rose: AlmostRose
+) -> GraphMorphism | None:
+    """``_induced_map``, checked over the same edge list with the edge test
+    of ``verify_morphism``; a map that fails the check raises
+    ``RuntimeError``, since it cannot happen when the inclusion holds."""
+    m = _induced_map(vertices, edges, rose)
+    if m is not None and not _is_morphism_on(m, vertices, edges, rose.graph):
+        raise RuntimeError("internal error: induced morphism failed verification")
     return m
 
 
@@ -508,14 +480,9 @@ def decide_tame(classes, rank: int | None = None) -> TamenessCertificate:
     if rose is not None:
         # build_rose_from_whitehead has checked the Whitehead inclusion
         edges = _circuit_edges(norm)
-        vertices = range(len(edges))
-        morphism = _induced_map(vertices, edges, rose)
-        if (
-            morphism is None
-            or rose.rank != rank
-            or not _is_morphism_on(morphism, vertices, edges, rose.graph)
-        ):
-            raise RuntimeError("internal error: induced morphism failed verification")
+        morphism = _checked_map(range(len(edges)), edges, rose)
+        if morphism is None:
+            raise RuntimeError("internal error: induced morphism missing despite inclusion")
         return TamenessCertificate(
             tame=True, rank=rank, classes=norm, rose=rose, morphism=morphism
         )

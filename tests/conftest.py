@@ -6,6 +6,8 @@ from hypothesis import settings, strategies as st
 
 import rosefold as rf
 from rosefold import words
+from rosefold.folding import FoldStep, NotFoldableError
+from rosefold.graphs import Edge, GraphMorphism, LabeledGraph
 from rosefold.oracles import random_labeled_graph
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -47,6 +49,67 @@ def relabeling_st(rank: int):
         st.permutations(list(range(1, rank + 1))),
         st.lists(st.sampled_from((1, -1)), min_size=rank, max_size=rank),
     )
+
+
+def find_foldable_pair(g: LabeledGraph) -> tuple[int, int] | None:
+    """The reference fold's pick: the first foldable pair by lowest vertex,
+    then lowest directed edge ids."""
+    for v in sorted(g.vertices):
+        seen: dict[int, int] = {}
+        for d, label, _ in g.out_edges(v):
+            if label in seen:
+                return (seen[label], d)
+            seen[label] = d
+    return None
+
+
+def fold_once(g: LabeledGraph, pair: tuple[int, int]) -> tuple[LabeledGraph, FoldStep]:
+    """The reference fold: fold one pair of a whole graph into a new graph,
+    keeping the smaller edge id and the smaller terminus."""
+    d1, d2 = pair
+    ids = {abs(d1), abs(d2)}
+    if len(ids) != 2 or not ids <= g.edge_map().keys():
+        raise NotFoldableError(f"not a pair of distinct edges: {pair}")
+    if g.dir_origin(d1) != g.dir_origin(d2) or g.dir_label(d1) != g.dir_label(d2):
+        raise NotFoldableError(f"edges {pair} do not share origin and label")
+    t1, t2 = g.dir_terminus(d1), g.dir_terminus(d2)
+    keep_e, drop_e = min(ids), max(ids)
+    betti_dropped = t1 == t2
+    if betti_dropped:
+        identified = None
+        vmap = {v: v for v in g.vertices}
+        vertices = set(g.vertices)
+    else:
+        kept_v, removed_v = min(t1, t2), max(t1, t2)
+        identified = (kept_v, removed_v)
+        vmap = {v: (kept_v if v == removed_v else v) for v in g.vertices}
+        vertices = set(g.vertices) - {removed_v}
+    edges = tuple(
+        Edge(e.eid, vmap[e.origin], vmap[e.terminus], e.label)
+        for e in g.edges
+        if e.eid != drop_e
+    )
+    step = FoldStep(
+        edge_a=d1,
+        edge_b=d2,
+        origin=g.dir_origin(d1),
+        label=g.dir_label(d1),
+        identified_vertices=identified,
+        identified_edges=(keep_e, drop_e),
+        betti_dropped=betti_dropped,
+    )
+    return LabeledGraph(g.rank, frozenset(vertices), edges), step
+
+
+def fold_morphism(before: LabeledGraph, step: FoldStep) -> GraphMorphism:
+    """The quotient morphism of a single fold."""
+    kept_e, drop_e = step.identified_edges
+    vmap = {v: v for v in before.vertices}
+    if step.identified_vertices is not None:
+        kept_v, removed_v = step.identified_vertices
+        vmap[removed_v] = kept_v
+    emap = {e.eid: (kept_e if e.eid == drop_e else e.eid) for e in before.edges}
+    return GraphMorphism(vertex_map=vmap, edge_map=emap)
 
 
 def graph_st(rank: int = 2, max_vertices: int = 6, max_edge_pairs: int = 10):

@@ -1,5 +1,6 @@
 import argparse
 import errno
+import hashlib
 import os
 import stat
 import subprocess
@@ -328,6 +329,29 @@ class TestFold:
         code, out, _ = run(capsys, "fold", "--basis", "ab,b", "--dot")
         assert code == 0
         assert "cluster_0" in out and "cluster_1" in out
+
+    @pytest.mark.parametrize(
+        "basis,digest",
+        [
+            ("ab,b", "833f566ba8afac48"),
+            ("ab,ab", "6c72850f3087364a"),
+            ("aabAB,bab,cab", "adf7aae9b61fa982"),
+        ],
+    )
+    def test_dot_bytes_are_pinned(self, capsys, basis, digest):
+        # first 16 hex digits of the sha256 of stdout, recorded while the
+        # snapshots were still drawn one fold at a time
+        code, out, _ = run(capsys, "fold", "--basis", basis, "--dot")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("rank", [3_000_000, 10**18])
+    def test_witness_with_huge_rank_exits_2(self, capsys, tmp_path, rank):
+        path = tmp_path / "basis.witness"
+        path.write_text(f"basis-witness\nrank {rank}\nimage 1 -> ab\nimage 2 -> b\n")
+        code, out, err = run(capsys, "fold", "--basis", "ab,b", "--witness", str(path))
+        assert code == 2
+        assert err == "error: witness text must give one image per generator\n"
 
 
 class TestOrbit:

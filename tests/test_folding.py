@@ -9,7 +9,15 @@ import rosefold as rf
 from rosefold.folding import NotFoldableError, fold_report_lines, random_fold_pick
 from rosefold.graphs import Edge, LabeledGraph, NotConnectedError, oriented_edge
 
-from conftest import graph_st, letter_st, nontrivial_word_st, reads
+from conftest import (
+    find_foldable_pair,
+    fold_morphism,
+    fold_once,
+    graph_st,
+    letter_st,
+    nontrivial_word_st,
+    reads,
+)
 
 
 def gen_words_st():
@@ -34,18 +42,19 @@ def wedge(texts, rank=2):
 def reference_fold(g, pick=None):
     """The graph-at-a-time loop that ``fold_to_completion`` replaced:
     ``find_foldable_pair`` (or ``pick`` over ``foldable_pairs``), then
-    ``fold_once``.  Returns the steps, the penultimate and the final graph."""
-    steps, previous, current = [], None, g
+    ``fold_once``.  Returns the steps and every graph of the chain, the
+    start first."""
+    steps, graphs = [], [g]
     while True:
         if pick is None:
-            pair = rf.find_foldable_pair(current)
+            pair = find_foldable_pair(graphs[-1])
         else:
-            pairs = rf.foldable_pairs(current)
+            pairs = rf.foldable_pairs(graphs[-1])
             pair = pick(pairs) if pairs else None
         if pair is None:
-            return tuple(steps), previous, current
-        previous = current
-        current, step = rf.fold_once(current, pair)
+            return tuple(steps), tuple(graphs)
+        folded, step = fold_once(graphs[-1], pair)
+        graphs.append(folded)
         steps.append(step)
 
 
@@ -83,13 +92,15 @@ class TestAgainstGraphAtATimeFolds:
     @given(fold_graph_st(), hyp_st.integers(0, 10**6))
     @settings(max_examples=150)
     def test_same_steps_and_graphs(self, g, seed):
-        seq = rf.fold_to_completion(g)
-        steps, penultimate, final = reference_fold(g)
-        assert seq.steps == steps
-        assert seq.penultimate == penultimate
-        assert seq.final == final
-        rnd = rf.fold_to_completion(g, random_fold_pick(random.Random(seed)))
-        assert rnd.steps == reference_fold(g, random_fold_pick(random.Random(seed)))[0]
+        # every snapshot, and the kept penultimate and final graphs, with
+        # the default pick and with a random one
+        for make_pick in (lambda: None, lambda: random_fold_pick(random.Random(seed))):
+            seq = rf.fold_to_completion(g, make_pick())
+            steps, graphs = reference_fold(g, make_pick())
+            assert seq.steps == steps
+            assert seq.snapshots == graphs
+            assert seq.final == graphs[-1]
+            assert seq.penultimate == (graphs[-2] if steps else None)
 
     def test_mixed_shapes(self):
         # a loop, parallel edges, a Betti drop, an isolated vertex and two components
@@ -107,7 +118,9 @@ class TestAgainstGraphAtATimeFolds:
             ),
         )
         seq = rf.fold_to_completion(g)
-        assert (seq.steps, seq.penultimate, seq.final) == reference_fold(g)
+        steps, graphs = reference_fold(g)
+        assert (seq.steps, seq.snapshots) == (steps, graphs)
+        assert (seq.penultimate, seq.final) == graphs[-2:]
         assert any(s.betti_dropped for s in seq.steps)
         assert 5 in seq.final.vertices
 
@@ -136,23 +149,23 @@ class TestFoldScale:
 
 class TestFindFoldablePair:
     def test_rose_has_none(self):
-        assert rf.find_foldable_pair(rf.rose(2)) is None
+        assert find_foldable_pair(rf.rose(2)) is None
 
     def test_wedge_pair_is_the_b_inverses(self):
         g = wedge(("ab", "b"))
-        pair = rf.find_foldable_pair(g)
+        pair = find_foldable_pair(g)
         assert pair == (-2, -3)
         assert g.dir_label(-2) == g.dir_label(-3) == -2
 
     def test_parallel_edges(self):
         g = LabeledGraph(2, frozenset({0, 1}), (Edge(1, 0, 1, 1), Edge(2, 0, 1, 1)))
-        assert rf.find_foldable_pair(g) == (1, 2)
+        assert find_foldable_pair(g) == (1, 2)
 
 
 class TestFoldOnce:
     def test_wedge_folds_to_rose(self):
         g = wedge(("ab", "b"))
-        folded, step = rf.fold_once(g, rf.find_foldable_pair(g))
+        folded, step = fold_once(g, find_foldable_pair(g))
         assert rf.is_rose(folded)
         assert not step.betti_dropped
         assert step.identified_vertices == (0, 1)
@@ -164,14 +177,14 @@ class TestFoldOnce:
             frozenset({0, 1}),
             (Edge(1, 0, 1, 1), Edge(2, 0, 1, 1), Edge(3, 1, 1, 2)),
         )
-        folded, step = rf.fold_once(g, (1, 2))
+        folded, step = fold_once(g, (1, 2))
         assert step.betti_dropped
         assert step.identified_vertices is None
         assert rf.betti(folded) == rf.betti(g) - 1
 
     def test_rose_not_foldable(self):
         with pytest.raises(NotFoldableError):
-            rf.fold_once(rf.rose(2), (1, 2))
+            fold_once(rf.rose(2), (1, 2))
 
 
 class TestFoldToCompletion:
@@ -197,11 +210,9 @@ class TestFoldToCompletion:
     @given(graph_st(rank=2, max_vertices=5, max_edge_pairs=8))
     @settings(max_examples=40)
     def test_each_step_is_a_quotient_morphism(self, g):
-        from rosefold.folding import fold_morphism
-
         seq = rf.fold_to_completion(g)
         for i, step in enumerate(seq.steps):
-            m = fold_morphism(seq.snapshots[i], step, seq.snapshots[i + 1])
+            m = fold_morphism(seq.snapshots[i], step)
             assert rf.verify_morphism(m, seq.snapshots[i], seq.snapshots[i + 1])
 
     @given(graph_st(rank=3))
@@ -227,17 +238,6 @@ class TestFoldToCompletion:
         assert reported == [rf.betti(s) for s in seq.snapshots] + [rf.betti(seq.final)]
         if double_edge and g.edges:
             assert any(step.betti_dropped for step in seq.steps)
-
-    @given(graph_st(rank=3), hyp_st.integers(0, 10**6))
-    def test_replayed_snapshots_end_in_kept_graphs(self, g, seed):
-        for pick in (None, random_fold_pick(random.Random(seed))):
-            seq = rf.fold_to_completion(g, pick)
-            snaps = seq.snapshots
-            assert len(snaps) == len(seq.steps) + 1 and snaps[0] == seq.start == g
-            assert snaps[-1] == seq.final
-            assert (seq.penultimate is None) == (not seq.steps)
-            if seq.steps:
-                assert snaps[-2] == seq.penultimate
 
     @given(graph_st(rank=2, max_vertices=5, max_edge_pairs=8))
     @settings(max_examples=40)

@@ -206,7 +206,7 @@ class TestBruteForceMorphism:
         assert rf.brute_force_morphism(rf.circuit(cyc("a")), rf.circuit(cyc("b"))) is None
 
     def test_commutator_into_almost_rose(self):
-        target = rf.standard_almost_rose(2, 1, 1).graph
+        target = rf.almost_rose(2, 1, 1).graph
         assert rf.brute_force_morphism(rf.circuit(cyc("abAB")), target) is None
 
     def test_search_guard(self):
@@ -433,6 +433,18 @@ class TestWitnessFiles:
     def test_endomorphism_round_trip(self):
         phi = spec(("ab", "b"), inverses=("aB", "b"))
         assert parse_endomorphism_text(endomorphism_to_text(phi)) == phi
+
+    @pytest.mark.parametrize("rank", [3_000_000, 10**18])
+    def test_huge_declared_rank_is_rejected_without_allocating(self, rank):
+        # the keys are checked against the rank without building 1..rank
+        text = f"basis-witness\nrank {rank}\nimage 1 -> ab\nimage 2 -> b\n"
+        with pytest.raises(ValueError, match="one image per generator"):
+            parse_endomorphism_text(text)
+
+    def test_inverse_keys_must_cover_the_rank(self):
+        text = endomorphism_to_text(spec(("ab", "b")))
+        with pytest.raises(ValueError, match="one inverse image per generator"):
+            parse_endomorphism_text(text + "inverse 1 -> aB\ninverse 3 -> b\n")
 
     def test_separable_witness_text_is_stable(self):
         _, witness = rf.random_separable_set(3, seed=7, count=4)

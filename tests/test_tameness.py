@@ -14,7 +14,7 @@ from rosefold.oracles import random_class
 from rosefold.tameness import FoldFactorError
 from rosefold.words import RankError, class_rank, letter_to_char, normalize_classes
 
-from conftest import class_set_st, graph_st, reads, relabeling_st
+from conftest import class_set_st, fold_once, graph_st, reads, relabeling_st
 
 
 def cyc(text, rank=2):
@@ -25,10 +25,21 @@ def word(text, rank=2):
     return rf.parse_word(text, rank)
 
 
+def standard_coordinates(g, s):
+    """``g`` with every letter taken back through the signed relabeling
+    ``s``: the relabeled copy that ``induced_map_oracle`` reads in the
+    standard almost-rose's letters."""
+    back = {}
+    for i, t in enumerate(s.targets, start=1):
+        back[t], back[-t] = i, -i
+    edges = tuple(oriented_edge(e.eid, e.origin, e.terminus, back[e.label]) for e in g.edges)
+    return LabeledGraph(g.rank, g.vertices, edges)
+
+
 class TestSignedRelabeling:
     def test_identity(self):
         s = rf.SignedRelabeling.identity(3)
-        assert s.is_identity() and s.apply_letter(-2) == -2
+        assert s.targets == (1, 2, 3) and s.apply_letter(-2) == -2
 
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
@@ -40,23 +51,16 @@ class TestSignedRelabeling:
             assert s.apply_letter(-v) == -s.apply_letter(v)
 
     @given(relabeling_st(3))
-    def test_inverse_composes_to_identity(self, s):
-        assert s.compose(s.inverse()).is_identity()
-        assert s.inverse().compose(s).is_identity()
-
-    @given(relabeling_st(2))
     def test_graph_action_preserves_structure(self, s):
-        g = rf.wedge_of_words((word("ab"), word("b")), 2).graph
-        h = s.apply_graph(g)
-        assert len(h.vertices) == len(g.vertices) and len(h.edges) == len(g.edges)
-        assert rf.betti(h) == rf.betti(g)
-        # applying the inverse undoes the relabeling exactly
-        assert s.inverse().apply_graph(h) == g
+        # taking a relabeled almost-rose's letters back gives the standard one
+        for k, l in ((1, 1), (1, 3), (2, 2)):
+            rose = rf.almost_rose(3, k, l, s)
+            assert standard_coordinates(rose.graph, s) == rf.almost_rose(3, k, l).graph
 
 
 class TestStandardAlmostRose:
     def test_312_structure(self):
-        rose = rf.standard_almost_rose(3, 1, 2)
+        rose = rf.almost_rose(3, 1, 2)
         g = rose.graph
         assert len(g.vertices) == 2 and len(g.edges) == 4
         loops_u = sorted(e.label for e in g.edges if e.origin == e.terminus == 0)
@@ -65,21 +69,21 @@ class TestStandardAlmostRose:
         assert (loops_u, conns, loops_v) == ([1], [1, 2], [3])
 
     def test_211_structure(self):
-        g = rf.standard_almost_rose(2, 1, 1).graph
+        g = rf.almost_rose(2, 1, 1).graph
         assert sorted(e.label for e in g.edges) == [1, 1, 2]
 
     def test_constraint_violation(self):
         with pytest.raises(ValueError):
-            rf.standard_almost_rose(2, 2, 2)
+            rf.almost_rose(2, 2, 2)
 
     def test_defining_properties(self):
         for n, k, l in [(2, 1, 1), (3, 2, 3), (4, 1, 4), (5, 3, 3)]:
-            rose = rf.standard_almost_rose(n, k, l)
+            rose = rf.almost_rose(n, k, l)
             g = rose.graph
             assert rf.betti(g) == n
             assert rf.core(g) == g
             assert len(rf.foldable_pairs(g)) == 1
-            folded, step = rf.fold_once(g, rf.foldable_pairs(g)[0])
+            folded, step = fold_once(g, rf.foldable_pairs(g)[0])
             assert rf.is_rose(folded) and not step.betti_dropped
 
 
@@ -93,7 +97,7 @@ class TestWhiteheadClosedForm:
         ],
     )
     def test_wedge_of_cliques(self, shape, side1, side2):
-        rose = rf.standard_almost_rose(*shape)
+        rose = rf.almost_rose(*shape)
         expected = {frozenset(p) for p in itertools.combinations(side1, 2)}
         expected |= {frozenset(p) for p in itertools.combinations(side2, 2)}
         assert rf.whitehead_of_almost_rose(rose).edges == frozenset(expected)
@@ -102,7 +106,7 @@ class TestWhiteheadClosedForm:
         for n in range(2, 6):
             for k in range(1, n):
                 for l in range(k, n + 1):
-                    rose = rf.standard_almost_rose(n, k, l)
+                    rose = rf.almost_rose(n, k, l)
                     assert (
                         rf.whitehead_of_almost_rose(rose).edges
                         == rf.whitehead_of_graph(rose.graph).edges
@@ -120,11 +124,11 @@ class TestWhiteheadClosedForm:
 
 class TestRecognize:
     def test_round_trip_identity(self):
-        rose = rf.standard_almost_rose(3, 1, 2)
+        rose = rf.almost_rose(3, 1, 2)
         found = rf.recognize_almost_rose(rose.graph)
         assert found is not None
         assert (found.k, found.l) == (1, 2)
-        assert found.relabeling.is_identity()
+        assert found.relabeling.targets == (1, 2, 3)
 
     def test_wedge_example(self):
         g = rf.wedge_of_words((word("ab"), word("b")), 2).graph
@@ -177,7 +181,7 @@ def brute_force_almost_roses(n):
         pairs = rf.foldable_pairs(g)
         if len(pairs) != 1:
             continue
-        folded, _ = rf.fold_once(g, pairs[0])
+        folded, _ = fold_once(g, pairs[0])
         if not rf.is_rose(folded):
             continue
         if not any(rf.is_label_isomorphic(g, h) for h in found):
@@ -266,7 +270,7 @@ def tame_class_sets(seed, count):
 def induced_map_oracle(g, rose):
     """The maps of ``induced_morphism`` computed on a relabeled copy of
     ``g``, as the morphism was built before ``_induced_map``."""
-    gs = rose.relabeling.inverse().apply_graph(g)
+    gs = standard_coordinates(g, rose.relabeling)
     _, v2 = rf.tameness.clique_sides(rose.rank, rose.k, rose.l)
     v2_strict = set(v2) - {1}
     vmap = {p: (1 if gs.in_labels(p) & v2_strict else 0) for p in gs.vertices}
@@ -306,7 +310,7 @@ class TestInducedMap:
             if m is not None:
                 assert (m.vertex_map, m.edge_map) == induced_map_oracle(g, rose)
 
-    def test_decide_builds_no_relabeled_graph(self, monkeypatch):
+    def test_decide_builds_no_relabeled_graph(self, monkeypatch, graphs_built):
         calls = []
 
         def counting(name, fn):
@@ -316,27 +320,30 @@ class TestInducedMap:
 
             return wrapper
 
-        monkeypatch.setattr(
-            rf.SignedRelabeling, "apply_graph", counting("apply_graph", rf.SignedRelabeling.apply_graph)
-        )
         for module in (rf.tameness, rf.whitehead):
             for name in ("whitehead_of_graph", "whitehead_of_almost_rose"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        for classes, n in tame_class_sets(8, 50):
-            assert rf.decide_tame(classes, n).tame
+        sets = tame_class_sets(8, 50)
+        graphs_built.clear()
+        roses = [rf.decide_tame(classes, n).rose for classes, n in sets]
+        # the only graph each decide builds is its rose's
+        assert len(graphs_built) == len(roses)
+        assert all(g is rose.graph for g, rose in zip(graphs_built, roses))
         # induced_morphism tests the inclusion in closed form, either way
         rose = rf.almost_rose(2, 1, 2, rf.SignedRelabeling((1, -2)))
-        g = rf.circuit(cyc("aab"))
+        g, h = rf.circuit(cyc("aab")), rf.circuit(cyc("abAB"))
+        graphs_built.clear()
         assert rf.induced_morphism(g, rose) is not None
-        assert rf.induced_morphism(rf.circuit(cyc("abAB")), rose) is None
-        assert calls == []
+        assert rf.induced_morphism(h, rose) is None
+        assert calls == [] and graphs_built == []
         # the counters do see the oracles' calls
         assert rf.whitehead.is_subgraph(
             rf.whitehead.whitehead_of_graph(g), rf.tameness.whitehead_of_almost_rose(rose)
         )
         induced_map_oracle(g, rose)
-        assert calls == ["whitehead_of_graph", "whitehead_of_almost_rose", "apply_graph"]
+        assert calls == ["whitehead_of_graph", "whitehead_of_almost_rose"]
+        assert len(graphs_built) == 1  # the oracle's relabeled copy
 
     def test_flipped_vertex_fails_the_self_check(self, monkeypatch):
         original = rf.tameness._induced_map
@@ -454,14 +461,14 @@ class TestClosedFormInclusion:
 
     def test_rank_mismatch_raises(self):
         with pytest.raises(RankError):
-            rf.induced_morphism(rf.circuit(cyc("aab")), rf.standard_almost_rose(3, 1, 2))
+            rf.induced_morphism(rf.circuit(cyc("aab")), rf.almost_rose(3, 1, 2))
         with pytest.raises(RankError):
-            rf.induced_morphism(rf.circuit(cyc("abc", 3)), rf.standard_almost_rose(2, 1, 1))
+            rf.induced_morphism(rf.circuit(cyc("abc", 3)), rf.almost_rose(2, 1, 1))
 
     def test_built_rose_missing_an_edge_fails_the_self_check(self, monkeypatch):
         # aab has the Whitehead edge {b, A}, which the (2, 1, 2) rose lacks
         monkeypatch.setattr(
-            rf.tameness, "almost_rose_from_parts", lambda *args: rf.standard_almost_rose(2, 1, 2)
+            rf.tameness, "almost_rose_from_parts", lambda *args: rf.almost_rose(2, 1, 2)
         )
         with pytest.raises(RuntimeError):
             rf.build_rose_from_whitehead(rf.whitehead_of_classes([cyc("aab")], 2))
@@ -632,8 +639,8 @@ class TestDecideTame:
     @settings(max_examples=60)
     def test_relabeling_equivariance(self, classes, s):
         before = rf.decide_tame(classes, 3).tame
-        relabeled = [rf.canonical_rotation(s.apply_cyclic(c)) for c in classes]
-        assert rf.decide_tame(relabeled, 3).tame == before
+        images = [rf.CyclicWord(tuple(map(s.apply_letter, c.letters)), 3) for c in classes]
+        assert rf.decide_tame([rf.canonical_rotation(c) for c in images], 3).tame == before
 
 
 def graph_form_verify_certificate(classes, cert, rank=None):

@@ -64,7 +64,7 @@ class TestWhOfGraph:
         assert w.edges == wh_edges((1, -2), (2, -1))
 
     def test_almost_rose_312_wedge(self):
-        w = rf.whitehead_of_graph(rf.standard_almost_rose(3, 1, 2).graph)
+        w = rf.whitehead_of_graph(rf.almost_rose(3, 1, 2).graph)
         side1 = [1, -1, -2]
         side2 = [1, 2, 3, -3]
         expected = {frozenset(p) for p in itertools.combinations(side1, 2)}
@@ -142,7 +142,7 @@ class TestCutVertices:
         assert rf.cut_vertices(rf.whitehead_of_classes([cyc("aab")], 2)) == {1, -1}
 
     def test_almost_rose_wedge_letter(self):
-        rose = rf.standard_almost_rose(3, 1, 2)
+        rose = rf.almost_rose(3, 1, 2)
         assert rf.cut_vertices(rf.whitehead_of_graph(rose.graph)) == {1}
 
     @given(hyp_st.integers(2, 6), hyp_st.integers(0, 10**9))
@@ -204,6 +204,6 @@ class TestMonotonicity:
 
 class TestDotExport:
     def test_cut_vertex_double_circled(self):
-        w = rf.whitehead_of_graph(rf.standard_almost_rose(3, 1, 2).graph)
+        w = rf.whitehead_of_graph(rf.almost_rose(3, 1, 2).graph)
         dot = rf.whitehead_to_dot(w)
         assert "doublecircle" in dot and 'label="a"' in dot
