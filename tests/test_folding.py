@@ -239,6 +239,17 @@ class TestFoldToCompletion:
         if double_edge and g.edges:
             assert any(step.betti_dropped for step in seq.steps)
 
+    @given(graph_st(rank=3), hyp_st.integers(0, 10**6))
+    def test_replayed_snapshots_end_in_kept_graphs(self, g, seed):
+        for pick in (None, random_fold_pick(random.Random(seed))):
+            seq = rf.fold_to_completion(g, pick)
+            snaps = seq.snapshots
+            assert len(snaps) == len(seq.steps) + 1 and snaps[0] == seq.start == g
+            assert snaps[-1] == seq.final
+            assert (seq.penultimate is None) == (not seq.steps)
+            if seq.steps:
+                assert snaps[-2] == seq.penultimate
+
     @given(graph_st(rank=2, max_vertices=5, max_edge_pairs=8))
     @settings(max_examples=40)
     def test_confluence(self, g):
