@@ -31,6 +31,7 @@ from .oracles import (
 )
 from .tameness import (
     _edge_token,
+    _letter_chars,
     almost_rose,
     certificate_to_text,
     decide_tame,
@@ -237,9 +238,10 @@ def _print_wh(w: WhiteheadGraph, dot: bool) -> int:
         verdict = "connected; no cut vertex"
     else:
         verdict = f"connected; {cut_line}"
+    chars = _letter_chars(w.rank)
     print(f"rank {w.rank}")
-    print("edges: " + (" ".join(_edge_token(p) for p in w.sorted_edges()) or "(none)"))
-    print("components: " + " ".join("{" + "".join(map(letter_to_char, comp)) + "}" for comp in comps))
+    print("edges: " + (" ".join(_edge_token(p, chars) for p in w.sorted_edges()) or "(none)"))
+    print("components: " + " ".join("{" + "".join(map(chars.__getitem__, comp)) + "}" for comp in comps))
     print(cut_line)
     print(verdict)
     return 0

@@ -34,7 +34,6 @@ from .graphs import (
     core,
     graph_to_text,
     is_connected,
-    is_label_isomorphic,
     is_rose,
     oriented_edge,
 )
@@ -129,6 +128,16 @@ class AlmostRose:
         return frozenset(map(f, side1)), frozenset(map(f, side2))
 
     @functools.cached_property
+    def side_mask(self) -> dict[int, int]:
+        """Letter -> the clique sides it lies on, as bits: 1 for the first,
+        2 for the second, so 3 for the wedge letter.  Anding it over the
+        letters arriving at a vertex gives the sides that vertex may map
+        to, with no set built.  Built on first use and kept, like ``sides``.
+        """
+        side1, side2 = self.sides
+        return {x: (x in side1) | ((x in side2) << 1) for x in side1 | side2}
+
+    @functools.cached_property
     def whitehead(self) -> WhiteheadGraph:
         """The rose's Whitehead graph: the wedge at the wedge letter of the
         complete graphs on the two sides.  Built on first use and kept."""
@@ -198,7 +207,11 @@ def recognize_almost_rose(g: LabeledGraph) -> AlmostRose | None:
 
     The carrier vertex u is the one incident to the unique foldable pair;
     anything violating the classification (wrong counts, repeated letters,
-    no unique loop/non-loop fold) is reported as non-recognition.
+    no unique loop/non-loop fold) is reported as non-recognition.  The
+    rose built from the parts read off ``g`` is then compared with ``g``
+    in closed form: two two-vertex graphs are label-isomorphic exactly
+    when their sorted ``(origin, terminus, label)`` triples agree under
+    one of the two vertex bijections, so no isomorphism search is run.
     """
     n = g.rank
     if len(g.vertices) != 2 or len(g.edges) != n + 1:
@@ -234,9 +247,11 @@ def recognize_almost_rose(g: LabeledGraph) -> AlmostRose | None:
     if sorted(unsigned) != list(range(1, n + 1)):
         return None
     rose = almost_rose_from_parts(n, y, loops_u, connectors, loops_v)
-    if not is_label_isomorphic(rose.graph, g):
-        return None
-    return rose
+    target = sorted((e.origin, e.terminus, e.label) for e in rose.graph.edges)
+    for image in ({u: 0, v: 1}, {u: 1, v: 0}):
+        if sorted((image[e.origin], image[e.terminus], e.label) for e in g.edges) == target:
+            return rose
+    return None
 
 
 def enumerate_almost_roses(n: int) -> list[AlmostRose]:
@@ -313,22 +328,24 @@ def _induced_map(
     wedge letter.
 
     An edge reading x brings x into its terminus and x^-1 into its origin.
-    A vertex maps to v when it receives a second-side letter other than
-    the wedge letter, to u otherwise.  An edge whose letter is not the
-    wedge letter or its inverse maps to the unique edge pair with that
-    letter; a wedge-letter edge maps to the connecting edge when the end
-    receiving the wedge letter maps to v, and to the loop at u otherwise.
+    Each vertex ands the ``rose.side_mask`` bits of the letters it
+    receives, so no per-vertex set is built; a vertex left with no bit
+    fails.  A vertex maps to v when the first side's bit is gone, that
+    is when it receives a second-side letter other than the wedge letter,
+    and to u otherwise (``AlmostRose.side_of``).  An edge whose letter is
+    not the wedge letter or its inverse maps to the unique edge pair with
+    that letter; a wedge-letter edge maps to the connecting edge when the
+    end receiving the wedge letter maps to v, and to the loop at u
+    otherwise.
     """
-    arriving: dict[int, set[int]] = {p: set() for p in vertices}
+    mask = rose.side_mask
+    sides = dict.fromkeys(vertices, 3)
     for _, origin, terminus, x in edges:
-        arriving[terminus].add(x)
-        arriving[origin].add(-x)
-    vmap: dict[int, int] = {}
-    for p, letters in arriving.items():
-        side = rose.side_of(letters)
-        if side is None:
-            return None
-        vmap[p] = side
+        sides[terminus] &= mask[x]
+        sides[origin] &= mask[-x]
+    if 0 in sides.values():
+        return None
+    vmap = {p: 0 if bits & 1 else 1 for p, bits in sides.items()}
     wedge = rose.relabeling.targets[0]
     # edge pair j + 1 of the rose carries the image of letter j
     pair_of = {abs(t): j + 1 for j, t in enumerate(rose.relabeling.targets, start=1)}
@@ -346,43 +363,53 @@ def build_rose_from_whitehead(w: WhiteheadGraph) -> AlmostRose | None:
 
     Returns None exactly when ``w`` is connected and has no cut vertex:
     only then does removing any letter leave the rest in one component.
-    The wedge letter becomes letter 1; the component of its inverse in the
-    punctured graph goes to the first clique side and everything else to
-    the second, letters split across the sides becoming connecting edges
-    (inverted when the forbidden orientation lands on side one).  The
-    result is checked edge by edge: each edge of ``w`` must lie on one of
-    the rose's clique sides (``AlmostRose.side_of``).
+    That case is read off ``cut_vertices`` and one component count, with
+    no letter tried.  Otherwise the wedge letter c is the first cut vertex
+    in letter order, or, with none, the first letter whose removal leaves
+    letters outside the component of its inverse: letter a, unless a is
+    isolated in a graph of two components, and then A.  The wedge letter
+    becomes letter 1; the component of c^-1 in ``w`` minus c goes to the
+    first clique side and everything else to the second, letters split
+    across the sides becoming connecting edges (inverted when the
+    forbidden orientation lands on side one).  The result is checked edge
+    by edge: each edge of ``w`` must lie on one of the rose's clique sides
+    (``AlmostRose.side_of``).
     """
     n = w.rank
     adj = w.adjacency()
     letters = w.letters()
-    cuts = sorted(cut_vertices(w), key=letter_key)
-    candidates = cuts + [v for v in letters if v not in cuts]
-    for c in candidates:
-        sub_adj = {v: adj[v] - {c} for v in letters if v != c}
-        (side1,) = adjacency_components(sub_adj, [-c])
-        side2 = {v for v in letters if v != c} - side1
-        if not side2:
+    cuts = cut_vertices(w)
+    if cuts:
+        c = min(cuts, key=letter_key)
+    else:
+        comps = adjacency_components(adj, letters)
+        if len(comps) == 1:
+            return None
+        c = letters[1] if len(comps) == 2 and not adj[letters[0]] else letters[0]
+    side1 = {-c}
+    stack = [-c]
+    while stack:
+        for x in adj[stack.pop()]:
+            if x != c and x not in side1:
+                side1.add(x)
+                stack.append(x)
+    wholly1: list[int] = []
+    split_targets: list[int] = []
+    wholly2: list[int] = []
+    for j in range(1, n + 1):
+        if j == abs(c):
             continue
-        wholly1: list[int] = []
-        split_targets: list[int] = []
-        wholly2: list[int] = []
-        for j in range(1, n + 1):
-            if j == abs(c):
-                continue
-            in1 = {s * j for s in (1, -1)} & side1
-            if len(in1) == 2:
-                wholly1.append(j)
-            elif len(in1) == 0:
-                wholly2.append(j)
-            else:
-                (kept,) = {s * j for s in (1, -1)} - in1
-                split_targets.append(kept)  # the member on side two
-        rose = almost_rose_from_parts(n, c, wholly1, split_targets, wholly2)
-        if any(rose.side_of(edge) is None for edge in w.edges):
-            raise RuntimeError("internal error: built almost-rose misses Whitehead edges")
-        return rose
-    return None
+        pos, neg = j in side1, -j in side1
+        if pos and neg:
+            wholly1.append(j)
+        elif pos or neg:
+            split_targets.append(-j if pos else j)  # the member on side two
+        else:
+            wholly2.append(j)
+    rose = almost_rose_from_parts(n, c, wholly1, split_targets, wholly2)
+    if any(rose.side_of(edge) is None for edge in w.edges):
+        raise RuntimeError("internal error: built almost-rose misses Whitehead edges")
+    return rose
 
 
 def factor_through_almost_rose(g: LabeledGraph) -> tuple[AlmostRose, FoldSequence]:
@@ -436,42 +463,70 @@ class TamenessCertificate:
     non_cut_witness: tuple[tuple[int, tuple[tuple[int, int], ...]], ...] | None = None
 
 
-def _bfs_tree(adj: dict[int, set[int]], vertices: list[int]) -> tuple[tuple[int, int], ...]:
-    """Deterministic spanning tree edges of a connected vertex set."""
-    root = vertices[0]
-    seen = {root}
+def _bfs_tree(
+    nbrs: list[list[int]], letters: list[int], removed: int = -1
+) -> tuple[tuple[int, int], ...]:
+    """Breadth-first spanning tree of the letters other than the one at
+    position ``removed``, from the first of them, as letter pairs in
+    ``letter_key`` order, sorted.
+
+    ``nbrs`` holds each letter's neighbours as positions in ``letters``,
+    which is in ``letter_key`` order, so sorted neighbour lists are
+    visited in letter order; a punctured tree grows over the same lists
+    and steps over the removed letter.
+    """
+    root = 1 if removed == 0 else 0
+    seen = bytearray(len(letters))
+    seen[root] = 1
+    if removed >= 0:
+        seen[removed] = 1
     queue = [root]
-    edges: list[tuple[int, int]] = []
-    while queue:
-        u = queue.pop(0)
-        for x in sorted(adj[u], key=letter_key):
-            if x not in seen:
-                seen.add(x)
-                queue.append(x)
-                a, b = sorted((u, x), key=letter_key)
-                edges.append((a, b))
-    return tuple(sorted(edges, key=lambda p: (letter_key(p[0]), letter_key(p[1]))))
+    pairs: list[tuple[int, int]] = []
+    for p in queue:  # grows while it is read
+        for q in nbrs[p]:
+            if not seen[q]:
+                seen[q] = 1
+                queue.append(q)
+                pairs.append((p, q) if p < q else (q, p))
+    pairs.sort()
+    return tuple((letters[p], letters[q]) for p, q in pairs)
 
 
 def _is_spanning_tree(
-    tree: tuple[tuple[int, int], ...],
-    vertices: set[int],
-    allowed: frozenset[frozenset[int]],
+    tree: tuple[tuple[int, int], ...], vertices: Set[int], adj: dict[int, set[int]]
 ) -> bool:
+    """Whether ``tree`` is a spanning tree of ``vertices`` in the graph with
+    adjacency ``adj``: |V| - 1 edges, each an edge of the graph between two
+    of the vertices, and no cycle, found with a union-find."""
     if len(tree) != len(vertices) - 1:
         return False
-    adj: dict[int, set[int]] = {v: set() for v in vertices}
+    parent = {v: v for v in vertices}
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
     for u, v in tree:
-        if u not in vertices or v not in vertices or frozenset((u, v)) not in allowed:
+        if u not in parent or v not in parent or v not in adj[u]:
             return False
-        adj[u].add(v)
-        adj[v].add(u)
-    return len(adjacency_components(adj, vertices)) <= 1
+        ru, rv = root(u), root(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
 
 
 def decide_tame(classes, rank: int | None = None) -> TamenessCertificate:
     """Decide tameness of a set of conjugacy classes with a checkable
-    certificate for either verdict."""
+    certificate for either verdict.
+
+    The not-tame certificate names a breadth-first spanning tree of the
+    Whitehead graph and one of each punctured graph.  They all grow over
+    one copy of the graph's shared adjacency, sorted once into letter
+    order, and a punctured tree is searched for only when the removed
+    letter is the root or an inner vertex of the first tree.
+    """
     norm = normalize_classes(classes)
     rank = class_rank(norm, rank)
     w = whitehead_of_classes(norm, rank)
@@ -488,17 +543,31 @@ def decide_tame(classes, rank: int | None = None) -> TamenessCertificate:
         )
     adj = w.adjacency()
     letters = w.letters()
-    spanning = _bfs_tree(adj, letters)
+    # letter x sits at position 2(|x| - 1), its inverse right after it
+    nbrs = [sorted(2 * abs(y) - 1 - (y > 0) for y in adj[x]) for x in letters]
+    tree = _bfs_tree(nbrs, letters)
+    # A leaf of the tree other than its root discovers no letter, so the
+    # search without it takes every other step as before: its punctured
+    # tree is the tree without the leaf's edge.
+    degree = dict.fromkeys(letters, 0)
+    edge_at: dict[int, int] = {}
+    for i, pair in enumerate(tree):
+        for x in pair:
+            degree[x] += 1
+            edge_at[x] = i
     witness = []
-    for v in letters:
-        sub_adj = {x: adj[x] - {v} for x in letters if x != v}
-        witness.append((v, _bfs_tree(sub_adj, [x for x in letters if x != v])))
+    for p, v in enumerate(letters):
+        if p and degree[v] == 1:
+            i = edge_at[v]
+            witness.append((v, tree[:i] + tree[i + 1 :]))
+        else:
+            witness.append((v, _bfs_tree(nbrs, letters, p)))
     return TamenessCertificate(
         tame=False,
         rank=rank,
         classes=norm,
         whitehead_edges=tuple(w.sorted_edges()),
-        spanning_tree=spanning,
+        spanning_tree=tree,
         non_cut_witness=tuple(witness),
     )
 
@@ -513,6 +582,9 @@ def verify_certificate(classes, cert: TamenessCertificate, rank: int | None = No
     names, so no search for a reading path is needed.  Every image edge
     carries the class's letter, consecutive image edges meet at the image
     of the vertex they share, and the last one returns to the first.
+
+    A not-tame certificate must list the Whitehead edges of the classes,
+    and its trees must span the graph and each punctured graph.
     """
     try:
         norm = normalize_classes(classes)
@@ -537,19 +609,25 @@ def verify_certificate(classes, cert: TamenessCertificate, rank: int | None = No
     w = whitehead_of_classes(norm, rank)
     if tuple(w.sorted_edges()) != cert.whitehead_edges:
         return False
+    adj = w.adjacency()
     letters = w.letters()
-    if not _is_spanning_tree(cert.spanning_tree, set(letters), w.edges):
+    if not _is_spanning_tree(cert.spanning_tree, adj.keys(), adj):
         return False
     if [v for v, _ in cert.non_cut_witness] != letters:
         return False
     # A witness tree naming its own letter fails: that end lies outside the vertex set.
     return all(
-        _is_spanning_tree(tree, set(letters) - {v}, w.edges) for v, tree in cert.non_cut_witness
+        _is_spanning_tree(tree, adj.keys() - {v}, adj) for v, tree in cert.non_cut_witness
     )
 
 
-def _edge_token(pair: tuple[int, int]) -> str:
-    return f"{letter_to_char(pair[0])}-{letter_to_char(pair[1])}"
+def _letter_chars(rank: int) -> dict[int, str]:
+    """Letter -> its character, for every letter of ``rank``."""
+    return {v: letter_to_char(v) for i in range(1, rank + 1) for v in (i, -i)}
+
+
+def _edge_token(pair: tuple[int, int], chars: dict[int, str]) -> str:
+    return f"{chars[pair[0]]}-{chars[pair[1]]}"
 
 
 def certificate_to_text(cert: TamenessCertificate) -> str:
@@ -574,11 +652,14 @@ def certificate_to_text(cert: TamenessCertificate) -> str:
     else:
         assert cert.whitehead_edges is not None
         assert cert.spanning_tree is not None and cert.non_cut_witness is not None
+        chars = _letter_chars(cert.rank)
         for pair in cert.whitehead_edges:
-            lines.append(f"wh-edge {_edge_token(pair)}")
-        lines.append("spanning-tree " + " ".join(_edge_token(p) for p in cert.spanning_tree))
+            lines.append(f"wh-edge {_edge_token(pair, chars)}")
+        lines.append(
+            "spanning-tree " + " ".join(_edge_token(p, chars) for p in cert.spanning_tree)
+        )
         for v, tree in cert.non_cut_witness:
             lines.append(
-                f"witness-tree {letter_to_char(v)}: " + " ".join(_edge_token(p) for p in tree)
+                f"witness-tree {chars[v]}: " + " ".join(_edge_token(p, chars) for p in tree)
             )
     return "\n".join(lines) + "\n"

@@ -10,6 +10,7 @@ disconnected; that convention is load-bearing for the tameness criterion.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .graphs import LabeledGraph, adjacency_components
@@ -32,21 +33,36 @@ class WhiteheadGraph:
                     raise RankError(f"letter {v} out of range for rank {self.rank}")
 
     def letters(self) -> list[int]:
-        return sorted(
-            [v for i in range(1, self.rank + 1) for v in (i, -i)], key=letter_key
-        )
+        """The 2n letters in ``letter_key`` order: a, A, b, B, ..."""
+        return [v for i in range(1, self.rank + 1) for v in (i, -i)]
 
     def adjacency(self) -> dict[int, set[int]]:
+        """Letter -> the set of its neighbours, every letter a key.
+
+        Built on first call and kept, so ``cut_vertices``, ``components``
+        and the tameness decision and check all share one index; shared
+        with the graph, so read only.
+        """
+        return self._adjacency
+
+    @functools.cached_property
+    def _adjacency(self) -> dict[int, set[int]]:
         adj: dict[int, set[int]] = {v: set() for v in self.letters()}
         for edge in self.edges:
-            u, v = tuple(edge)
+            u, v = edge
             adj[u].add(v)
             adj[v].add(u)
         return adj
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        pairs = [tuple(sorted(edge, key=letter_key)) for edge in self.edges]
-        return sorted(pairs, key=lambda p: (letter_key(p[0]), letter_key(p[1])))
+        """The edges as letter pairs in ``letter_key`` order, sorted by the
+        keys of both ends; two keys computed per edge."""
+        keyed = []
+        for u, v in self.edges:
+            ku, kv = letter_key(u), letter_key(v)
+            keyed.append((ku, kv, u, v) if ku < kv else (kv, ku, v, u))
+        keyed.sort()
+        return [(u, v) for _, _, u, v in keyed]
 
 
 def whitehead_edge(u: int, v: int) -> frozenset[int]:

@@ -107,6 +107,15 @@ class CyclicWord:
             if self.letters[(i + 1) % k] == -self.letters[i]:
                 raise ValueError(f"not cyclically reduced at position {i}: {self.letters}")
 
+    @classmethod
+    def _rotation(cls, c: "CyclicWord", start: int) -> "CyclicWord":
+        """``c`` read from position ``start``, without the checks: every
+        rotation of a checked cyclic word is in range and cyclically reduced."""
+        rotated = object.__new__(cls)
+        object.__setattr__(rotated, "letters", c.letters[start:] + c.letters[:start])
+        object.__setattr__(rotated, "rank", c.rank)
+        return rotated
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -219,7 +228,7 @@ def canonical_rotation(c: CyclicWord) -> CyclicWord:
             i += j - p
     if best == 0:
         return c
-    return CyclicWord(ls[best:] + ls[:best], c.rank)
+    return CyclicWord._rotation(c, best)
 
 
 def conjugacy_class(w: Word) -> CyclicWord:

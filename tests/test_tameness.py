@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as hyp_st
 
 import rosefold as rf
-from rosefold.graphs import Edge, LabeledGraph, oriented_edge
+from rosefold.graphs import Edge, LabeledGraph, adjacency_components, oriented_edge
 from rosefold.oracles import random_class
 from rosefold.tameness import FoldFactorError
-from rosefold.words import RankError, class_rank, letter_to_char, normalize_classes
+from rosefold.whitehead import WhiteheadGraph
+from rosefold.words import RankError, class_rank, letter_key, letter_to_char, normalize_classes
 
 from conftest import class_set_st, fold_once, graph_st, reads, relabeling_st
 
@@ -843,3 +844,402 @@ class TestCertificateText:
         a = rf.certificate_to_text(rf.decide_tame(classes))
         b = rf.certificate_to_text(rf.decide_tame(list(reversed(classes))))
         assert a == b
+
+
+# -- the pipeline against the code it replaced -------------------------------
+
+
+def adjacency_oracle(w):
+    """A fresh adjacency of ``w``, built without ``WhiteheadGraph.adjacency``."""
+    adj = {v: set() for i in range(1, w.rank + 1) for v in (i, -i)}
+    for u, v in map(tuple, w.edges):
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def build_rose_oracle(w):
+    """``build_rose_from_whitehead`` as the loop it was: try the cut vertices
+    in letter order, then every other letter, each on a fresh punctured
+    adjacency, until one leaves letters outside its inverse's component."""
+    n = w.rank
+    adj = adjacency_oracle(w)
+    letters = sorted(adj, key=letter_key)
+    cuts = sorted(rf.cut_vertices(w), key=letter_key)
+    for c in cuts + [v for v in letters if v not in cuts]:
+        sub_adj = {v: adj[v] - {c} for v in letters if v != c}
+        (side1,) = adjacency_components(sub_adj, [-c])
+        if not {v for v in letters if v != c} - side1:
+            continue
+        wholly1, split, wholly2 = [], [], []
+        for j in range(1, n + 1):
+            if j == abs(c):
+                continue
+            in1 = {j, -j} & side1
+            if len(in1) == 2:
+                wholly1.append(j)
+            elif not in1:
+                wholly2.append(j)
+            else:
+                (kept,) = {j, -j} - in1
+                split.append(kept)
+        return rf.tameness.almost_rose_from_parts(n, c, wholly1, split, wholly2)
+    return None
+
+
+def bfs_tree_oracle(adj, vertices):
+    """The per-tree breadth-first tree that ``_bfs_tree`` replaced: it sorts
+    each neighbour set as it visits it and pops its queue from the front."""
+    root = vertices[0]
+    seen = {root}
+    queue = [root]
+    edges = []
+    while queue:
+        u = queue.pop(0)
+        for x in sorted(adj[u], key=letter_key):
+            if x not in seen:
+                seen.add(x)
+                queue.append(x)
+                edges.append(tuple(sorted((u, x), key=letter_key)))
+    return tuple(sorted(edges, key=lambda p: (letter_key(p[0]), letter_key(p[1]))))
+
+
+def decide_oracle(classes, rank=None):
+    """``decide_tame`` from the oracles: the letter loop picks the rose, the
+    relabeled copy maps the circuits, and each witness tree grows on its
+    own punctured copy of the adjacency."""
+    norm = normalize_classes(classes)
+    rank = class_rank(norm, rank)
+    w = rf.whitehead_of_classes(norm, rank)
+    rose = build_rose_oracle(w)
+    if rose is not None:
+        vmap, emap = induced_map_oracle(rf.disjoint_circuits(norm, rank), rose)
+        return rf.TamenessCertificate(
+            tame=True, rank=rank, classes=norm, rose=rose, morphism=rf.GraphMorphism(vmap, emap)
+        )
+    adj = adjacency_oracle(w)
+    letters = sorted(adj, key=letter_key)
+    witness = []
+    for v in letters:
+        rest = [x for x in letters if x != v]
+        witness.append((v, bfs_tree_oracle({x: adj[x] - {v} for x in rest}, rest)))
+    return rf.TamenessCertificate(
+        tame=False,
+        rank=rank,
+        classes=norm,
+        whitehead_edges=tuple(w.sorted_edges()),
+        spanning_tree=bfs_tree_oracle(adj, letters),
+        non_cut_witness=tuple(witness),
+    )
+
+
+def random_class_sets(seed, count, ranks=(2, 8)):
+    """Seeded sets of one to four random classes at the given ranks."""
+    rng = random.Random(seed)
+    sets = []
+    for _ in range(count):
+        n = rng.randint(*ranks)
+        length = rng.choice((3, 6, 12, 4 * n))
+        sets.append(([random_class(rng, n, length) for _ in range(rng.randint(1, 4))], n))
+    return sets
+
+
+def high_rank_class(n):
+    """The seeded not-tame class of rank ``n`` and about 20n letters used to
+    time decide against verify: ``random_class(Random(2), n, 20 * n)``."""
+    return random_class(random.Random(2), n, 20 * n)
+
+
+class TestDecideAgainstOracle:
+    def test_certificate_bytes_on_random_sets(self):
+        verdicts = set()
+        for classes, n in random_class_sets(12, 1000):
+            cert = rf.decide_tame(classes, n)
+            assert rf.certificate_to_text(cert) == rf.certificate_to_text(decide_oracle(classes, n))
+            verdicts.add((cert.tame, n))
+        assert {tame for tame, _ in verdicts} == {True, False}
+        assert {n for tame, n in verdicts if not tame} == set(range(2, 9))
+
+    @pytest.mark.parametrize("n", [50, 100, 200])
+    def test_high_rank_certificates(self, n):
+        # Letters past rank 26 have no character form, so the certificates
+        # themselves are compared; the text is a function of them.
+        c = high_rank_class(n)
+        drop_last = rf.conjugacy_class(rf.Word(tuple(x for x in c.letters if abs(x) != n), n))
+        for classes in ([c], [drop_last], [drop_last, rf.CyclicWord((n, 1), n)]):
+            cert = rf.decide_tame(classes, n)
+            assert cert == decide_oracle(classes, n)
+            assert rf.verify_certificate(classes, cert, n)
+        assert not rf.decide_tame([c], n).tame
+        assert rf.cut_vertices(rf.whitehead_of_classes([drop_last, rf.CyclicWord((n, 1), n)], n))
+
+    def test_disconnected_without_cut_vertex(self):
+        # A Whitehead graph of classes never isolates a without A, but a
+        # graph's can: with two components the wedge letter is then A.
+        triangle = [(-1, 2), (2, -2), (-2, -1)]
+        graphs = [
+            WhiteheadGraph(2, frozenset(map(frozenset, triangle))),
+            WhiteheadGraph(3, frozenset(map(frozenset, triangle + [(3, -3)]))),
+            rf.whitehead_of_classes([cyc("bcBC", 3)], 3),
+            rf.whitehead_of_classes([cyc("abAB", 3), cyc("c", 3)], 3),
+        ]
+        for w in graphs:
+            assert len(rf.components(w)) > 1 and not rf.cut_vertices(w)
+            assert rf.build_rose_from_whitehead(w) == build_rose_oracle(w)
+        assert [rf.build_rose_from_whitehead(w).relabeling.targets[0] for w in graphs] == [-1, 1, 1, 1]
+        for texts in (["bcBC"], ["abAB", "c"]):
+            classes = [cyc(t, 3) for t in texts]
+            assert rf.certificate_to_text(rf.decide_tame(classes, 3)) == rf.certificate_to_text(
+                decide_oracle(classes, 3)
+            )
+
+
+def placed_graph(n, placements, names=(0, 1)):
+    """A two-vertex graph with one edge per ``(kind, label)``: kind 0 a loop
+    at the first vertex, 1 a loop at the second, 2 an edge from the first
+    to the second, 3 one back."""
+    ends = [(0, 0), (1, 1), (0, 1), (1, 0)]
+    edges = tuple(
+        Edge(i, names[ends[kind][0]], names[ends[kind][1]], label)
+        for i, (kind, label) in enumerate(placements, start=1)
+    )
+    return LabeledGraph(n, frozenset(names), edges)
+
+
+def is_almost_rose_oracle(g):
+    return any(rf.is_label_isomorphic(g, r.graph) for r in all_roses(g.rank))
+
+
+class TestClosedFormRecognition:
+    """``recognize_almost_rose`` compares edge triples under the two vertex
+    bijections; label isomorphism to an enumerated rose is its oracle."""
+
+    def test_every_rank_two_placement(self):
+        placements = list(itertools.product(range(4), range(1, 3)))
+        recognized = set()
+        for count in (2, 3, 4):
+            for combo in itertools.combinations_with_replacement(placements, count):
+                for names in ((0, 1), (1, 0), (7, 3)):
+                    g = placed_graph(2, combo, names)
+                    found = rf.recognize_almost_rose(g)
+                    assert (found is not None) == is_almost_rose_oracle(g)
+                    if found is not None:
+                        assert rf.is_label_isomorphic(found.graph, g)
+                        recognized.add(found)
+        assert len(recognized) == len(all_roses(2))
+
+    def test_random_rank_three_placements(self):
+        rng = random.Random(3)
+        placements = list(itertools.product(range(4), range(1, 4)))
+        seen = set()
+        for _ in range(400):
+            g = placed_graph(3, [rng.choice(placements) for _ in range(4)], rng.choice(((0, 1), (1, 0))))
+            found = rf.recognize_almost_rose(g)
+            assert (found is not None) == is_almost_rose_oracle(g)
+            seen.add(found is not None)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_edited_roses(self, n):
+        for rose in all_roses(n):
+            edges = rose.graph.edges
+            swapped = LabeledGraph(
+                n, frozenset({0, 1}), tuple(Edge(e.eid, 1 - e.origin, 1 - e.terminus, e.label) for e in edges)
+            )
+            # the second edge pair relabeled with the wedge letter: one letter thrice, one missing
+            repeated = LabeledGraph(
+                n, frozenset({0, 1}), edges[:2] + (dataclasses.replace(edges[2], label=edges[0].label),) + edges[3:]
+            )
+            # the wedge loop made parallel to the wedge connector: a foldable pair at each end
+            doubled = LabeledGraph(n, frozenset({0, 1}), (dataclasses.replace(edges[1], eid=1),) + edges[1:])
+            assert len(rf.foldable_pairs(doubled)) == 2
+            for g in (swapped, repeated, doubled):
+                assert (rf.recognize_almost_rose(g) is not None) == is_almost_rose_oracle(g)
+            assert rf.recognize_almost_rose(swapped) is not None
+            assert rf.recognize_almost_rose(repeated) is None
+            assert rf.recognize_almost_rose(doubled) is None
+
+
+def spanning_tree_oracle(tree, vertices, allowed):
+    """The tree check that the union-find replaced: build the tree's
+    adjacency and count its components."""
+    if len(tree) != len(vertices) - 1:
+        return False
+    adj = {v: set() for v in vertices}
+    for u, v in tree:
+        if u not in vertices or v not in vertices or frozenset((u, v)) not in allowed:
+            return False
+        adj[u].add(v)
+        adj[v].add(u)
+    return len(adjacency_components(adj, vertices)) <= 1
+
+
+def verify_not_tame_oracle(classes, cert, rank):
+    """The not-tame branch of ``verify_certificate`` with the oracle tree check."""
+    norm = normalize_classes(classes)
+    if cert.rank != rank or cert.classes != norm:
+        return False
+    w = rf.whitehead_of_classes(norm, rank)
+    if tuple(w.sorted_edges()) != cert.whitehead_edges:
+        return False
+    letters = sorted(adjacency_oracle(w), key=letter_key)
+    if not spanning_tree_oracle(cert.spanning_tree, set(letters), w.edges):
+        return False
+    if [v for v, _ in cert.non_cut_witness] != letters:
+        return False
+    return all(
+        spanning_tree_oracle(tree, set(letters) - {v}, w.edges) for v, tree in cert.non_cut_witness
+    )
+
+
+@functools.cache
+def not_tame_certificates():
+    found = []
+    for classes, n in random_class_sets(13, 400, ranks=(2, 4)):
+        cert = rf.decide_tame(classes, n)
+        if not cert.tame:
+            found.append((classes, n, cert))
+    return found
+
+
+@hyp_st.composite
+def mutated_not_tame_certificate(draw):
+    """A not-tame certificate with one tree changed: an edge dropped, an
+    edge duplicated (added, or in place of another), an edge swapped for
+    another Whitehead edge (closing a cycle when one does) or for a pair
+    that is no Whitehead edge, or an edge moved onto the punctured letter
+    of its own witness tree."""
+    classes, n, cert = draw(hyp_st.sampled_from(not_tame_certificates()))
+    which = draw(hyp_st.integers(-1, len(cert.non_cut_witness) - 1))
+    removed, tree = (None, cert.spanning_tree) if which < 0 else cert.non_cut_witness[which]
+    tree = list(tree)
+    i = draw(hyp_st.integers(0, len(tree) - 1))
+    kind = draw(hyp_st.sampled_from(
+        ["drop", "duplicate", "duplicate-in-place", "swap", "non-edge", "punctured"]
+    ))
+    if kind == "drop":
+        del tree[i]
+    elif kind == "duplicate":
+        tree.insert(i, tree[i])
+    elif kind == "duplicate-in-place":
+        tree[i] = tree[(i + 1) % len(tree)]
+    elif kind == "swap":
+        rest = tree[:i] + tree[i + 1 :]
+        reach = adjacency_components(
+            {v: {b for a, b in rest if a == v} | {a for a, b in rest if b == v} for v in range(-n, n + 1)},
+            [tree[i][0]],
+        )[0]
+        pairs = [p for p in cert.whitehead_edges if p not in tree and removed not in p]
+        closing = [p for p in pairs if p[0] in reach and p[1] in reach]
+        if pairs:
+            tree[i] = draw(hyp_st.sampled_from(closing or pairs))
+    elif kind == "non-edge":
+        letters = [x for i in range(1, n + 1) for x in (i, -i) if x != removed]
+        pairs = [p for p in itertools.combinations(letters, 2) if p not in cert.whitehead_edges]
+        if pairs:
+            tree[i] = draw(hyp_st.sampled_from(pairs))
+    elif removed is not None:
+        tree[i] = (removed, tree[i][1]) if draw(hyp_st.booleans()) else (tree[i][0], removed)
+    tree = tuple(tree)
+    if which < 0:
+        return classes, n, dataclasses.replace(cert, spanning_tree=tree)
+    witness = list(cert.non_cut_witness)
+    witness[which] = (removed, tree)
+    return classes, n, dataclasses.replace(cert, non_cut_witness=tuple(witness))
+
+
+class TestNotTameVerifyAgainstOracle:
+    """``verify_certificate`` checks each tree with a union-find; the
+    adjacency-and-components check it replaced is its oracle."""
+
+    def test_accepts_every_decided_certificate(self):
+        assert len(not_tame_certificates()) > 50
+        for classes, n, cert in not_tame_certificates():
+            assert rf.verify_certificate(classes, cert, n)
+            assert verify_not_tame_oracle(classes, cert, n)
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_not_tame_certificate())
+    def test_agrees_on_mutations(self, drawn):
+        classes, n, cert = drawn
+        assert rf.verify_certificate(classes, cert, n) == verify_not_tame_oracle(classes, cert, n)
+
+    def test_cycle_with_the_right_edge_count_rejected(self):
+        classes = [cyc("abAB")]
+        cert = rf.decide_tame(classes)
+        # a-b, a-B and A-b plus the fourth edge A-B close the 4-cycle; drop one tree edge
+        cyclic = cert.spanning_tree[:2] + ((1, 2),)
+        for tree in (cyclic, cert.spanning_tree[:2] + cert.spanning_tree[:1]):
+            bad = dataclasses.replace(cert, spanning_tree=tree)
+            assert not rf.verify_certificate(classes, bad)
+            assert not verify_not_tame_oracle(classes, bad, 2)
+
+
+class TestSentinelCounts:
+    """Counters on the shared index: a not-tame decide indexes its
+    Whitehead graph once and tries no letter, and a tame check runs no
+    isomorphism search."""
+
+    @pytest.fixture
+    def adjacency_builds(self, monkeypatch):
+        builds = []
+        original = WhiteheadGraph._adjacency.func
+
+        def counting(w):
+            builds.append(w)
+            return original(w)
+
+        prop = functools.cached_property(counting)
+        prop.__set_name__(WhiteheadGraph, "_adjacency")
+        monkeypatch.setattr(WhiteheadGraph, "_adjacency", prop)
+        return builds
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        """Every call of the graphs function ``name``, through any rosefold
+        module that imported it."""
+        import sys
+
+        calls = []
+        original = getattr(rf.graphs, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "rosefold" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_decide_builds_the_adjacency_once(self, adjacency_builds):
+        c = high_rank_class(50)
+        cert = rf.decide_tame([c], 50)
+        assert not cert.tame and len(adjacency_builds) == 1
+        assert rf.verify_certificate([c], cert, 50) and len(adjacency_builds) == 2
+        adjacency_builds.clear()
+        assert rf.decide_tame([cyc("abAB")]).non_cut_witness and len(adjacency_builds) == 1
+
+    def test_no_letter_tried_without_a_cut_vertex(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, "adjacency_components")
+        for w in (rf.whitehead_of_classes([high_rank_class(50)], 50), rf.whitehead_of_classes([cyc("abAB")], 2)):
+            calls.clear()
+            assert rf.build_rose_from_whitehead(w) is None
+            assert len(calls) <= 1
+
+    def test_tame_verify_runs_no_isomorphism_search(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, "is_label_isomorphic")
+        for classes, n in tame_class_sets(14, 40):
+            cert = rf.decide_tame(classes, n)
+            assert rf.verify_certificate(classes, cert, n)
+        assert calls == []
+        # the counter does see a call
+        rf.is_label_isomorphic(rf.rose(2), rf.rose(2))
+        assert len(calls) == 1
+
+    def test_side_mask_is_kept_and_matches_the_sides(self):
+        for rose in all_roses(3):
+            side1, side2 = rose.sides
+            assert rose.side_mask is rose.side_mask
+            assert rose.side_mask == {x: (x in side1) + 2 * (x in side2) for x in side1 | side2}
+            assert sorted(rose.side_mask) == sorted((x for i in (1, 2, 3) for x in (i, -i)))

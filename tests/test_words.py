@@ -142,6 +142,32 @@ class TestCanonicalRotation:
             c = rf.CyclicWord(c.letters[r:] + c.letters[:r], 3)
             assert rf.canonical_rotation(c).letters == slice_rotation_oracle(c)
 
+    @given(st.sampled_from((2, 3)).flatmap(lambda rank: rotated_power_st(rank)), st.integers(0, 40))
+    def test_unchecked_rotation_equals_a_checked_one(self, c, shift):
+        start = shift % len(c)
+        checked = rf.CyclicWord(c.letters[start:] + c.letters[:start], c.rank)
+        fast = rf.CyclicWord._rotation(c, start)
+        assert type(fast) is rf.CyclicWord
+        assert fast == checked and hash(fast) == hash(checked) and str(fast) == str(checked)
+        canonical = rf.canonical_rotation(c)
+        assert canonical == rf.CyclicWord(canonical.letters, c.rank)
+
+    def test_rotation_skips_the_letter_checks(self, monkeypatch):
+        c = rf.parse_cyclic_word("bcAbcaa", 3)
+        checked = []
+        original = rf.words._check_letters
+
+        def counting(letters, rank):
+            checked.append(letters)
+            return original(letters, rank)
+
+        monkeypatch.setattr(rf.words, "_check_letters", counting)
+        assert str(rf.canonical_rotation(c)) == "aabcAbc"
+        assert checked == []
+        # a cyclic word built from letters is still checked
+        rf.CyclicWord((1, 2), 3)
+        assert checked == [(1, 2)]
+
     def test_inverse_class_is_distinct(self):
         # [g] and [g inverse] are different classes
         w = rf.parse_word("aab", 2)
@@ -162,6 +188,15 @@ class TestRankDiscipline:
             rf.parse_cyclic_word("abA", 2)
         with pytest.raises(TrivialWordError):
             rf.parse_cyclic_word("", 2)
+
+    @pytest.mark.parametrize(
+        "letters, error",
+        [((1, 3), RankError), ((1, 0), RankError), ((1, 2, -1), ValueError), ((1, -1), ValueError), ((), TrivialWordError)],
+    )
+    def test_cyclic_word_checks_its_letters(self, letters, error):
+        # canonical_rotation skips these checks on rotations; the constructor keeps them
+        with pytest.raises(error):
+            rf.CyclicWord(letters, 2)
 
 
 class TestClassRank:
