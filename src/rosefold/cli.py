@@ -31,7 +31,6 @@ from .oracles import (
 )
 from .tameness import (
     _edge_token,
-    _letter_chars,
     almost_rose,
     certificate_to_text,
     decide_tame,
@@ -42,6 +41,7 @@ from .tameness import (
 )
 from .whitehead import WhiteheadGraph, components, cut_vertices, whitehead_of_classes, whitehead_to_dot
 from .words import (
+    LETTER_CHARS,
     MAX_PARSE_RANK,
     CyclicWord,
     TrivialWordError,
@@ -51,7 +51,6 @@ from .words import (
     free_reduce,
     letter_from_char,
     letter_key,
-    letter_to_char,
     normalize_classes,
 )
 
@@ -223,7 +222,7 @@ def _roll_back(moved, backups: dict[Path, Path | bytes], temps: list[Path]) -> s
 
 def _cut_line(w: WhiteheadGraph) -> str:
     cuts = sorted(cut_vertices(w), key=letter_key)
-    return "cut vertices: " + (" ".join(letter_to_char(v) for v in cuts) or "(none)")
+    return "cut vertices: " + (" ".join(map(LETTER_CHARS.__getitem__, cuts)) or "(none)")
 
 
 def _print_wh(w: WhiteheadGraph, dot: bool) -> int:
@@ -238,10 +237,10 @@ def _print_wh(w: WhiteheadGraph, dot: bool) -> int:
         verdict = "connected; no cut vertex"
     else:
         verdict = f"connected; {cut_line}"
-    chars = _letter_chars(w.rank)
+    chars = LETTER_CHARS.__getitem__
     print(f"rank {w.rank}")
-    print("edges: " + (" ".join(_edge_token(p, chars) for p in w.sorted_edges()) or "(none)"))
-    print("components: " + " ".join("{" + "".join(map(chars.__getitem__, comp)) + "}" for comp in comps))
+    print("edges: " + (" ".join(map(_edge_token, w.sorted_edges())) or "(none)"))
+    print("components: " + " ".join("{" + "".join(map(chars, comp)) + "}" for comp in comps))
     print(cut_line)
     print(verdict)
     return 0
@@ -320,8 +319,7 @@ def cmd_fold(args) -> int:
             raise CliError(str(exc)) from exc
         if [w.letters for w in spec.images] != [w.letters for w in basis]:
             raise CliError("witness images do not match the supplied basis")
-    for line in fold_report_lines(seq):
-        print(line)
+    print("\n".join(fold_report_lines(seq)))
     if spec is not None:
         if not is_verified_automorphism(spec):
             print("witness: not a verified automorphism")

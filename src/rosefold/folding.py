@@ -7,18 +7,27 @@ Folding to completion computes the immersed (folded) image; the folded
 image is independent of the fold order up to label isomorphism, which the
 test suite checks by re-running with randomized pair choices.
 
-``fold_to_completion`` keeps one fold state for the whole run: a
-union-find over the vertices, and per vertex class a heap of outgoing
-directed edges per label, merged smaller into larger, with a heap of the
-vertices that have a label collision.  Its default pick is the lowest
-vertex with a collision; there, the label whose second outgoing edge
-comes first in ``out_edges`` order, and that label's first two edges.
-Each edge moves between heaps O(log E) times and each pick scans at most
-2·rank labels, so a run is near-linear in the number E of edge pairs.
-A run builds only the final and penultimate graphs, each with
-``_replay``, which builds the graph after a prefix of the steps from the
-merges they record.  ``FoldSequence.snapshots`` replays every prefix the
-same way, at O(E · folds); only ``--dot`` and the tests use it.
+``fold_to_completion`` keeps one fold state for the whole run, built in
+one pass over the edges: a union-find over the vertices, and per vertex
+class a heap of outgoing directed edges per label, merged smaller into
+larger, with a heap of the vertices that have a label collision.  Its
+default pick is the lowest vertex with a collision; there, the label
+whose second outgoing edge comes first in ``out_edges`` order, and that
+label's first two edges.  One pick costs one heap pop and one push per
+label with two or more edges at that vertex (at most 2·rank labels),
+after dropping the folded-away edges on top.  One fold costs three
+union-find lookups and, when the termini differ, pushing the smaller
+class's edges into the larger's heaps; each edge moves O(log E) times,
+so a run is near-linear in the number E of edge pairs.  A run builds
+only the final and penultimate graphs, each with ``_replay``, which
+builds the graph after a prefix of the steps from the merges they
+record.  ``FoldSequence.snapshots`` replays every prefix the same way,
+at O(E · folds); only ``--dot`` and the tests use it.
+
+``fold_report_lines`` reads its Betti trace off the step log, starting
+from the final graph: a fold never joins two components, so the start's
+Betti number is the final graph's plus the number of Betti-dropping
+folds.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .graphs import (
     BasedGraph,
@@ -42,15 +51,14 @@ from .graphs import (
     is_rose,
     wedge_of_words,
 )
-from .words import letter_to_char
+from .words import LETTER_CHARS
 
 
 class NotFoldableError(ValueError):
     """The supplied pair of directed edges cannot be folded."""
 
 
-@dataclass(frozen=True)
-class FoldStep:
+class FoldStep(NamedTuple):
     edge_a: int  # directed edge ids sharing origin and label
     edge_b: int
     origin: int
@@ -97,13 +105,8 @@ def _find(parent: dict[int, int], v: int) -> int:
     return v
 
 
-def _key(d: int) -> int:
-    """Sort key of a directed edge in ``out_edges`` order: by edge id, the
-    stored orientation first."""
-    return 2 * abs(d) + (d < 0)
-
-
 def _directed(k: int) -> int:
+    """The directed edge with key ``k``; see ``_FoldState``."""
     return -(k >> 1) if k & 1 else k >> 1
 
 
@@ -111,69 +114,60 @@ class _FoldState:
     """The graph in the middle of a fold run, changed in place.
 
     A union-find over the vertices names each class by its smallest
-    vertex, the vertex a fold keeps.  Each class maps a label
-    to a heap of the ``_key``s of its outgoing directed edges with that
-    label; when two classes merge, the smaller heaps are pushed into the
-    larger.  A folded-away edge pair is only marked dead, and its keys
-    are dropped when they reach the top of a heap.  ``todo`` is a heap of
-    vertices that may have a label collision: every class that gained one
-    since it was last found to have none.
+    vertex, the vertex a fold keeps.  The key of a directed edge ``d`` is
+    ``2·|d| + (d < 0)``, which sorts in ``out_edges`` order: by edge id,
+    the stored orientation first.  Each class maps a label to a heap of
+    the keys of its outgoing directed edges with that label; when two
+    classes merge, the smaller heaps are pushed into the larger.  A
+    folded-away edge pair is only marked dead, and its keys are dropped
+    when they reach the top of a heap.  ``todo`` is a heap of vertices
+    that may have a label collision: every class that gained one since
+    it was last found to have none.
     """
 
     def __init__(self, g: LabeledGraph) -> None:
         self.ends = {e.eid: (e.origin, e.terminus, e.label) for e in g.edges}
         self.parent = {v: v for v in g.vertices}
-        self.out: dict[int, dict[int, list[int]]] = {}
-        for v in g.vertices:
-            by_label: dict[int, list[int]] = {}
-            for d, label, _ in g.out_edges(v):  # already in key order, so each list is a heap
-                by_label.setdefault(label, []).append(_key(d))
-            self.out[v] = by_label
+        self.out: dict[int, dict[int, list[int]]] = {v: {} for v in g.vertices}
+        collide = set()
+        # One pass over the edges, which are sorted by id: keys reach each
+        # label list in increasing order, so every list is already a heap.
+        for e in g.edges:
+            for v, label, k in ((e.origin, e.label, 2 * e.eid), (e.terminus, -e.label, 2 * e.eid + 1)):
+                h = self.out[v].setdefault(label, [])
+                h.append(k)
+                if len(h) > 1:
+                    collide.add(v)
         self.dead: set[int] = set()
-        self.todo = sorted(
-            v for v, by_label in self.out.items() if any(len(h) > 1 for h in by_label.values())
-        )
-
-    def _first_two(self, h: list[int]) -> tuple[int, int] | None:
-        """The two smallest live keys of a label heap, if it has two."""
-        live = []
-        while h and len(live) < 2:
-            k = heapq.heappop(h)
-            if k >> 1 not in self.dead:
-                live.append(k)
-        for k in live:
-            heapq.heappush(h, k)
-        return (live[0], live[1]) if len(live) == 2 else None
+        self.todo = sorted(collide)
 
     def first_pair(self) -> tuple[int, int] | None:
         """The default pick in the current graph: at the lowest vertex with
         a collision, the first two entries of the label whose second entry
         comes first."""
-        todo = self.todo
+        todo, parent, out, dead = self.todo, self.parent, self.out, self.dead
+        pop, push = heapq.heappop, heapq.heappush
         while todo:
             v = todo[0]
-            if self.parent[v] == v:
-                best = None
-                for h in self.out[v].values():
-                    top = self._first_two(h) if len(h) > 1 else None
-                    if top and (best is None or top[1] < best[1]):
-                        best = top
-                if best:
-                    return _directed(best[0]), _directed(best[1])
-            heapq.heappop(todo)
+            if parent[v] == v:
+                best = second = None
+                for h in out[v].values():
+                    if len(h) < 2:
+                        continue
+                    while h and h[0] >> 1 in dead:
+                        pop(h)
+                    if len(h) < 2:
+                        continue
+                    first = pop(h)
+                    while h and h[0] >> 1 in dead:
+                        pop(h)
+                    if h and (second is None or h[0] < second):
+                        best, second = first, h[0]
+                    push(h, first)
+                if best is not None:
+                    return _directed(best), _directed(second)
+            pop(todo)
         return None
-
-    def choose(self, pick) -> tuple[int, int] | None:
-        """The next pair to fold, or None when the graph is folded."""
-        if pick is None:
-            return self.first_pair()
-        pairs = self.pairs()
-        if not pairs:
-            return None
-        pair = pick(pairs)
-        if pair not in pairs:
-            raise NotFoldableError(f"pick returned {pair!r}, not a foldable pair")
-        return pair
 
     def pairs(self) -> list[tuple[int, int]]:
         """All foldable pairs of the current graph, in ``foldable_pairs`` order."""
@@ -190,34 +184,35 @@ class _FoldState:
     def fold(self, d1: int, d2: int) -> FoldStep:
         """Fold a foldable pair: mark the larger edge id dead and merge the
         termini's classes."""
-        (o, t1, label), (_, t2, _) = (self._directed_ends(d) for d in (d1, d2))
-        keep_e, drop_e = sorted((abs(d1), abs(d2)))
+        parent, ends = self.parent, self.ends
+        e1, e2 = abs(d1), abs(d2)
+        if d1 > 0:
+            o, t1, label = ends[e1]
+        else:
+            t1, o, label = ends[e1]
+            label = -label
+        t2 = ends[e2][1] if d2 > 0 else ends[e2][0]
+        o, t1, t2 = _find(parent, o), _find(parent, t1), _find(parent, t2)
+        keep_e, drop_e = (e1, e2) if e1 < e2 else (e2, e1)
         self.dead.add(drop_e)
-        identified = None
-        if t1 != t2:
-            kept, removed = identified = (min(t1, t2), max(t1, t2))
-            self.parent[removed] = kept
-            into, other = self.out.pop(kept), self.out.pop(removed)
-            if len(into) < len(other):
-                into, other = other, into
-            for lab, h in other.items():
-                big = into.setdefault(lab, h)
-                if big is not h:
-                    if len(big) < len(h):
-                        big, h = h, big
-                    for k in h:
-                        heapq.heappush(big, k)
-                    into[lab] = big
-            self.out[kept] = into
-            heapq.heappush(self.todo, kept)
-        return FoldStep(d1, d2, o, label, identified, (keep_e, drop_e), identified is None)
-
-    def _directed_ends(self, d: int) -> tuple[int, int, int]:
-        """Current origin class, terminus class and label of a directed edge."""
-        origin, terminus, label = self.ends[abs(d)]
-        if d < 0:
-            origin, terminus, label = terminus, origin, -label
-        return _find(self.parent, origin), _find(self.parent, terminus), label
+        if t1 == t2:
+            return FoldStep(d1, d2, o, label, None, (keep_e, drop_e), True)
+        kept, removed = identified = (t1, t2) if t1 < t2 else (t2, t1)
+        parent[removed] = kept
+        into, other = self.out.pop(kept), self.out.pop(removed)
+        if len(into) < len(other):
+            into, other = other, into
+        for lab, h in other.items():
+            big = into.setdefault(lab, h)
+            if big is not h:
+                if len(big) < len(h):
+                    big, h = h, big
+                for k in h:
+                    heapq.heappush(big, k)
+                into[lab] = big
+        self.out[kept] = into
+        heapq.heappush(self.todo, kept)
+        return FoldStep(d1, d2, o, label, identified, (keep_e, drop_e), False)
 
 
 def _replay(g: LabeledGraph, steps) -> LabeledGraph:
@@ -254,9 +249,17 @@ def fold_to_completion(
     ``foldable_pairs``, in that order, and returns one of them; listing
     them costs O(E log E) per fold."""
     state = _FoldState(g)
+    fold = state.fold
     steps: list[FoldStep] = []
-    while (pair := state.choose(pick)) is not None:
-        steps.append(state.fold(*pair))
+    if pick is None:
+        while (pair := state.first_pair()) is not None:
+            steps.append(fold(*pair))
+    else:
+        while pairs := state.pairs():
+            pair = pick(pairs)
+            if pair not in pairs:
+                raise NotFoldableError(f"pick returned {pair!r}, not a foldable pair")
+            steps.append(fold(*pair))
     final = _replay(g, steps)
     assert is_folded(final)
     return FoldSequence(g, tuple(steps), _replay(g, steps[:-1]) if steps else None, final)
@@ -291,26 +294,27 @@ def subgroup_graph(generators, rank: int) -> BasedGraph:
 def fold_report_lines(seq: FoldSequence) -> list[str]:
     """Human-readable per-step report with a Betti trace, read off the step
     log: a fold lowers the Betti number by one exactly when its termini
-    already coincided, and otherwise keeps it."""
-    b = betti(seq.start)
+    already coincided, and otherwise keeps it.  A fold never joins two
+    components, so the start's Betti number is the final graph's plus the
+    drops, and only the small final graph is traversed."""
+    final, chars = seq.final, LETTER_CHARS
+    b = betti(final) + sum(step.betti_dropped for step in seq.steps)
     lines = [
         f"start: {len(seq.start.vertices)} vertices, {len(seq.start.edges)} edge pairs,"
         f" betti {b}"
     ]
     for i, step in enumerate(seq.steps, start=1):
-        b -= step.betti_dropped
+        edge_a, edge_b, origin, label, identified, (kept_e, drop_e), dropped = step
+        b -= dropped
         merged = (
-            f"merged vertex {step.identified_vertices[1]} -> {step.identified_vertices[0]}"
-            if step.identified_vertices
+            f"merged vertex {identified[1]} -> {identified[0]}"
+            if identified
             else "termini already equal (betti drop)"
         )
         lines.append(
-            f"step {i}: fold directed edges {step.edge_a},{step.edge_b}"
-            f" at vertex {step.origin} label {letter_to_char(step.label)};"
-            f" edge pair {step.identified_edges[1]} -> {step.identified_edges[0]}; {merged};"
-            f" betti {b}"
+            f"step {i}: fold directed edges {edge_a},{edge_b} at vertex {origin} label {chars[label]};"
+            f" edge pair {drop_e} -> {kept_e}; {merged}; betti {b}"
         )
-    final = seq.final
     lines.append(
         f"folded: {len(final.vertices)} vertices, {len(final.edges)} edge pairs,"
         f" betti {b}"
@@ -320,6 +324,7 @@ def fold_report_lines(seq: FoldSequence) -> list[str]:
 
 def fold_sequence_to_dot(seq: FoldSequence) -> str:
     lines = ["digraph folds {"]
+    chars = LETTER_CHARS
     for i, snap in enumerate(seq.snapshots):
         lines.append(f"  subgraph cluster_{i} {{")
         lines.append(f'    label="snapshot {i}";')
@@ -327,7 +332,7 @@ def fold_sequence_to_dot(seq: FoldSequence) -> str:
             lines.append(f'    s{i}_v{v} [shape=circle label="{v}"];')
         for e in snap.edges:
             lines.append(
-                f'    s{i}_v{e.origin} -> s{i}_v{e.terminus} [label="{letter_to_char(e.label)}"];'
+                f'    s{i}_v{e.origin} -> s{i}_v{e.terminus} [label="{chars[e.label]}"];'
             )
         lines.append("  }")
     lines.append("}")

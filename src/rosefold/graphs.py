@@ -23,13 +23,13 @@ from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .words import (
+    LETTER_CHARS,
     CyclicWord,
     RankError,
     Word,
     class_rank,
     is_reduced,
     letter_from_char,
-    letter_to_char,
 )
 
 
@@ -419,9 +419,8 @@ def is_label_isomorphic(g: LabeledGraph, h: LabeledGraph) -> bool:
 def graph_to_text(g: LabeledGraph) -> str:
     lines = [f"rank {g.rank}"]
     lines += [f"vertex {v}" for v in sorted(g.vertices)]
-    lines += [
-        f"edge {e.eid} {e.origin} {e.terminus} {letter_to_char(e.label)}" for e in g.edges
-    ]
+    chars = LETTER_CHARS
+    lines += [f"edge {e.eid} {e.origin} {e.terminus} {chars[e.label]}" for e in g.edges]
     return "\n".join(lines) + "\n"
 
 
@@ -456,7 +455,8 @@ def graph_to_dot(g: LabeledGraph, name: str = "G") -> str:
     lines = [f"digraph {name} {{", "  rankdir=LR;"]
     for v in sorted(g.vertices):
         lines.append(f'  v{v} [shape=circle label="{v}"];')
+    chars = LETTER_CHARS
     for e in g.edges:
-        lines.append(f'  v{e.origin} -> v{e.terminus} [label="{letter_to_char(e.label)}"];')
+        lines.append(f'  v{e.origin} -> v{e.terminus} [label="{chars[e.label]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

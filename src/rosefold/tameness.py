@@ -38,7 +38,7 @@ from .graphs import (
     oriented_edge,
 )
 from .whitehead import WhiteheadGraph, cut_vertices, whitehead_of_classes
-from .words import CyclicWord, RankError, class_rank, letter_key, letter_to_char, normalize_classes
+from .words import LETTER_CHARS, CyclicWord, RankError, class_rank, letter_key, normalize_classes
 
 
 class FoldFactorError(RuntimeError):
@@ -621,13 +621,8 @@ def verify_certificate(classes, cert: TamenessCertificate, rank: int | None = No
     )
 
 
-def _letter_chars(rank: int) -> dict[int, str]:
-    """Letter -> its character, for every letter of ``rank``."""
-    return {v: letter_to_char(v) for i in range(1, rank + 1) for v in (i, -i)}
-
-
-def _edge_token(pair: tuple[int, int], chars: dict[int, str]) -> str:
-    return f"{chars[pair[0]]}-{chars[pair[1]]}"
+def _edge_token(pair: tuple[int, int]) -> str:
+    return f"{LETTER_CHARS[pair[0]]}-{LETTER_CHARS[pair[1]]}"
 
 
 def certificate_to_text(cert: TamenessCertificate) -> str:
@@ -652,14 +647,9 @@ def certificate_to_text(cert: TamenessCertificate) -> str:
     else:
         assert cert.whitehead_edges is not None
         assert cert.spanning_tree is not None and cert.non_cut_witness is not None
-        chars = _letter_chars(cert.rank)
         for pair in cert.whitehead_edges:
-            lines.append(f"wh-edge {_edge_token(pair, chars)}")
-        lines.append(
-            "spanning-tree " + " ".join(_edge_token(p, chars) for p in cert.spanning_tree)
-        )
+            lines.append(f"wh-edge {_edge_token(pair)}")
+        lines.append("spanning-tree " + " ".join(map(_edge_token, cert.spanning_tree)))
         for v, tree in cert.non_cut_witness:
-            lines.append(
-                f"witness-tree {chars[v]}: " + " ".join(_edge_token(p, chars) for p in tree)
-            )
+            lines.append(f"witness-tree {LETTER_CHARS[v]}: " + " ".join(map(_edge_token, tree)))
     return "\n".join(lines) + "\n"

@@ -14,7 +14,7 @@ import functools
 from dataclasses import dataclass
 
 from .graphs import LabeledGraph, adjacency_components
-from .words import RankError, class_rank, letter_key, letter_to_char
+from .words import LETTER_CHARS, RankError, class_rank, letter_key
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,7 @@ def whitehead_to_dot(w: WhiteheadGraph, name: str = "wh") -> str:
         lines.append(f"  subgraph cluster_{i} {{")
         for v in comp:
             shape = "doublecircle" if v in cuts else "circle"
-            lines.append(f'    l{abs(v)}_{"p" if v > 0 else "m"} [shape={shape} label="{letter_to_char(v)}"];')
+            lines.append(f'    l{abs(v)}_{"p" if v > 0 else "m"} [shape={shape} label="{LETTER_CHARS[v]}"];')
         lines.append("  }")
     for u, v in w.sorted_edges():
         lines.append(

@@ -50,6 +50,21 @@ def letter_to_char(letter: int) -> str:
     return c if letter > 0 else c.upper()
 
 
+class _LetterChars(dict):
+    """Letter -> its character; a key with no character form raises as
+    ``letter_to_char`` does."""
+
+    def __missing__(self, letter: int) -> str:
+        return letter_to_char(letter)
+
+
+# The one letter table: writers look each letter up here instead of
+# calling ``letter_to_char`` per letter.  Read only.
+LETTER_CHARS = _LetterChars(
+    {v: letter_to_char(v) for i in range(1, MAX_PARSE_RANK + 1) for v in (i, -i)}
+)
+
+
 def letter_from_char(c: str) -> int:
     if len(c) == 1 and c.isascii() and c.isalpha():
         if c.islower():
@@ -64,6 +79,15 @@ def _check_letters(letters: tuple[int, ...], rank: int) -> None:
     for v in letters:
         if v == 0 or abs(v) > rank:
             raise RankError(f"letter {v} out of range for rank {rank}")
+
+
+def _unchecked(cls, letters: tuple[int, ...], rank: int):
+    """A ``cls`` value built without the letter checks, for letters that
+    come from a checked value of the same rank."""
+    value = object.__new__(cls)
+    object.__setattr__(value, "letters", letters)
+    object.__setattr__(value, "rank", rank)
+    return value
 
 
 @dataclass(frozen=True)
@@ -84,7 +108,7 @@ class Word:
         return len(self.letters)
 
     def __str__(self) -> str:
-        return "".join(letter_to_char(v) for v in self.letters)
+        return "".join(map(LETTER_CHARS.__getitem__, self.letters))
 
 
 @dataclass(frozen=True)
@@ -111,16 +135,13 @@ class CyclicWord:
     def _rotation(cls, c: "CyclicWord", start: int) -> "CyclicWord":
         """``c`` read from position ``start``, without the checks: every
         rotation of a checked cyclic word is in range and cyclically reduced."""
-        rotated = object.__new__(cls)
-        object.__setattr__(rotated, "letters", c.letters[start:] + c.letters[:start])
-        object.__setattr__(rotated, "rank", c.rank)
-        return rotated
+        return _unchecked(cls, c.letters[start:] + c.letters[:start], c.rank)
 
     def __len__(self) -> int:
         return len(self.letters)
 
     def __str__(self) -> str:
-        return "".join(letter_to_char(v) for v in self.letters)
+        return "".join(map(LETTER_CHARS.__getitem__, self.letters))
 
 
 def parse_word(text: str, rank: int) -> Word:
@@ -146,6 +167,9 @@ def free_reduce(w: Word) -> Word:
 
     >>> str(free_reduce(parse_word("abBA", 2)))
     ''
+
+    The result is built without the letter checks: its letters are
+    letters of ``w``, which were checked when ``w`` was built.
     """
     out: list[int] = []
     for v in w.letters:
@@ -153,7 +177,7 @@ def free_reduce(w: Word) -> Word:
             out.pop()
         else:
             out.append(v)
-    return Word(tuple(out), w.rank)
+    return _unchecked(Word, tuple(out), w.rank)
 
 
 def invert(w: Word) -> Word:
@@ -185,6 +209,9 @@ def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:
     """Split ``w`` as ``conjugator . c . conjugator^-1`` with ``c`` cyclically reduced.
 
     Raises :class:`TrivialWordError` when ``w`` reduces to the identity.
+    Both parts are built without the checks: their letters are letters of
+    ``w``, and trimming a reduced word until its ends are not inverse
+    leaves it nonempty and cyclically reduced.
     """
     r = free_reduce(w)
     if not r.letters:
@@ -194,7 +221,7 @@ def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:
     while j - i >= 2 and letters[i] == -letters[j - 1]:
         i += 1
         j -= 1
-    return CyclicWord(letters[i:j], w.rank), Word(letters[:i], w.rank)
+    return _unchecked(CyclicWord, letters[i:j], w.rank), _unchecked(Word, letters[:i], w.rank)
 
 
 def canonical_rotation(c: CyclicWord) -> CyclicWord:

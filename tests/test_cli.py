@@ -2,6 +2,7 @@ import argparse
 import errno
 import hashlib
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -276,6 +277,25 @@ class TestRoseWh:
         assert err.startswith("error:") and "Traceback" not in err
 
 
+def positive_basis(seed: int, letters: int) -> list[str]:
+    """A positive basis of rank 3 with at least ``letters`` letters, grown
+    from a, b, c by seeded Nielsen products."""
+    rng = random.Random(seed)
+    basis = ["a", "b", "c"]
+    while sum(map(len, basis)) < letters:
+        i, j = rng.sample(range(3), 2)
+        basis[i] = basis[i] + basis[j] if rng.random() < 0.5 else basis[j] + basis[i]
+    return basis
+
+
+# Components {0, 1} and {2, 3, 4}: parallel a edges 0 -> 1 fold with a
+# Betti drop, and a b loop beside a b edge at 2 starts a chain of folds.
+TWO_COMPONENT_GRAPH = "rank 2\n" + "".join(f"vertex {v}\n" for v in range(5)) + (
+    "edge 1 0 1 a\nedge 2 0 1 a\nedge 3 1 0 b\n"
+    "edge 4 2 3 a\nedge 5 3 4 b\nedge 6 4 2 a\nedge 7 2 2 b\nedge 8 2 4 b\n"
+)
+
+
 class TestFold:
     def test_basis_recognized(self, capsys):
         code, out, _ = run(capsys, "fold", "--basis", "ab,b")
@@ -343,6 +363,34 @@ class TestFold:
         # snapshots were still drawn one fold at a time
         code, out, _ = run(capsys, "fold", "--basis", basis, "--dot")
         assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize(
+        "inputs,code,digest",
+        [
+            ("basis", 0, "d59a52812814b3b2"),
+            ("basis-with-product", 1, "f4d5fb6baf3c5a08"),
+            ("graph", 1, "bce8641d1085e06f"),
+        ],
+    )
+    def test_report_bytes_are_pinned(self, capsys, tmp_path, inputs, code, digest):
+        # first 16 hex digits of the sha256 of stdout, recorded while the
+        # report's start Betti number was still computed from the start
+        # graph: a 203-edge-pair wedge of a positive basis; the same basis
+        # with the product of its first two words, which drops the Betti
+        # number at step 237; and a two-component graph whose folds drop
+        # it twice and merge vertices twice
+        basis = positive_basis(13, 200)
+        if inputs == "graph":
+            path = tmp_path / "two-components.txt"
+            path.write_text(TWO_COMPONENT_GRAPH)
+            args = ("--graph", str(path))
+        elif inputs == "basis":
+            args = ("--basis", ",".join(basis))
+        else:
+            args = ("--basis", ",".join(basis + [basis[0] + basis[1]]))
+        got, out, err = run(capsys, "fold", *args)
+        assert (got, err) == (code, "")
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
     @pytest.mark.parametrize("rank", [3_000_000, 10**18])

@@ -239,6 +239,23 @@ class TestFoldToCompletion:
         if double_edge and g.edges:
             assert any(step.betti_dropped for step in seq.steps)
 
+    def test_steps_are_immutable(self):
+        step = rf.fold_to_completion(wedge(("ab", "ab"))).steps[1]
+        fields = dict(
+            edge_a=step.edge_a,
+            edge_b=step.edge_b,
+            origin=step.origin,
+            label=step.label,
+            identified_vertices=step.identified_vertices,
+            identified_edges=step.identified_edges,
+            betti_dropped=True,
+        )
+        assert rf.FoldStep(**fields) == step
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(step, name, None)
+        assert step.betti_dropped is True
+
     @given(graph_st(rank=3), hyp_st.integers(0, 10**6))
     def test_replayed_snapshots_end_in_kept_graphs(self, g, seed):
         for pick in (None, random_fold_pick(random.Random(seed))):

@@ -1,9 +1,11 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import rosefold as rf
+from rosefold.cli import main
 from rosefold.words import RankError, TrivialWordError, WordSyntaxError, class_rank, letter_key
 
 from conftest import class_st, nontrivial_word_st, word_st
@@ -197,6 +199,50 @@ class TestRankDiscipline:
         # canonical_rotation skips these checks on rotations; the constructor keeps them
         with pytest.raises(error):
             rf.CyclicWord(letters, 2)
+
+
+class TestLetterChecks:
+    """Parsing checks each letter once; reduction builds its results from
+    checked letters without checking them again."""
+
+    @given(word_st(rank=3, max_len=16))
+    def test_unchecked_results_equal_checked_ones(self, w):
+        r = rf.free_reduce(w)
+        assert type(r) is rf.Word and r == rf.Word(r.letters, w.rank) and hash(r) == hash(rf.Word(r.letters, w.rank))
+        if r.letters:
+            c, u = rf.cyclic_reduce(w)
+            assert type(c) is rf.CyclicWord and c == rf.CyclicWord(c.letters, w.rank)
+            assert type(u) is rf.Word and u == rf.Word(u.letters, w.rank)
+
+    @pytest.mark.parametrize("letters", [(1, 3), (1, 0), (-3,)])
+    def test_word_constructor_still_checks(self, letters):
+        with pytest.raises(RankError):
+            rf.Word(letters, 2)
+        with pytest.raises(RankError):
+            rf.parse_word("ac", 2)
+
+    def test_tame_checks_each_input_letter_once(self, monkeypatch, capsys):
+        # the 40 tame-long benchmark inputs of seed 5: 9,294 letters, which
+        # parsing, free reduction and cyclic reduction used to check once
+        # each (27,882 checks)
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import inputs
+
+        items = inputs.tame_long(5)
+        checked = []
+        original = rf.words._check_letters
+
+        def counting(letters, rank):
+            checked.append(len(letters))
+            return original(letters, rank)
+
+        monkeypatch.setattr(rf.words, "_check_letters", counting)
+        for item in items:
+            assert main(["tame", "--rank", str(item["rank"]), *item["classes"]]) == (0 if item["tame"] else 1)
+        capsys.readouterr()
+        total = sum(len(c) for item in items for c in item["classes"])
+        assert (len(items), total) == (40, 9_294)
+        assert sum(checked) == total
 
 
 class TestClassRank:
