@@ -218,8 +218,6 @@ class TestLetterChecks:
     def test_word_constructor_still_checks(self, letters):
         with pytest.raises(RankError):
             rf.Word(letters, 2)
-        with pytest.raises(RankError):
-            rf.parse_word("ac", 2)
 
     def test_tame_checks_each_input_letter_once(self, monkeypatch, capsys):
         # the 40 tame-long benchmark inputs of seed 5: 9,294 letters, which
