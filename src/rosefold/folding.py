@@ -19,10 +19,12 @@ after dropping the folded-away edges on top.  One fold costs three
 union-find lookups and, when the termini differ, pushing the smaller
 class's edges into the larger's heaps; each edge moves O(log E) times,
 so a run is near-linear in the number E of edge pairs.  A run builds
-only the final and penultimate graphs, each with ``_replay``, which
-builds the graph after a prefix of the steps from the merges they
-record.  ``FoldSequence.snapshots`` replays every prefix the same way,
-at O(E · folds); only ``--dot`` and the tests use it.
+only the penultimate and final graphs with ``_replay``, which builds the
+graph after some steps from the merges they record: the penultimate
+graph from the start and all steps but the last, and the final graph
+from the penultimate and the last step.  ``FoldSequence.snapshots``
+replays every prefix from the start, at O(E · folds); only ``--dot``
+and the tests use it.
 
 ``fold_report_lines`` reads its Betti trace off the step log, starting
 from the final graph: a fold never joins two components, so the start's
@@ -260,9 +262,12 @@ def fold_to_completion(
             if pair not in pairs:
                 raise NotFoldableError(f"pick returned {pair!r}, not a foldable pair")
             steps.append(fold(*pair))
-    final = _replay(g, steps)
+    # The last step's vertices are roots, and its dropped edge an edge, of
+    # the penultimate graph, so replaying that one step on it gives the final.
+    penultimate = _replay(g, steps[:-1]) if steps else None
+    final = _replay(penultimate or g, steps[-1:])
     assert is_folded(final)
-    return FoldSequence(g, tuple(steps), _replay(g, steps[:-1]) if steps else None, final)
+    return FoldSequence(g, tuple(steps), penultimate, final)
 
 
 def random_fold_pick(rng: random.Random) -> Callable[[list[tuple[int, int]]], tuple[int, int]]:

@@ -9,7 +9,12 @@ implicit and can never disagree with the labeling.
 Graphs are immutable values; every operation builds a new graph.  Each
 graph indexes itself once, when it is built: edge id -> ``Edge``, and
 vertex -> its outgoing ``(directed edge, label, terminus)`` entries, so
-every accessor is a lookup instead of a scan of the edge list.
+every accessor is a lookup instead of a scan of the edge list.  Two more
+tables, read only by the morphism checks and searches, are built on first
+use and then kept: ``ends_by_id`` (edge id -> ``(label, origin,
+terminus)``) and ``id_by_ends`` (``(origin, terminus, label)`` -> the least
+edge id with those ends).  A graph that is only folded or printed never
+builds them.
 
 A graph reads a class when the class's circuit maps into it.  There is no
 path search here: into an almost-rose the map is ``tameness.induced_morphism``,
@@ -18,6 +23,7 @@ and into any graph ``oracles.brute_force_morphism`` decides it.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -122,6 +128,22 @@ class LabeledGraph:
 
     def valence(self, v: int) -> int:
         return len(self.out_edges(v))
+
+    # -- tables for morphisms, built on first use and kept ------------------
+
+    @functools.cached_property
+    def ends_by_id(self) -> dict[int, tuple[int, int, int]]:
+        """Edge id -> ``(label, origin, terminus)``; shared, so read only."""
+        return {e.eid: (e.label, e.origin, e.terminus) for e in self.edges}
+
+    @functools.cached_property
+    def id_by_ends(self) -> dict[tuple[int, int, int], int]:
+        """``(origin, terminus, label)`` -> the least id of an edge pair with
+        those ends and that label; shared, so read only."""
+        table: dict[tuple[int, int, int], int] = {}
+        for e in self.edges:  # sorted by id, so the first one seen is the least
+            table.setdefault((e.origin, e.terminus, e.label), e.eid)
+        return table
 
 
 @dataclass(frozen=True)
@@ -283,9 +305,13 @@ def is_folded(g: LabeledGraph) -> bool:
 
 
 def is_rose(g: LabeledGraph) -> bool:
-    """Label-isomorphic to the rose: one vertex, each letter on exactly one loop."""
-    return len(g.vertices) == 1 and sorted(e.label for e in g.edges) == list(
-        range(1, g.rank + 1)
+    """Label-isomorphic to the rose: one vertex, each letter on exactly one
+    loop.  The edge count is compared first, so a huge declared rank costs
+    nothing."""
+    return (
+        len(g.vertices) == 1
+        and len(g.edges) == g.rank
+        and sorted(e.label for e in g.edges) == list(range(1, g.rank + 1))
     )
 
 
@@ -332,8 +358,7 @@ def _is_morphism_on(
         return False
     if not dst.vertices.issuperset(vmap.values()) or len(emap) != len(edges):
         return False
-    # stored label, origin, terminus per edge id of dst
-    ends = {e.eid: (e.label, e.origin, e.terminus) for e in dst.edges}
+    ends = dst.ends_by_id
     for eid, origin, terminus, x in edges:
         if x > 0:
             wanted = (x, vmap[origin], vmap[terminus])

@@ -329,41 +329,29 @@ def brute_force_morphism(
 
     Returns the first morphism in deterministic order, or None; raises
     :class:`SearchLimitError` past ``max_states`` visited assignments.
+
+    The vertices of ``g`` are assigned in ascending order, each to the
+    vertices of ``h`` in ascending order.  An assignment stands when every
+    directed edge from the new vertex to an assigned one (itself included)
+    has an edge of ``h`` with the same label between their images, looked
+    up in ``h.id_by_ends``; the least such edge is its image.
     """
     if g.rank != h.rank:
         raise RankError(f"rank mismatch: {g.rank} vs {h.rank}")
     gverts = sorted(g.vertices)
     hverts = sorted(h.vertices)
-    h_index: dict[tuple[int, int, int], list[int]] = {}
-    for e in h.edges:
-        h_index.setdefault((e.origin, e.terminus, e.label), []).append(e.eid)
-    for eids in h_index.values():
-        eids.sort()
-    incident: dict[int, list[Edge]] = {v: [] for v in gverts}
-    for e in g.edges:
-        incident[e.origin].append(e)
-        if e.terminus != e.origin:
-            incident[e.terminus].append(e)
+    ng, nh = len(gverts), len(hverts)
+    out = [g.out_edges(v) for v in gverts]
+    id_of = h.id_by_ends
     assignment: dict[int, int] = {}
     visited = 0
-
-    def consistent(v: int) -> bool:
-        for e in incident[v]:
-            fo = assignment.get(e.origin)
-            ft = assignment.get(e.terminus)
-            if fo is None or ft is None:
-                continue
-            if (fo, ft, e.label) not in h_index:
-                return False
-        return True
-
     # Depth-first over gverts with an explicit stack: choice[i] is the
     # index in hverts of the next image to try for gverts[i].
-    choice = [0] * len(gverts)
+    choice = [0] * ng
     i = 0
-    while 0 <= i < len(gverts):
+    while 0 <= i < ng:
         v = gverts[i]
-        if choice[i] == len(hverts):
+        if choice[i] == nh:
             choice[i] = 0
             assignment.pop(v, None)
             i -= 1
@@ -371,16 +359,17 @@ def brute_force_morphism(
         visited += 1
         if visited > max_states:
             raise SearchLimitError(f"exceeded {max_states} partial assignments")
-        assignment[v] = hverts[choice[i]]
+        fv = assignment[v] = hverts[choice[i]]
         choice[i] += 1
-        if consistent(v):
+        for _, x, t in out[i]:
+            ft = assignment.get(t)
+            if ft is not None and ((fv, ft, x) if x > 0 else (ft, fv, -x)) not in id_of:
+                break
+        else:
             i += 1
     if i < 0:
         return None
-    emap = {
-        e.eid: h_index[(assignment[e.origin], assignment[e.terminus], e.label)][0]
-        for e in g.edges
-    }
+    emap = {e.eid: id_of[(assignment[e.origin], assignment[e.terminus], e.label)] for e in g.edges}
     return GraphMorphism(vertex_map=dict(assignment), edge_map=emap)
 
 

@@ -138,6 +138,14 @@ class AlmostRose:
         return {x: (x in side1) | ((x in side2) << 1) for x in side1 | side2}
 
     @functools.cached_property
+    def pair_of(self) -> dict[int, int]:
+        """Positive letter -> the id of the edge pair carrying it: pair j + 1
+        carries the image of letter j (``_standard_graph``), so the wedge
+        letter maps to its connecting pair 2, and its loop is pair 1.
+        Built on first use and kept, like ``sides``."""
+        return {abs(t): j + 1 for j, t in enumerate(self.relabeling.targets, start=1)}
+
+    @functools.cached_property
     def whitehead(self) -> WhiteheadGraph:
         """The rose's Whitehead graph: the wedge at the wedge letter of the
         complete graphs on the two sides.  Built on first use and kept."""
@@ -347,8 +355,7 @@ def _induced_map(
         return None
     vmap = {p: 0 if bits & 1 else 1 for p, bits in sides.items()}
     wedge = rose.relabeling.targets[0]
-    # edge pair j + 1 of the rose carries the image of letter j
-    pair_of = {abs(t): j + 1 for j, t in enumerate(rose.relabeling.targets, start=1)}
+    pair_of = rose.pair_of
     emap: dict[int, int] = {}
     for eid, origin, terminus, x in edges:
         if abs(x) != abs(wedge):

@@ -93,6 +93,13 @@ class TestRose:
         with pytest.raises(RankError):
             rf.rose(1)
 
+    def test_huge_declared_rank_is_not_a_rose(self):
+        # two loops cannot be a rose of rank 10^18: decided from the edge
+        # count, without listing the letters (which raised MemoryError)
+        g = rf.parse_graph_text("rank 1000000000000000000\nvertex 0\nedge 1 0 0 a\nedge 2 0 0 b\n")
+        assert not rf.is_rose(g)
+        assert not rf.is_pi1_surjective(g)
+
 
 class TestCircuit:
     def test_two_cycle(self):
@@ -359,6 +366,46 @@ class TestIndexMatchesScan:
     @given(graph_st(rank=3))
     def test_random_graphs(self, g):
         assert_index_matches_scan(g)
+
+
+def doubled(g, seed):
+    """``g`` with a parallel copy of every edge pair, and all edge ids
+    shuffled, so the least id of a pair of ends may be either copy's."""
+    ids = list(range(1, 2 * len(g.edges) + 1))
+    random.Random(seed).shuffle(ids)
+    ends = [(e.origin, e.terminus, e.label) for e in g.edges] * 2
+    return LabeledGraph(g.rank, g.vertices, tuple(Edge(i, *end) for i, end in zip(ids, ends)))
+
+
+class TestMorphismTables:
+    def test_built_on_first_use_and_kept(self):
+        rose = rf.almost_rose(2, 1, 1)
+        h = rose.graph
+        assert not {"ends_by_id", "id_by_ends"} & vars(h).keys()
+        assert "pair_of" not in vars(rose)
+        g = rf.circuit(cyc("abAB"))
+        # a fold builds graphs that read neither table
+        assert not {"ends_by_id", "id_by_ends"} & vars(rf.fold_to_completion(g).final).keys()
+        first = (rf.brute_force_morphism(g, h), rf.induced_morphism(g, rose))
+        tables = (h.ends_by_id, h.id_by_ends, rose.pair_of)
+        assert {"ends_by_id", "id_by_ends"} <= vars(h).keys() and "pair_of" in vars(rose)
+        assert (rf.brute_force_morphism(g, h), rf.induced_morphism(g, rose)) == first
+        assert all(a is b for a, b in zip((h.ends_by_id, h.id_by_ends, rose.pair_of), tables))
+
+    def test_tables_are_not_part_of_the_value(self):
+        g, h = rf.circuit(cyc("ab")), rf.circuit(cyc("ab"))
+        assert g.id_by_ends and g.ends_by_id
+        assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
+
+    @given(graph_st(rank=3, max_vertices=4, max_edge_pairs=8), st.integers(0, 10**9))
+    def test_tables_match_a_scan(self, g, seed):
+        g = doubled(g, seed)
+        assert g.ends_by_id == {e.eid: (e.label, e.origin, e.terminus) for e in g.edges}
+        # the index brute_force_morphism used to build per call, and its least-id rule
+        h_index = {}
+        for e in g.edges:
+            h_index.setdefault((e.origin, e.terminus, e.label), []).append(e.eid)
+        assert g.id_by_ends == {ends: sorted(eids)[0] for ends, eids in h_index.items()}
 
 
 class TestReadsCyclicWord:

@@ -228,6 +228,17 @@ class TestBruteForceMorphism:
                 recursive_brute_force_morphism, g, h, limit
             )
 
+    def test_parallel_edges_map_to_the_least_id(self):
+        g = rf.LabeledGraph(2, frozenset({0, 1}), (rf.Edge(1, 0, 1, 1), rf.Edge(2, 1, 1, 2)))
+        h = rf.LabeledGraph(
+            2,
+            frozenset({0, 1}),
+            (rf.Edge(7, 0, 1, 1), rf.Edge(3, 0, 1, 1), rf.Edge(9, 1, 1, 2), rf.Edge(5, 1, 1, 2)),
+        )
+        m = rf.brute_force_morphism(g, h)
+        assert m == rf.GraphMorphism(vertex_map={0: 0, 1: 1}, edge_map={1: 3, 2: 5})
+        assert m == recursive_brute_force_morphism(g, h)
+
     def test_long_circuit_needs_no_recursion(self):
         # the recursive search raised RecursionError at these sizes: one
         # frame per vertex.  The second search backtracks from the last vertex.
