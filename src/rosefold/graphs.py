@@ -121,6 +121,10 @@ class LabeledGraph:
         ``v``, by edge id, the stored orientation first; shared, so read only."""
         return self._out.get(v, [])
 
+    def out_map(self) -> Mapping[int, list[tuple[int, int, int]]]:
+        """Vertex -> its ``out_edges``; shared with the graph, so read only."""
+        return self._out
+
     def in_labels(self, v: int) -> set[int]:
         """Labels of directed edges terminating at ``v``: the inverses of
         the labels leaving it."""

@@ -341,7 +341,7 @@ def brute_force_morphism(
     gverts = sorted(g.vertices)
     hverts = sorted(h.vertices)
     ng, nh = len(gverts), len(hverts)
-    out = [g.out_edges(v) for v in gverts]
+    out = g.out_map()
     id_of = h.id_by_ends
     assignment: dict[int, int] = {}
     visited = 0
@@ -361,7 +361,7 @@ def brute_force_morphism(
             raise SearchLimitError(f"exceeded {max_states} partial assignments")
         fv = assignment[v] = hverts[choice[i]]
         choice[i] += 1
-        for _, x, t in out[i]:
+        for _, x, t in out[v]:
             ft = assignment.get(t)
             if ft is not None and ((fv, ft, x) if x > 0 else (ft, fv, -x)) not in id_of:
                 break

@@ -344,9 +344,11 @@ def assert_index_matches_scan(g):
     for v in sorted(g.vertices) + [outside]:
         expected = [(d, scan_dir(g, d)[2], scan_dir(g, d)[1]) for d in scan_out_edges(g, v)]
         assert g.out_edges(v) == expected
+        assert g.out_map().get(v, []) == expected
         assert g.in_labels(v) == scan_in_labels(g, v)
         assert g.valence(v) == scan_valence(g, v)
     assert (g.out_edges(outside), g.in_labels(outside), g.valence(outside)) == ([], set(), 0)
+    assert g.out_map().keys() == g.vertices
     assert rf.is_folded(g) == scan_is_folded(g)
 
 
