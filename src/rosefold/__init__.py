@@ -67,7 +67,6 @@ from .tameness import (
     almost_rose,
     build_rose_from_whitehead,
     certificate_to_text,
-    clique_sides,
     decide_tame,
     enumerate_almost_roses,
     factor_through_almost_rose,

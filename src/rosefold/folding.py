@@ -89,15 +89,9 @@ class FoldSequence:
 
 
 def foldable_pairs(g: LabeledGraph) -> list[tuple[int, int]]:
-    """All unordered foldable pairs, in deterministic order."""
-    pairs = []
-    for v in sorted(g.vertices):
-        outs = g.out_edges(v)
-        for i, (d, label, _) in enumerate(outs):
-            for d2, label2, _ in outs[i + 1 :]:
-                if label == label2:
-                    pairs.append((d, d2))
-    return pairs
+    """All unordered foldable pairs: by vertex, then by the ``out_edges``
+    order of the pair's first and second edge."""
+    return _FoldState(g).pairs()
 
 
 def _find(parent: dict[int, int], v: int) -> int:
@@ -128,7 +122,7 @@ class _FoldState:
     """
 
     def __init__(self, g: LabeledGraph) -> None:
-        self.ends = {e.eid: (e.origin, e.terminus, e.label) for e in g.edges}
+        self.edges = g.edge_map()
         self.parent = {v: v for v in g.vertices}
         self.out: dict[int, dict[int, list[int]]] = {v: {} for v in g.vertices}
         collide = set()
@@ -172,7 +166,8 @@ class _FoldState:
         return None
 
     def pairs(self) -> list[tuple[int, int]]:
-        """All foldable pairs of the current graph, in ``foldable_pairs`` order."""
+        """All foldable pairs of the current graph: by vertex, then by the
+        keys of the pair's first and second edge."""
         dead = self.dead
         keys = []
         for v in sorted(self.out):
@@ -186,14 +181,14 @@ class _FoldState:
     def fold(self, d1: int, d2: int) -> FoldStep:
         """Fold a foldable pair: mark the larger edge id dead and merge the
         termini's classes."""
-        parent, ends = self.parent, self.ends
+        parent, edges = self.parent, self.edges
         e1, e2 = abs(d1), abs(d2)
         if d1 > 0:
-            o, t1, label = ends[e1]
+            _, o, t1, label = edges[e1]
         else:
-            t1, o, label = ends[e1]
+            _, t1, o, label = edges[e1]
             label = -label
-        t2 = ends[e2][1] if d2 > 0 else ends[e2][0]
+        t2 = edges[e2].terminus if d2 > 0 else edges[e2].origin
         o, t1, t2 = _find(parent, o), _find(parent, t1), _find(parent, t2)
         keep_e, drop_e = (e1, e2) if e1 < e2 else (e2, e1)
         self.dead.add(drop_e)

@@ -9,12 +9,13 @@ implicit and can never disagree with the labeling.
 Graphs are immutable values; every operation builds a new graph.  Each
 graph indexes itself once, when it is built: edge id -> ``Edge``, and
 vertex -> its outgoing ``(directed edge, label, terminus)`` entries, so
-every accessor is a lookup instead of a scan of the edge list.  Two more
-tables, read only by the morphism checks and searches, are built on first
-use and then kept: ``ends_by_id`` (edge id -> ``(label, origin,
-terminus)``) and ``id_by_ends`` (``(origin, terminus, label)`` -> the least
+every accessor is a lookup instead of a scan of the edge list.  An
+``Edge`` is the row ``(eid, origin, terminus, label)`` itself, so the
+morphism checks read ``edges`` and ``edge_map()`` as they are.  One more
+table, read only by ``oracles.brute_force_morphism``, is built on first use
+and then kept: ``id_by_ends`` (``(origin, terminus, label)`` -> the least
 edge id with those ends).  A graph that is only folded or printed never
-builds them.
+builds it.
 
 A graph reads a class when the class's circuit maps into it.  There is no
 path search here: into an almost-rose the map is ``tameness.induced_morphism``,
@@ -24,9 +25,9 @@ and into any graph ``oracles.brute_force_morphism`` decides it.
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .words import (
     LETTER_CHARS,
@@ -43,18 +44,14 @@ class NotConnectedError(ValueError):
     """The operation requires a connected graph."""
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
+    """A stored edge pair; ``LabeledGraph`` checks that its id and label are
+    positive."""
+
     eid: int
     origin: int
     terminus: int
     label: int  # always positive
-
-    def __post_init__(self) -> None:
-        if self.eid <= 0:
-            raise ValueError(f"edge id must be positive, got {self.eid}")
-        if self.label <= 0:
-            raise ValueError(f"stored edge label must be positive, got {self.label}")
 
 
 def oriented_edge(eid: int, origin: int, terminus: int, label: int) -> Edge:
@@ -80,6 +77,10 @@ class LabeledGraph:
         by_id: dict[int, Edge] = {}
         out: dict[int, list[tuple[int, int, int]]] = {v: [] for v in self.vertices}
         for e in self.edges:
+            if e.eid <= 0:
+                raise ValueError(f"edge id must be positive, got {e.eid}")
+            if e.label <= 0:
+                raise ValueError(f"stored edge label must be positive, got {e.label}")
             if e.eid in by_id:
                 raise ValueError(f"duplicate edge id {e.eid}")
             by_id[e.eid] = e
@@ -133,12 +134,7 @@ class LabeledGraph:
     def valence(self, v: int) -> int:
         return len(self.out_edges(v))
 
-    # -- tables for morphisms, built on first use and kept ------------------
-
-    @functools.cached_property
-    def ends_by_id(self) -> dict[int, tuple[int, int, int]]:
-        """Edge id -> ``(label, origin, terminus)``; shared, so read only."""
-        return {e.eid: (e.label, e.origin, e.terminus) for e in self.edges}
+    # -- a table for morphism searches, built on first use and kept ---------
 
     @functools.cached_property
     def id_by_ends(self) -> dict[tuple[int, int, int], int]:
@@ -272,20 +268,33 @@ def betti(g: LabeledGraph) -> int:
     return len(g.edges) - len(g.vertices) + len(connected_components(g))
 
 
-def _prune(rank: int, vertices, edges, keep: int | None = None) -> LabeledGraph:
-    """Delete valence <= 1 vertices other than ``keep`` until none remain."""
-    vertices = set(vertices)
-    edges = list(edges)
-    while True:
-        val = Counter()
-        for e in edges:
-            val[e.origin] += 1
-            val[e.terminus] += 1
-        victims = {v for v in vertices if val[v] <= 1 and v != keep}
-        if not victims:
-            return LabeledGraph(rank, frozenset(vertices), tuple(edges))
-        vertices -= victims
-        edges = [e for e in edges if e.origin not in victims and e.terminus not in victims]
+def _prune(rank: int, vertices, edges: Sequence[Edge], keep: int | None = None) -> LabeledGraph:
+    """Delete valence <= 1 vertices other than ``keep`` until none remain.
+
+    A queue of the vertices to delete: deleting one lowers the valence of
+    each neighbour still there, and a neighbour left with valence 1 joins
+    the queue, so the prune is O(V + E).  A loop counts twice, as in
+    ``valence``.
+    """
+    nbrs: dict[int, list[int]] = {v: [] for v in vertices}
+    for e in edges:
+        nbrs[e.origin].append(e.terminus)
+        nbrs[e.terminus].append(e.origin)
+    val = {v: len(ws) for v, ws in nbrs.items()}
+    queue = [v for v, d in val.items() if d <= 1 and v != keep]
+    gone = set(queue)
+    for v in queue:  # grows while it is read
+        for w in nbrs[v]:
+            if w not in gone:
+                val[w] -= 1
+                if val[w] == 1 and w != keep:
+                    gone.add(w)
+                    queue.append(w)
+    return LabeledGraph(
+        rank,
+        frozenset(nbrs.keys() - gone),
+        tuple(e for e in edges if e.origin not in gone and e.terminus not in gone),
+    )
 
 
 def core(g: LabeledGraph) -> LabeledGraph:
@@ -326,17 +335,12 @@ def verify_morphism(m: GraphMorphism, src: LabeledGraph, dst: LabeledGraph) -> b
     """Check that ``m`` is a total label-preserving graph morphism.
 
     The ranks are compared here; the rest is ``_is_morphism_on`` over
-    ``src``'s edge list, the check that ``verify_certificate`` runs over the
+    ``src.edges``, the check that ``verify_certificate`` runs over the
     circuit edges of a class set without building their graph.
     """
     if src.rank != dst.rank:
         return False
-    return _is_morphism_on(m, src.vertices, _edge_list(src), dst)
-
-
-def _edge_list(g: LabeledGraph) -> list[tuple[int, int, int, int]]:
-    """``(edge id, origin, terminus, letter)`` per stored edge of ``g``."""
-    return [(e.eid, e.origin, e.terminus, e.label) for e in g.edges]
+    return _is_morphism_on(m, src.vertices, src.edges, dst)
 
 
 def _is_morphism_on(
@@ -347,13 +351,14 @@ def _is_morphism_on(
 ) -> bool:
     """Check that ``m`` is a total label-preserving morphism into ``dst``
     from the graph with these vertices and ``(edge id, origin, terminus,
-    letter)`` edges, whose ids are distinct; the ranks are the caller's to
-    compare.
+    letter)`` edges, whose ids are distinct: an ``Edge`` is such a row.
+    The ranks are the caller's to compare.
 
     An edge reading a negative letter maps onto the reverse of its image,
-    so its origin goes to the image's terminus.  On the edges of
-    ``_circuit_edges`` this reads each class along the closed path that
-    ``m`` names: every image carries the class's letter, consecutive
+    so its origin goes to the image's terminus: the image's row in
+    ``dst.edge_map()`` must be the edge's row with the image's id.  On the
+    edges of ``_circuit_edges`` this reads each class along the closed path
+    that ``m`` names: every image carries the class's letter, consecutive
     images meet at the image of the vertex they share, and the last one
     returns to the image of the first vertex.
     """
@@ -362,13 +367,14 @@ def _is_morphism_on(
         return False
     if not dst.vertices.issuperset(vmap.values()) or len(emap) != len(edges):
         return False
-    ends = dst.ends_by_id
+    rows = dst.edge_map()
     for eid, origin, terminus, x in edges:
+        image = emap.get(eid)
         if x > 0:
-            wanted = (x, vmap[origin], vmap[terminus])
+            wanted = (image, vmap[origin], vmap[terminus], x)
         else:
-            wanted = (-x, vmap[terminus], vmap[origin])
-        if ends.get(emap.get(eid)) != wanted:
+            wanted = (image, vmap[terminus], vmap[origin], -x)
+        if rows.get(image) != wanted:
             return False
     return True
 
@@ -469,6 +475,8 @@ def parse_graph_text(text: str) -> LabeledGraph:
                 vertices.add(int(parts[1]))
             elif parts[0] == "edge" and len(parts) == 5:
                 eid, origin, terminus = int(parts[1]), int(parts[2]), int(parts[3])
+                if eid <= 0:  # reported with its line, not when the graph is built
+                    raise ValueError(f"edge id must be positive, got {eid}")
                 label = letter_from_char(parts[4])
                 edges.append(oriented_edge(eid, origin, terminus, label))
             else:

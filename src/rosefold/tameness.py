@@ -21,13 +21,12 @@ import itertools
 from collections.abc import Collection, Iterable, Sequence, Set
 from dataclasses import dataclass, field
 
-from .folding import FoldSequence, fold_to_completion, foldable_pairs
+from .folding import FoldSequence, _find, fold_to_completion, foldable_pairs
 from .graphs import (
     GraphMorphism,
     LabeledGraph,
     NotConnectedError,
     _circuit_edges,
-    _edge_list,
     _is_morphism_on,
     adjacency_components,
     betti,
@@ -117,15 +116,13 @@ class AlmostRose:
 
     @functools.cached_property
     def sides(self) -> tuple[frozenset[int], frozenset[int]]:
-        """The two relabeled clique sides, the letters arriving at u and at v.
+        """The two clique sides: the letters arriving at u and at v.
 
         The rose's Whitehead graph is the wedge of their complete graphs at
         the wedge letter, the image of letter 1, which lies on both.  Built
         on first use and kept, so enumerating roses does not pay for it.
         """
-        f = self.relabeling.apply_letter
-        side1, side2 = clique_sides(self.rank, self.k, self.l)
-        return frozenset(map(f, side1)), frozenset(map(f, side2))
+        return frozenset(self.graph.in_labels(0)), frozenset(self.graph.in_labels(1))
 
     @functools.cached_property
     def side_mask(self) -> dict[int, int]:
@@ -139,11 +136,10 @@ class AlmostRose:
 
     @functools.cached_property
     def pair_of(self) -> dict[int, int]:
-        """Positive letter -> the id of the edge pair carrying it: pair j + 1
-        carries the image of letter j (``_standard_graph``), so the wedge
-        letter maps to its connecting pair 2, and its loop is pair 1.
-        Built on first use and kept, like ``sides``."""
-        return {abs(t): j + 1 for j, t in enumerate(self.relabeling.targets, start=1)}
+        """Positive letter -> the id of the edge pair carrying it.  The wedge
+        letter is on its loop, pair 1, and its connecting pair 2; the later
+        one is kept.  Built on first use and kept, like ``sides``."""
+        return {e.label: e.eid for e in self.graph.edges}
 
     @functools.cached_property
     def whitehead(self) -> WhiteheadGraph:
@@ -151,23 +147,6 @@ class AlmostRose:
         complete graphs on the two sides.  Built on first use and kept."""
         edges = {frozenset(p) for side in self.sides for p in itertools.combinations(side, 2)}
         return WhiteheadGraph(self.rank, frozenset(edges))
-
-    def side_of(self, letters: Set[int]) -> int | None:
-        """0 when ``letters`` all lie on the first clique side, else 1 when
-        they all lie on the second, else None.
-
-        Every pair of ``letters`` is a Whitehead edge of the rose exactly
-        when the answer is not None.  The index is also the rose vertex (u
-        is 0, v is 1) that a vertex receiving ``letters`` maps to, so it
-        goes to v exactly when it receives a second-side letter other than
-        the wedge letter.
-        """
-        side1, side2 = self.sides
-        if letters <= side1:
-            return 0
-        if letters <= side2:
-            return 1
-        return None
 
 
 def almost_rose(n: int, k: int, l: int, relabeling: SignedRelabeling | None = None) -> AlmostRose:
@@ -190,17 +169,6 @@ def almost_rose_from_parts(
     k = 1 + len(loops_u)
     l = k + len(connectors)
     return almost_rose(n, k, l, SignedRelabeling(tuple([y] + loops_u + connectors + loops_v)))
-
-
-def clique_sides(n: int, k: int, l: int) -> tuple[frozenset[int], frozenset[int]]:
-    """The two letter sets whose complete graphs, wedged at letter 1, form
-    the Whitehead graph of the standard almost-rose."""
-    _check_shape(n, k, l)
-    side1 = {s * i for i in range(1, k + 1) for s in (1, -1)}
-    side1 |= {-i for i in range(k + 1, l + 1)}
-    side2 = {1} | set(range(k + 1, l + 1))
-    side2 |= {s * i for i in range(l + 1, n + 1) for s in (1, -1)}
-    return frozenset(side1), frozenset(side2)
 
 
 def whitehead_of_almost_rose(rose: AlmostRose) -> WhiteheadGraph:
@@ -304,15 +272,15 @@ def induced_morphism(g: LabeledGraph, rose: AlmostRose) -> GraphMorphism | None:
     The rose's Whitehead graph is two complete graphs wedged at the wedge
     letter, so ``g``'s lies inside it exactly when, at every vertex, the
     incoming letters all lie on one of the two clique sides kept in
-    ``rose.sides``.  One pass over ``g``'s edge list tests this and picks
-    each vertex's image (``_induced_map``, which ``decide_tame`` runs on the
+    ``rose.sides``.  One pass over ``g.edges`` tests this and picks each
+    vertex's image (``_induced_map``, which ``decide_tame`` runs on the
     circuit edges read from the letters).  No Whitehead graph is built;
-    the result is checked over the same edge list with the check of
+    the result is checked over the same edges with the check of
     ``verify_morphism``.
     """
     if g.rank != rose.rank:
         raise RankError(f"rank mismatch: graph {g.rank} vs almost-rose {rose.rank}")
-    return _checked_map(g.vertices, _edge_list(g), rose)
+    return _checked_map(g.vertices, g.edges, rose)
 
 
 def _checked_map(
@@ -331,8 +299,9 @@ def _induced_map(
     vertices: Iterable[int], edges: Sequence[tuple[int, int, int, int]], rose: AlmostRose
 ) -> GraphMorphism | None:
     """The maps of ``induced_morphism``, unchecked, for the graph with these
-    vertices and ``(edge id, origin, terminus, letter)`` edges, or None
-    when some vertex receives a letter of each clique side other than the
+    vertices and ``(edge id, origin, terminus, letter)`` edges (an ``Edge``
+    is such a row, and so is a row of ``_circuit_edges``), or None when
+    some vertex receives a letter of each clique side other than the
     wedge letter.
 
     An edge reading x brings x into its terminus and x^-1 into its origin.
@@ -340,11 +309,11 @@ def _induced_map(
     receives, so no per-vertex set is built; a vertex left with no bit
     fails.  A vertex maps to v when the first side's bit is gone, that
     is when it receives a second-side letter other than the wedge letter,
-    and to u otherwise (``AlmostRose.side_of``).  An edge whose letter is
-    not the wedge letter or its inverse maps to the unique edge pair with
-    that letter; a wedge-letter edge maps to the connecting edge when the
-    end receiving the wedge letter maps to v, and to the loop at u
-    otherwise.
+    and to u otherwise: u receives the first side, and v the second.  An
+    edge whose letter is not the wedge letter or its inverse maps to the
+    unique edge pair with that letter (``rose.pair_of``); a wedge-letter
+    edge maps to the connecting edge when the end receiving the wedge
+    letter maps to v, and to the loop at u otherwise.
     """
     mask = rose.side_mask
     sides = dict.fromkeys(vertices, 3)
@@ -379,8 +348,8 @@ def build_rose_from_whitehead(w: WhiteheadGraph) -> AlmostRose | None:
     first clique side and everything else to the second, letters split
     across the sides becoming connecting edges (inverted when the
     forbidden orientation lands on side one).  The result is checked edge
-    by edge: each edge of ``w`` must lie on one of the rose's clique sides
-    (``AlmostRose.side_of``).
+    by edge: the ``rose.side_mask`` bits of each edge's two letters must
+    share a clique side.
     """
     n = w.rank
     adj = w.adjacency()
@@ -414,7 +383,8 @@ def build_rose_from_whitehead(w: WhiteheadGraph) -> AlmostRose | None:
         else:
             wholly2.append(j)
     rose = almost_rose_from_parts(n, c, wholly1, split_targets, wholly2)
-    if any(rose.side_of(edge) is None for edge in w.edges):
+    mask = rose.side_mask
+    if any(not mask[x] & mask[y] for x, y in w.edges):
         raise RuntimeError("internal error: built almost-rose misses Whitehead edges")
     return rose
 
@@ -508,16 +478,10 @@ def _is_spanning_tree(
     if len(tree) != len(vertices) - 1:
         return False
     parent = {v: v for v in vertices}
-
-    def root(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        return v
-
     for u, v in tree:
         if u not in parent or v not in parent or v not in adj[u]:
             return False
-        ru, rv = root(u), root(v)
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru == rv:
             return False
         parent[ru] = rv

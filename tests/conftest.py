@@ -63,6 +63,20 @@ def find_foldable_pair(g: LabeledGraph) -> tuple[int, int] | None:
     return None
 
 
+def foldable_pairs_by_scan(g: LabeledGraph) -> list[tuple[int, int]]:
+    """The pair lister that ``foldable_pairs`` replaced: every two directed
+    edges with one origin and one label, by vertex, then in ``out_edges``
+    order."""
+    pairs = []
+    for v in sorted(g.vertices):
+        outs = g.out_edges(v)
+        for i, (d, label, _) in enumerate(outs):
+            for d2, label2, _ in outs[i + 1 :]:
+                if label == label2:
+                    pairs.append((d, d2))
+    return pairs
+
+
 def fold_once(g: LabeledGraph, pair: tuple[int, int]) -> tuple[LabeledGraph, FoldStep]:
     """The reference fold: fold one pair of a whole graph into a new graph,
     keeping the smaller edge id and the smaller terminus."""

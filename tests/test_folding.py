@@ -8,11 +8,13 @@ from hypothesis import strategies as hyp_st
 import rosefold as rf
 from rosefold.folding import NotFoldableError, fold_report_lines, random_fold_pick
 from rosefold.graphs import Edge, LabeledGraph, NotConnectedError, oriented_edge
+from rosefold.oracles import random_labeled_graph
 
 from conftest import (
     find_foldable_pair,
     fold_morphism,
     fold_once,
+    foldable_pairs_by_scan,
     graph_st,
     letter_st,
     nontrivial_word_st,
@@ -41,7 +43,7 @@ def wedge(texts, rank=2):
 
 def reference_fold(g, pick=None):
     """The graph-at-a-time loop that ``fold_to_completion`` replaced:
-    ``find_foldable_pair`` (or ``pick`` over ``foldable_pairs``), then
+    ``find_foldable_pair`` (or ``pick`` over ``foldable_pairs_by_scan``), then
     ``fold_once``.  Returns the steps and every graph of the chain, the
     start first."""
     steps, graphs = [], [g]
@@ -49,7 +51,7 @@ def reference_fold(g, pick=None):
         if pick is None:
             pair = find_foldable_pair(graphs[-1])
         else:
-            pairs = rf.foldable_pairs(graphs[-1])
+            pairs = foldable_pairs_by_scan(graphs[-1])
             pair = pick(pairs) if pairs else None
         if pair is None:
             return tuple(steps), tuple(graphs)
@@ -160,6 +162,12 @@ class TestFindFoldablePair:
     def test_parallel_edges(self):
         g = LabeledGraph(2, frozenset({0, 1}), (Edge(1, 0, 1, 1), Edge(2, 0, 1, 1)))
         assert find_foldable_pair(g) == (1, 2)
+
+    def test_foldable_pairs_match_the_scan(self):
+        rng = random.Random(15)
+        for _ in range(2000):
+            g = random_labeled_graph(rng, rng.randint(2, 3), rng.randint(1, 6), rng.randint(0, 12))
+            assert rf.foldable_pairs(g) == foldable_pairs_by_scan(g)
 
 
 class TestFoldOnce:

@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 import rosefold as rf
-from rosefold.graphs import Edge, LabeledGraph, oriented_edge
+from rosefold.graphs import Edge, LabeledGraph, _prune, oriented_edge
+from rosefold.oracles import random_labeled_graph
 from rosefold.words import RankError
 
 from conftest import class_set_st, class_st, graph_st, letter_st, reads
@@ -218,6 +220,24 @@ class TestBetti:
         assert rf.betti(rf.disjoint_circuits([cyc("a"), cyc("b")])) == 2
 
 
+def prune_by_rounds(rank, vertices, edges, keep=None):
+    """The round-based prune that ``graphs._prune`` replaced: recount every
+    valence, delete every valence <= 1 vertex other than ``keep``, repeat;
+    quadratic on a long pendant path."""
+    vertices = set(vertices)
+    edges = list(edges)
+    while True:
+        val = Counter()
+        for e in edges:
+            val[e.origin] += 1
+            val[e.terminus] += 1
+        victims = {v for v in vertices if val[v] <= 1 and v != keep}
+        if not victims:
+            return LabeledGraph(rank, frozenset(vertices), tuple(edges))
+        vertices -= victims
+        edges = [e for e in edges if e.origin not in victims and e.terminus not in victims]
+
+
 def tailed_circuit():
     """circuit('ab') with a one-edge tail hanging off vertex 0."""
     g = rf.circuit(cyc("ab"))
@@ -246,6 +266,23 @@ class TestCore:
         c = rf.core(g)
         assert rf.core(c) == c
         assert all(c.valence(v) >= 2 for v in c.vertices)
+
+    def test_queue_prune_matches_the_round_based_prune(self):
+        rng = random.Random(15)
+        for _ in range(2000):
+            g = random_labeled_graph(rng, 2, rng.randint(1, 9), rng.randint(0, 12))
+            for keep in (None, rng.choice(sorted(g.vertices))):
+                assert _prune(2, g.vertices, g.edges, keep) == prune_by_rounds(2, g.vertices, g.edges, keep)
+
+    def test_long_pendant_path_is_peeled(self):
+        # a loop at 0 with a path 0 - 1 - ... - n hanging off it
+        n = 20000
+        g = LabeledGraph(
+            2, frozenset(range(n + 1)), (Edge(1, 0, 0, 1),) + tuple(Edge(i + 1, i - 1, i, 2) for i in range(1, n + 1))
+        )
+        assert rf.core(g) == LabeledGraph(2, frozenset({0}), (Edge(1, 0, 0, 1),))
+        # based at the far end, the whole path stays
+        assert rf.core_pair(rf.BasedGraph(g, n)).graph == g
 
 
 class TestCorePair:
@@ -383,26 +420,26 @@ class TestMorphismTables:
     def test_built_on_first_use_and_kept(self):
         rose = rf.almost_rose(2, 1, 1)
         h = rose.graph
-        assert not {"ends_by_id", "id_by_ends"} & vars(h).keys()
-        assert "pair_of" not in vars(rose)
+        assert "id_by_ends" not in vars(h) and "pair_of" not in vars(rose)
         g = rf.circuit(cyc("abAB"))
-        # a fold builds graphs that read neither table
-        assert not {"ends_by_id", "id_by_ends"} & vars(rf.fold_to_completion(g).final).keys()
+        # a fold builds graphs that never read the table
+        assert "id_by_ends" not in vars(rf.fold_to_completion(g).final)
         first = (rf.brute_force_morphism(g, h), rf.induced_morphism(g, rose))
-        tables = (h.ends_by_id, h.id_by_ends, rose.pair_of)
-        assert {"ends_by_id", "id_by_ends"} <= vars(h).keys() and "pair_of" in vars(rose)
+        tables = (h.id_by_ends, rose.pair_of)
+        assert "id_by_ends" in vars(h) and "pair_of" in vars(rose)
         assert (rf.brute_force_morphism(g, h), rf.induced_morphism(g, rose)) == first
-        assert all(a is b for a, b in zip((h.ends_by_id, h.id_by_ends, rose.pair_of), tables))
+        assert all(a is b for a, b in zip((h.id_by_ends, rose.pair_of), tables))
 
     def test_tables_are_not_part_of_the_value(self):
         g, h = rf.circuit(cyc("ab")), rf.circuit(cyc("ab"))
-        assert g.id_by_ends and g.ends_by_id
+        assert g.id_by_ends
         assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
 
     @given(graph_st(rank=3, max_vertices=4, max_edge_pairs=8), st.integers(0, 10**9))
     def test_tables_match_a_scan(self, g, seed):
         g = doubled(g, seed)
-        assert g.ends_by_id == {e.eid: (e.label, e.origin, e.terminus) for e in g.edges}
+        # each edge is the (id, origin, terminus, label) row the morphism checks read
+        assert all(g.edge_map()[eid] == (eid, o, t, label) for eid, o, t, label in g.edges)
         # the index brute_force_morphism used to build per call, and its least-id rule
         h_index = {}
         for e in g.edges:
@@ -577,6 +614,22 @@ class TestLabelIsomorphism:
         assert not rf.is_label_isomorphic(g, rf.circuit(cyc("abc" * 499 + "acb", 3)))
 
 
+class TestEdgeChecks:
+    def test_nonpositive_edge_id_rejected(self):
+        for eid in (0, -3):
+            with pytest.raises(ValueError, match=f"edge id must be positive, got {eid}"):
+                LabeledGraph(2, frozenset({0}), (Edge(1, 0, 0, 1), Edge(eid, 0, 0, 2)))
+
+    def test_nonpositive_label_rejected(self):
+        for label in (0, -2):
+            with pytest.raises(ValueError, match=f"stored edge label must be positive, got {label}"):
+                LabeledGraph(2, frozenset({0}), (Edge(1, 0, 0, label),))
+
+    def test_an_edge_is_its_row(self):
+        e = Edge(3, 0, 1, 2)
+        assert e == (3, 0, 1, 2) and e._replace(label=1) == Edge(3, 0, 1, 1)
+
+
 class TestTextFormats:
     def test_round_trip(self):
         g = rf.wedge_of_words((word("ab"), word("b")), 2).graph
@@ -590,6 +643,10 @@ class TestTextFormats:
     def test_missing_rank_rejected(self):
         with pytest.raises(ValueError):
             rf.parse_graph_text("vertex 0\n")
+
+    def test_nonpositive_edge_id_reported_with_its_line(self):
+        with pytest.raises(ValueError, match="bad graph line 3"):
+            rf.parse_graph_text("rank 2\nvertex 0\nedge 0 0 0 a\n")
 
     def test_dot_contains_edges(self):
         dot = rf.graph_to_dot(rf.circuit(cyc("ab")))

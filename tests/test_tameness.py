@@ -26,6 +26,24 @@ def word(text, rank=2):
     return rf.parse_word(text, rank)
 
 
+def clique_sides(n, k, l):
+    """The two clique sides of the standard almost-rose from its shape: the
+    letters arriving at u are 1, 2..k and their inverses, and the inverses
+    of the connectors k+1..l; those arriving at v are 1, the connectors,
+    and l+1..n and their inverses."""
+    side1 = {s * i for i in range(1, k + 1) for s in (1, -1)}
+    side1 |= {-i for i in range(k + 1, l + 1)}
+    side2 = {1} | set(range(k + 1, l + 1))
+    side2 |= {s * i for i in range(l + 1, n + 1) for s in (1, -1)}
+    return side1, side2
+
+
+def relabeled_sides(rose):
+    """``clique_sides`` with the rose's relabeling applied to every letter."""
+    f = rose.relabeling.apply_letter
+    return tuple({f(x) for x in side} for side in clique_sides(rose.rank, rose.k, rose.l))
+
+
 def standard_coordinates(g, s):
     """``g`` with every letter taken back through the signed relabeling
     ``s``: the relabeled copy that ``induced_map_oracle`` reads in the
@@ -272,8 +290,7 @@ def induced_map_oracle(g, rose):
     """The maps of ``induced_morphism`` computed on a relabeled copy of
     ``g``, as the morphism was built before ``_induced_map``."""
     gs = standard_coordinates(g, rose.relabeling)
-    _, v2 = rf.tameness.clique_sides(rose.rank, rose.k, rose.l)
-    v2_strict = set(v2) - {1}
+    v2_strict = clique_sides(rose.rank, rose.k, rose.l)[1] - {1}
     vmap = {p: (1 if gs.in_labels(p) & v2_strict else 0) for p in gs.vertices}
     emap = {}
     for e in gs.edges:
@@ -410,19 +427,24 @@ class TestClosedFormInclusion:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_side_of_a_letter_pair_is_a_whitehead_edge(self, n):
-        # the test build_rose_from_whitehead runs on each edge of w
+        # the test build_rose_from_whitehead runs on each edge of w: the
+        # side_mask bits of its two letters share a side
         letters = [s * i for i in range(1, n + 1) for s in (1, -1)]
         for rose, wr in roses_with_whitehead(n):
-            for pair in itertools.combinations(letters, 2):
-                edge = frozenset(pair)
-                assert (rose.side_of(edge) is not None) == (edge in wr.edges)
+            mask = rose.side_mask
+            for x, y in itertools.combinations(letters, 2):
+                assert bool(mask[x] & mask[y]) == (frozenset((x, y)) in wr.edges)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_sides_are_the_relabeled_clique_sides(self, n):
+        # the sides, side_mask and pair_of are read off the rose's graph;
+        # the shape formula restates its layout
         for rose in rf.enumerate_almost_roses(n):
-            f = rose.relabeling.apply_letter
-            v1, v2 = rf.clique_sides(n, rose.k, rose.l)
-            assert rose.sides == ({f(v) for v in v1}, {f(v) for v in v2})
+            side1, side2 = relabeled_sides(rose)
+            assert rose.sides == (side1, side2)
+            assert rose.side_mask == {x: (x in side1) | 2 * (x in side2) for x in side1 | side2}
+            # pair j + 1 carries the image of letter j; the wedge letter's connector is pair 2
+            assert rose.pair_of == {abs(t): j + 1 for j, t in enumerate(rose.relabeling.targets, start=1)}
             # the letters arriving at u and at v
             assert rose.sides == (rose.graph.in_labels(0), rose.graph.in_labels(1))
             assert rf.whitehead_of_almost_rose(rose).edges == rf.whitehead_of_graph(rose.graph).edges
@@ -445,20 +467,20 @@ class TestClosedFormInclusion:
 
     def test_sides_built_once_on_first_use(self, monkeypatch):
         calls = []
-        original = rf.tameness.clique_sides
+        original = LabeledGraph.in_labels
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+        def counting(g, v):
+            calls.append((g, v))
+            return original(g, v)
 
-        monkeypatch.setattr(rf.tameness, "clique_sides", counting)
+        monkeypatch.setattr(LabeledGraph, "in_labels", counting)
         roses = rf.enumerate_almost_roses(3)
         assert calls == []
         rose = roses[7]
         for text in ("abc", "aab", "abAB", "c"):
             rf.induced_morphism(rf.circuit(cyc(text, 3)), rose)
         rf.whitehead_of_almost_rose(rose)
-        assert calls == [(3, rose.k, rose.l)]
+        assert [(g is rose.graph, v) for g, v in calls] == [(True, 0), (True, 1)]
 
     def test_rank_mismatch_raises(self):
         with pytest.raises(RankError):
@@ -1048,10 +1070,10 @@ class TestClosedFormRecognition:
             )
             # the second edge pair relabeled with the wedge letter: one letter thrice, one missing
             repeated = LabeledGraph(
-                n, frozenset({0, 1}), edges[:2] + (dataclasses.replace(edges[2], label=edges[0].label),) + edges[3:]
+                n, frozenset({0, 1}), edges[:2] + (edges[2]._replace(label=edges[0].label),) + edges[3:]
             )
             # the wedge loop made parallel to the wedge connector: a foldable pair at each end
-            doubled = LabeledGraph(n, frozenset({0, 1}), (dataclasses.replace(edges[1], eid=1),) + edges[1:])
+            doubled = LabeledGraph(n, frozenset({0, 1}), (edges[1]._replace(eid=1),) + edges[1:])
             assert len(rf.foldable_pairs(doubled)) == 2
             for g in (swapped, repeated, doubled):
                 assert (rf.recognize_almost_rose(g) is not None) == is_almost_rose_oracle(g)
