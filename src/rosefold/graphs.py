@@ -11,11 +11,11 @@ graph indexes itself once, when it is built: edge id -> ``Edge``, and
 vertex -> its outgoing ``(directed edge, label, terminus)`` entries, so
 every accessor is a lookup instead of a scan of the edge list.  An
 ``Edge`` is the row ``(eid, origin, terminus, label)`` itself, so the
-morphism checks read ``edges`` and ``edge_map()`` as they are.  One more
-table, read only by ``oracles.brute_force_morphism``, is built on first use
-and then kept: ``id_by_ends`` (``(origin, terminus, label)`` -> the least
-edge id with those ends).  A graph that is only folded or printed never
-builds it.
+morphism checks read ``edges`` and ``edge_map()`` as they are.  Two more
+tables, read only by ``oracles.brute_force_morphism``, are built on first
+use and then kept: ``ascending_vertices`` and ``id_by_ends``
+(``(origin, terminus, label)`` -> the least edge id with those ends).  A
+graph that is only folded or printed never builds them.
 
 A graph reads a class when the class's circuit maps into it.  There is no
 path search here: into an almost-rose the map is ``tameness.induced_morphism``,
@@ -134,7 +134,13 @@ class LabeledGraph:
     def valence(self, v: int) -> int:
         return len(self.out_edges(v))
 
-    # -- a table for morphism searches, built on first use and kept ---------
+    # -- tables for morphism searches, built on first use and kept ----------
+
+    @functools.cached_property
+    def ascending_vertices(self) -> tuple[int, ...]:
+        """The vertices in ascending order, the order a morphism search
+        visits them in."""
+        return tuple(sorted(self.vertices))
 
     @functools.cached_property
     def id_by_ends(self) -> dict[tuple[int, int, int], int]:

@@ -338,8 +338,8 @@ def brute_force_morphism(
     """
     if g.rank != h.rank:
         raise RankError(f"rank mismatch: {g.rank} vs {h.rank}")
-    gverts = sorted(g.vertices)
-    hverts = sorted(h.vertices)
+    gverts = g.ascending_vertices
+    hverts = h.ascending_vertices
     ng, nh = len(gverts), len(hverts)
     out = g.out_map()
     id_of = h.id_by_ends

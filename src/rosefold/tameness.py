@@ -21,8 +21,9 @@ import itertools
 from collections.abc import Collection, Iterable, Sequence, Set
 from dataclasses import dataclass, field
 
-from .folding import FoldSequence, _find, fold_to_completion, foldable_pairs
+from .folding import FoldSequence, _find, fold_to_completion
 from .graphs import (
+    Edge,
     GraphMorphism,
     LabeledGraph,
     NotConnectedError,
@@ -178,56 +179,68 @@ def whitehead_of_almost_rose(rose: AlmostRose) -> WhiteheadGraph:
     return rose.whitehead
 
 
-def recognize_almost_rose(g: LabeledGraph) -> AlmostRose | None:
-    """Identify ``g`` as a relabeled standard almost-rose, if it is one.
+def _rose_parts(g: LabeledGraph) -> tuple[int, list[int], list[int], list[int]] | None:
+    """The parts ``(y, loops_u, connectors, loops_v)`` of
+    ``almost_rose_from_parts`` that rebuild ``g`` up to label isomorphism,
+    or None when ``g`` is not an almost-rose.
 
-    The carrier vertex u is the one incident to the unique foldable pair;
-    anything violating the classification (wrong counts, repeated letters,
-    no unique loop/non-loop fold) is reported as non-recognition.  The
-    rose built from the parts read off ``g`` is then compared with ``g``
-    in closed form: two two-vertex graphs are label-isomorphic exactly
-    when their sorted ``(origin, terminus, label)`` triples agree under
-    one of the two vertex bijections, so no isomorphism search is run.
+    A two-vertex graph with n + 1 edge pairs is an almost-rose exactly
+    when: a single letter |y| lies on two edge pairs (labels lie in 1..n,
+    so every letter then occurs); one of the two is a loop at a vertex u
+    and the other joins u to the other vertex v, with y = +|y| when that
+    connector is stored leaving u and -|y| otherwise; and v carries one
+    more edge, a loop or a connector.  These are the standard graph's
+    features with u as vertex 0 and v as vertex 1, so the rose built from
+    the parts is ``g`` relabeled, and every almost-rose has them.  They
+    also imply what recognizing by folding checked: the loop and the
+    connector are the only foldable pair, the graph is connected, and
+    each vertex has valence at least 2.  One pass over the edges finds
+    the doubled letter and a second sorts the others into the parts.
     """
     n = g.rank
     if len(g.vertices) != 2 or len(g.edges) != n + 1:
         return None
-    if not is_connected(g):
-        return None
-    if any(g.valence(v) < 2 for v in g.vertices):
-        return None
-    pairs = foldable_pairs(g)
-    if len(pairs) != 1:
-        return None
-    d1, d2 = pairs[0]
-    is_loop = [g.dir_origin(d) == g.dir_terminus(d) for d in (d1, d2)]
-    if sum(is_loop) != 1:
-        return None
-    u = g.dir_origin(d1)
-    y = g.dir_label(d1)
-    v = next(x for x in g.vertices if x != u)
-    loops_u: list[int] = []
-    loops_v: list[int] = []
-    connectors: list[int] = []
-    special = {abs(d1), abs(d2)}
+    first: dict[int, Edge] = {}
+    doubled: tuple[Edge, Edge] | None = None
     for e in g.edges:
-        if e.eid in special:
-            continue
-        if e.origin == e.terminus == u:
-            loops_u.append(e.label)
-        elif e.origin == e.terminus == v:
-            loops_v.append(e.label)
-        else:
-            connectors.append(e.label if e.origin == u else -e.label)
-    unsigned = [abs(y)] + loops_u + [abs(z) for z in connectors] + loops_v
-    if sorted(unsigned) != list(range(1, n + 1)):
+        seen = first.setdefault(e.label, e)
+        if seen is not e:
+            if doubled is not None:
+                return None
+            doubled = seen, e
+    assert doubled is not None  # n + 1 labels in 1..n repeat one
+    loop, conn = doubled if doubled[0].origin == doubled[0].terminus else doubled[::-1]
+    if loop.origin != loop.terminus or conn.origin == conn.terminus:
         return None
-    rose = almost_rose_from_parts(n, y, loops_u, connectors, loops_v)
-    target = sorted((e.origin, e.terminus, e.label) for e in rose.graph.edges)
-    for image in ({u: 0, v: 1}, {u: 1, v: 0}):
-        if sorted((image[e.origin], image[e.terminus], e.label) for e in g.edges) == target:
-            return rose
-    return None
+    u = loop.origin
+    loops_u: list[int] = []
+    connectors: list[int] = []
+    loops_v: list[int] = []
+    for e in g.edges:
+        if e.label == conn.label:
+            continue
+        if e.origin != e.terminus:
+            connectors.append(e.label if e.origin == u else -e.label)
+        elif e.origin == u:
+            loops_u.append(e.label)
+        else:
+            loops_v.append(e.label)
+    if not connectors and not loops_v:
+        return None
+    return (conn.label if conn.origin == u else -conn.label), loops_u, connectors, loops_v
+
+
+def recognize_almost_rose(g: LabeledGraph) -> AlmostRose | None:
+    """Identify ``g`` as a relabeled standard almost-rose, if it is one.
+
+    ``g`` is read straight off its edge rows (``_rose_parts``): exactly
+    one letter on two edge pairs, one a loop at a vertex u and the other
+    joining u to v, and one more edge at v.  Those are exactly the
+    almost-roses, so no fold is run and no isomorphism is searched for;
+    the only graph built is the returned rose's.
+    """
+    parts = _rose_parts(g)
+    return None if parts is None else almost_rose_from_parts(g.rank, *parts)
 
 
 def enumerate_almost_roses(n: int) -> list[AlmostRose]:
@@ -546,13 +559,15 @@ def decide_tame(classes, rank: int | None = None) -> TamenessCertificate:
 def verify_certificate(classes, cert: TamenessCertificate, rank: int | None = None) -> bool:
     """Re-check a certificate from scratch; False on any discrepancy.
 
-    A tame certificate's rose must have the classes' rank and be an
-    almost-rose.  Its morphism is then checked over the circuit edges read
-    straight from the letters (``_circuit_edges``), with no circuit graph
-    built: this reads each class along the closed path the certificate
-    names, so no search for a reading path is needed.  Every image edge
-    carries the class's letter, consecutive image edges meet at the image
-    of the vertex they share, and the last one returns to the first.
+    A tame certificate's rose and its graph must have the classes' rank,
+    and the graph must be an almost-rose, read off its edge rows with
+    ``_rose_parts``: no graph, fold state or second rose is built.  Its
+    morphism is then checked over the circuit edges read straight from
+    the letters (``_circuit_edges``), with no circuit graph built: this
+    reads each class along the closed path the certificate names, so no
+    search for a reading path is needed.  Every image edge carries the
+    class's letter, consecutive image edges meet at the image of the
+    vertex they share, and the last one returns to the first.
 
     A not-tame certificate must list the Whitehead edges of the classes,
     and its trees must span the graph and each punctured graph.
@@ -567,10 +582,11 @@ def verify_certificate(classes, cert: TamenessCertificate, rank: int | None = No
     if cert.tame:
         if cert.rose is None or cert.morphism is None:
             return False
-        if cert.rose.rank != rank or recognize_almost_rose(cert.rose.graph) is None:
+        graph = cert.rose.graph
+        if cert.rose.rank != rank or graph.rank != rank or _rose_parts(graph) is None:
             return False
         edges = _circuit_edges(norm)
-        return _is_morphism_on(cert.morphism, range(len(edges)), edges, cert.rose.graph)
+        return _is_morphism_on(cert.morphism, range(len(edges)), edges, graph)
     if (
         cert.whitehead_edges is None
         or cert.spanning_tree is None

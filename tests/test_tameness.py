@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as hyp_st
 
 import rosefold as rf
+from rosefold import folding
 from rosefold.graphs import Edge, LabeledGraph, adjacency_components, oriented_edge
 from rosefold.oracles import random_class
-from rosefold.tameness import FoldFactorError
+from rosefold.tameness import FoldFactorError, almost_rose_from_parts
 from rosefold.whitehead import WhiteheadGraph
 from rosefold.words import RankError, class_rank, letter_key, letter_to_char, normalize_classes
 
@@ -666,10 +667,56 @@ class TestDecideTame:
         assert rf.decide_tame([rf.canonical_rotation(c) for c in images], 3).tame == before
 
 
+def recognize_by_folding(g):
+    """The recognizer that ``recognize_almost_rose`` replaced: the carrier
+    vertex u is the one incident to the unique foldable pair, which must be
+    a loop and a non-loop; the rose built from the parts read off ``g`` is
+    compared with ``g`` by its sorted edge triples under the two vertex
+    bijections."""
+    n = g.rank
+    if len(g.vertices) != 2 or len(g.edges) != n + 1:
+        return None
+    if not rf.is_connected(g):
+        return None
+    if any(g.valence(v) < 2 for v in g.vertices):
+        return None
+    pairs = rf.foldable_pairs(g)
+    if len(pairs) != 1:
+        return None
+    d1, d2 = pairs[0]
+    is_loop = [g.dir_origin(d) == g.dir_terminus(d) for d in (d1, d2)]
+    if sum(is_loop) != 1:
+        return None
+    u = g.dir_origin(d1)
+    y = g.dir_label(d1)
+    v = next(x for x in g.vertices if x != u)
+    loops_u, loops_v, connectors = [], [], []
+    special = {abs(d1), abs(d2)}
+    for e in g.edges:
+        if e.eid in special:
+            continue
+        if e.origin == e.terminus == u:
+            loops_u.append(e.label)
+        elif e.origin == e.terminus == v:
+            loops_v.append(e.label)
+        else:
+            connectors.append(e.label if e.origin == u else -e.label)
+    unsigned = [abs(y)] + loops_u + [abs(z) for z in connectors] + loops_v
+    if sorted(unsigned) != list(range(1, n + 1)):
+        return None
+    rose = almost_rose_from_parts(n, y, loops_u, connectors, loops_v)
+    target = sorted((e.origin, e.terminus, e.label) for e in rose.graph.edges)
+    for image in ({u: 0, v: 1}, {u: 1, v: 0}):
+        if sorted((image[e.origin], image[e.terminus], e.label) for e in g.edges) == target:
+            return rose
+    return None
+
+
 def graph_form_verify_certificate(classes, cert, rank=None):
     """``verify_certificate`` as written against the circuit graph: build
     ``disjoint_circuits``, check the morphism with ``verify_morphism``, then
-    check by brute force that the rose reads each class."""
+    check by brute force that the rose reads each class.  The rose graph is
+    recognized by folding, so this shares no code with ``_rose_parts``."""
     try:
         norm = normalize_classes(classes)
         rank = class_rank(norm, cert.rank if rank is None else rank)
@@ -681,7 +728,7 @@ def graph_form_verify_certificate(classes, cert, rank=None):
         return rf.verify_certificate(classes, cert, rank)
     if cert.rose is None or cert.morphism is None:
         return False
-    if rf.recognize_almost_rose(cert.rose.graph) is None:
+    if cert.rose.graph.rank != rank or recognize_by_folding(cert.rose.graph) is None:
         return False
     gamma = rf.disjoint_circuits(norm, rank)
     if not rf.verify_morphism(cert.morphism, gamma, cert.rose.graph):
@@ -1080,6 +1127,82 @@ class TestClosedFormRecognition:
             assert rf.recognize_almost_rose(swapped) is not None
             assert rf.recognize_almost_rose(repeated) is None
             assert rf.recognize_almost_rose(doubled) is None
+
+
+def rose_edits(rose):
+    """The three edits of ``test_edited_roses``: the vertices swapped (still
+    an almost-rose), the second edge pair relabeled with the wedge letter,
+    and the wedge loop made parallel to the wedge connector."""
+    n, edges = rose.rank, rose.graph.edges
+    swapped = LabeledGraph(
+        n, frozenset({0, 1}), tuple(Edge(e.eid, 1 - e.origin, 1 - e.terminus, e.label) for e in edges)
+    )
+    repeated = LabeledGraph(
+        n, frozenset({0, 1}), edges[:2] + (edges[2]._replace(label=edges[0].label),) + edges[3:]
+    )
+    doubled = LabeledGraph(n, frozenset({0, 1}), (edges[1]._replace(eid=1),) + edges[1:])
+    return swapped, repeated, doubled
+
+
+@hyp_st.composite
+def two_vertex_graph_st(draw):
+    """A two-vertex graph of rank 2-5 with loops and parallel edges at will,
+    either vertex naming and shuffled edge ids.  Half the time its labels
+    are every letter plus one repeat, as an almost-rose's are."""
+    n = draw(hyp_st.integers(2, 5))
+    if draw(hyp_st.booleans()):
+        labels = draw(hyp_st.permutations(range(1, n + 1))) + [draw(hyp_st.integers(1, n))]
+    else:
+        labels = draw(hyp_st.lists(hyp_st.integers(1, n), min_size=n, max_size=n + 2))
+    names = draw(hyp_st.sampled_from(((0, 1), (1, 0), (7, 3))))
+    ids = draw(hyp_st.lists(hyp_st.integers(1, 30), min_size=len(labels), max_size=len(labels), unique=True))
+    ends = [draw(hyp_st.sampled_from(names)) for _ in range(2 * len(labels))]
+    edges = tuple(Edge(i, ends[2 * j], ends[2 * j + 1], x) for j, (i, x) in enumerate(zip(ids, labels)))
+    return LabeledGraph(n, frozenset(names), edges)
+
+
+class TestOnePassRecognition:
+    """``recognize_almost_rose`` reads ``g`` in one pass over its edges; the
+    fold-based recognizer it replaced is its oracle."""
+
+    @settings(max_examples=400)
+    @given(two_vertex_graph_st())
+    def test_agrees_with_folding(self, g):
+        assert rf.recognize_almost_rose(g) == recognize_by_folding(g)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_agrees_on_edited_roses(self, n):
+        for rose in all_roses(n):
+            for g in rose_edits(rose):
+                assert rf.recognize_almost_rose(g) == recognize_by_folding(g)
+
+    def test_verify_builds_no_graph_and_no_fold_state(self, monkeypatch, graphs_built):
+        states = []
+        original = folding._FoldState.__init__
+
+        def counting(state, g):
+            states.append(g)
+            original(state, g)
+
+        monkeypatch.setattr(folding._FoldState, "__init__", counting)
+        for classes, n, cert in tame_certificates():
+            graphs_built.clear()
+            assert rf.verify_certificate(classes, cert, n)
+            assert graphs_built == [] and states == []
+        for rose in all_roses(3):
+            graphs_built.clear()
+            found = rf.recognize_almost_rose(rose.graph)
+            assert len(graphs_built) == 1 and graphs_built[0] is found.graph
+        assert states == []
+
+    def test_tampered_rose_graph_rejected(self):
+        for classes, n, cert in tame_certificates():
+            _, repeated, doubled = rose_edits(cert.rose)
+            wrong_rank = rf.almost_rose(n + 1, cert.rose.k, cert.rose.l).graph
+            for graph in (repeated, doubled, wrong_rank):
+                rose = dataclasses.replace(cert.rose)  # a copy: the certificates are cached
+                object.__setattr__(rose, "graph", graph)
+                assert not rf.verify_certificate(classes, dataclasses.replace(cert, rose=rose), n)
 
 
 def spanning_tree_oracle(tree, vertices, allowed):
