@@ -3,17 +3,20 @@
 Each criterion returns a :class:`CriterionResult` with a pass flag, a
 human-readable detail string, and the measured wall time, so the same
 checks back both ``pytest`` and the ``rosefold check`` subcommand.  All
-randomness is seeded; two runs produce identical corpora.
+randomness is seeded; two runs produce identical corpora.  A criterion
+is declared once, with its name and time limit, by ``@criterion``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
 import subprocess
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .folding import fold_to_completion, random_fold_pick
@@ -26,6 +29,7 @@ from .oracles import (
     random_labeled_graph,
     random_separable_set,
     rose_for_basis,
+    rose_for_separable,
     verify_separable_witness,
 )
 from .tameness import (
@@ -63,7 +67,32 @@ def _best_of(fn, repeats: int = 3) -> float:
     return best
 
 
-def criterion_wedge_closed_form() -> CriterionResult:
+CRITERIA: dict[str, Callable[[], CriterionResult]] = {}
+
+
+def criterion(name: str, limit: float | None):
+    """Register the body under ``name`` in ``CRITERIA``, in definition
+    order.  The body returns ``(ok, detail)``, and is timed whole, or
+    ``(ok, detail, seconds)`` with its own timing; the criterion passes
+    when ``ok`` holds and the time is under ``limit``."""
+
+    def register(body):
+        @functools.wraps(body)
+        def run() -> CriterionResult:
+            t0 = time.perf_counter()
+            ok, detail, *timed = body()
+            seconds = timed[0] if timed else time.perf_counter() - t0
+            passed = ok and (limit is None or seconds < limit)
+            return CriterionResult(name, passed, seconds, limit, detail)
+
+        CRITERIA[name] = run
+        return run
+
+    return register
+
+
+@criterion("wh-closed-form-312", 0.001)
+def criterion_wedge_closed_form():
     """The (3,1,2) almost-rose: Whitehead graph is the expected wedge of
     complete graphs and its only cut vertex is the shared letter."""
     rose = almost_rose(3, 1, 2)
@@ -79,17 +108,15 @@ def criterion_wedge_closed_form() -> CriterionResult:
 
     w, cuts = compute()
     ok = w.edges == frozenset(expected) and len(w.edges) == 9 and cuts == {1}
-    elapsed = _best_of(lambda: compute())
-    passed = ok and elapsed < 0.001
     detail = f"9-edge wedge {'matches' if ok else 'MISMATCH'}, cut vertices {sorted(cuts)}"
-    return CriterionResult("wh-closed-form-312", passed, elapsed, 0.001, detail)
+    return ok, detail, _best_of(compute)
 
 
-def criterion_cut_vertex_sweep() -> CriterionResult:
+@criterion("cut-vertex-sweep", 1.0)
+def criterion_cut_vertex_sweep():
     """For every shape with rank at most 6, the closed-form Whitehead graph
     equals the one computed from the realized graph, and letter 1 is a cut
     vertex."""
-    t0 = time.perf_counter()
     checked = 0
     failures = []
     for n in range(2, 7):
@@ -103,18 +130,15 @@ def criterion_cut_vertex_sweep() -> CriterionResult:
                 if 1 not in cut_vertices(closed):
                     failures.append((n, k, l, "letter 1 not a cut vertex"))
                 checked += 1
-    elapsed = time.perf_counter() - t0
-    passed = not failures and elapsed < 1.0
-    detail = f"{checked} shapes checked, {len(failures)} failures"
-    return CriterionResult("cut-vertex-sweep", passed, elapsed, 1.0, detail)
+    return not failures, f"{checked} shapes checked, {len(failures)} failures"
 
 
-def criterion_morphism_equivalence() -> CriterionResult:
+@criterion("morphism-inclusion-equivalence", 60.0)
+def criterion_morphism_equivalence():
     """Morphism existence into an almost-rose is equivalent to Whitehead
     inclusion, with the exhaustive search as the arbiter, and the induced
     morphism verifies whenever the inclusion holds."""
     graphs_per_rank = 500
-    t0 = time.perf_counter()
     rng = random.Random(0x5EED3)
     disagreements = 0
     checked = 0
@@ -136,15 +160,12 @@ def criterion_morphism_equivalence() -> CriterionResult:
                 if not ok:
                     disagreements += 1
                 checked += 1
-    elapsed = time.perf_counter() - t0
-    passed = disagreements == 0 and elapsed < 60.0
-    detail = f"{checked} (rose, graph) pairs, {disagreements} disagreements"
-    return CriterionResult("morphism-inclusion-equivalence", passed, elapsed, 60.0, detail)
+    return disagreements == 0, f"{checked} (rose, graph) pairs, {disagreements} disagreements"
 
 
-def criterion_primitive_classes() -> CriterionResult:
+@criterion("primitive-classes-tame", 60.0)
+def criterion_primitive_classes():
     """Every Nielsen-orbit class decides tame with a verified certificate."""
-    t0 = time.perf_counter()
     exceptions = 0
     counts = []
     for n, max_len in ((2, 8), (3, 6)):
@@ -156,17 +177,15 @@ def criterion_primitive_classes() -> CriterionResult:
             cert = decide_tame([cls])
             if not cert.tame or not verify_certificate([cls], cert):
                 exceptions += 1
-    elapsed = time.perf_counter() - t0
-    passed = exceptions == 0 and elapsed < 60.0
-    detail = f"orbit sizes {counts}, {exceptions} exceptions"
-    return CriterionResult("primitive-classes-tame", passed, elapsed, 60.0, detail)
+    return exceptions == 0, f"orbit sizes {counts}, {exceptions} exceptions"
 
 
-def criterion_separable_sets() -> CriterionResult:
-    """Seeded separable sets at ranks 3 and 4 all decide tame, with both
-    the witness replay and the certificate verifying."""
+@criterion("separable-sets-tame", 120.0)
+def criterion_separable_sets():
+    """Seeded separable sets at ranks 3 and 4 all decide tame, with the
+    witness replay, the certificate, and the certificate of the almost-rose
+    folded from the witness (``rose_for_separable``) all verifying."""
     sets_per_rank = 250
-    t0 = time.perf_counter()
     exceptions = 0
     total = 0
     for n, seed_base in ((3, 0), (4, 10_000)):
@@ -179,37 +198,37 @@ def criterion_separable_sets() -> CriterionResult:
                 exceptions += 1
                 continue
             cert = decide_tame(classes)
-            if not cert.tame or not verify_certificate(classes, cert):
+            folded = rose_for_separable(witness, classes)
+            if not (
+                cert.tame
+                and verify_certificate(classes, cert)
+                and verify_certificate(classes, folded)
+            ):
                 exceptions += 1
-    elapsed = time.perf_counter() - t0
-    passed = exceptions == 0 and elapsed < 120.0
-    detail = f"{total} separable sets, {exceptions} exceptions"
-    return CriterionResult("separable-sets-tame", passed, elapsed, 120.0, detail)
+    return exceptions == 0, f"{total} separable sets, {exceptions} exceptions"
 
 
-def criterion_negative_controls() -> CriterionResult:
+@criterion("negative-controls", 0.001)
+def criterion_negative_controls():
     """The commutator-like classes abAB and aabb are not tame, with
-    verified refutation witnesses."""
-    results = []
+    verified refutation witnesses; the time is the slower decision's."""
+    ok = True
     per_word = []
     for text in ("abAB", "aabb"):
         cls = conjugacy_class(parse_word(text, 2))
         cert = decide_tame([cls])
-        ok = (not cert.tame) and verify_certificate([cls], cert)
-        elapsed = _best_of(lambda c=cls: decide_tame([c]))
-        per_word.append(elapsed)
-        results.append(ok and elapsed < 0.001)
-    passed = all(results)
-    elapsed = max(per_word)
+        ok &= (not cert.tame) and verify_certificate([cls], cert)
+        per_word.append(_best_of(lambda c=cls: decide_tame([c])))
     detail = f"abAB and aabb refuted, per-decision times {[f'{t * 1e6:.0f}us' for t in per_word]}"
-    return CriterionResult("negative-controls", passed, elapsed, 0.001, detail)
+    return ok, detail, max(per_word)
 
 
-def criterion_basis_pipeline() -> CriterionResult:
+@criterion("basis-fold-pipeline", 60.0)
+def criterion_basis_pipeline():
     """Folding the wedge of a verified basis never drops Betti, lands on a
-    recognized almost-rose, and reads the first basis word."""
+    recognized almost-rose, and certifies that it reads the first basis
+    word."""
     bases_per_rank = 60
-    t0 = time.perf_counter()
     rng = random.Random(0xBA515)
     failures = 0
     total = 0
@@ -218,25 +237,22 @@ def criterion_basis_pipeline() -> CriterionResult:
             basis = random_basis(rng, n)
             total += 1
             try:
-                rose, seq, proof = rose_for_basis(basis)
+                cert, seq = rose_for_basis(basis)
             except Exception:
                 failures += 1
                 continue
             if any(step.betti_dropped for step in seq.steps):
                 failures += 1
-            elif len(proof.path) != len(proof.cyclic):
+            elif not verify_certificate([conjugacy_class(basis.images[0])], cert):
                 failures += 1
-    elapsed = time.perf_counter() - t0
-    passed = failures == 0 and total >= 100 and elapsed < 60.0
-    detail = f"{total} verified bases, {failures} failures"
-    return CriterionResult("basis-fold-pipeline", passed, elapsed, 60.0, detail)
+    return failures == 0 and total >= 100, f"{total} verified bases, {failures} failures"
 
 
-def criterion_fold_confluence() -> CriterionResult:
+@criterion("fold-confluence", 30.0)
+def criterion_fold_confluence():
     """Deterministic and randomized fold orders produce label-isomorphic
     folded images."""
     count = 1000
-    t0 = time.perf_counter()
     rng = random.Random(0xF01D)
     failures = 0
     for i in range(count):
@@ -246,17 +262,14 @@ def criterion_fold_confluence() -> CriterionResult:
         b = fold_to_completion(g, pick=random_fold_pick(random.Random(i))).final
         if not is_label_isomorphic(a, b):
             failures += 1
-    elapsed = time.perf_counter() - t0
-    passed = failures == 0 and elapsed < 30.0
-    detail = f"{count} graphs folded two ways, {failures} mismatches"
-    return CriterionResult("fold-confluence", passed, elapsed, 30.0, detail)
+    return failures == 0, f"{count} graphs folded two ways, {failures} mismatches"
 
 
-def criterion_set_vs_circuit_whitehead() -> CriterionResult:
+@criterion("set-vs-circuit-whitehead", 10.0)
+def criterion_set_vs_circuit_whitehead():
     """The Whitehead graph of a class set equals the Whitehead graph of its
     disjoint circuits, edge set for edge set."""
     count = 1000
-    t0 = time.perf_counter()
     rng = random.Random(0xC1AC)
     failures = 0
     for _ in range(count):
@@ -266,10 +279,7 @@ def criterion_set_vs_circuit_whitehead() -> CriterionResult:
         via_graph = whitehead_of_graph(disjoint_circuits(classes, rank))
         if direct.edges != via_graph.edges:
             failures += 1
-    elapsed = time.perf_counter() - t0
-    passed = failures == 0 and elapsed < 10.0
-    detail = f"{count} class sets, {failures} mismatches"
-    return CriterionResult("set-vs-circuit-whitehead", passed, elapsed, 10.0, detail)
+    return failures == 0, f"{count} class sets, {failures} mismatches"
 
 
 def _run_cli(args: list[str]) -> tuple[int, bytes]:
@@ -281,10 +291,10 @@ def _run_cli(args: list[str]) -> tuple[int, bytes]:
     return proc.returncode, proc.stdout
 
 
-def criterion_certificate_determinism() -> CriterionResult:
+@criterion("certificate-determinism", None)
+def criterion_certificate_determinism():
     """Certificates and seeded corpora are byte-identical across two fresh
     process runs, with the expected exit codes."""
-    t0 = time.perf_counter()
     commands = [
         (["tame", "aab"], 0),
         (["tame", "abAB"], 1),
@@ -303,21 +313,5 @@ def criterion_certificate_determinism() -> CriterionResult:
         code, out = _run_cli(args)
         if out != before:
             problems.append(f"{' '.join(args)}: output differs between runs")
-    elapsed = time.perf_counter() - t0
-    passed = not problems
     detail = "; ".join(problems) if problems else f"{len(commands)} commands byte-stable"
-    return CriterionResult("certificate-determinism", passed, elapsed, None, detail)
-
-
-CRITERIA = {
-    "wh-closed-form-312": criterion_wedge_closed_form,
-    "cut-vertex-sweep": criterion_cut_vertex_sweep,
-    "morphism-inclusion-equivalence": criterion_morphism_equivalence,
-    "primitive-classes-tame": criterion_primitive_classes,
-    "separable-sets-tame": criterion_separable_sets,
-    "negative-controls": criterion_negative_controls,
-    "basis-fold-pipeline": criterion_basis_pipeline,
-    "fold-confluence": criterion_fold_confluence,
-    "set-vs-circuit-whitehead": criterion_set_vs_circuit_whitehead,
-    "certificate-determinism": criterion_certificate_determinism,
-}
+    return not problems, detail

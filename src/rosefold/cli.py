@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import acceptance
 from .folding import fold_report_lines, fold_sequence_to_dot, fold_to_completion
-from .graphs import LabeledGraph, circuit, parse_graph_text, wedge_of_words
+from .graphs import LabeledGraph, parse_graph_text, wedge_of_words
 from .oracles import (
     is_verified_automorphism,
     parse_endomorphism_text,
@@ -31,10 +31,10 @@ from .oracles import (
 )
 from .tameness import (
     _edge_token,
+    _tame_certificate,
     almost_rose,
     certificate_to_text,
     decide_tame,
-    induced_morphism,
     recognize_almost_rose,
     verify_certificate,
     whitehead_of_almost_rose,
@@ -47,6 +47,7 @@ from .words import (
     TrivialWordError,
     Word,
     WordSyntaxError,
+    conjugacy_class,
     cyclic_reduce,
     free_reduce,
     letter_from_char,
@@ -341,12 +342,9 @@ def cmd_fold(args) -> int:
         f" relabel [{_relabel_text(rose.relabeling.targets)}]"
     )
     if spec is not None:
-        cyc, _ = cyclic_reduce(basis[0])
-        if induced_morphism(circuit(cyc), rose) is not None:
-            print("first word readable in almost-rose: yes")
-        else:
-            print("first word readable in almost-rose: no")
-            return 1
+        readable = _tame_certificate((conjugacy_class(basis[0]),), rose) is not None
+        print(f"first word readable in almost-rose: {'yes' if readable else 'no'}")
+        return 0 if readable else 1
     return 0
 
 

@@ -23,16 +23,16 @@ from .graphs import (
     Edge,
     GraphMorphism,
     LabeledGraph,
-    circuit,
     is_rose,
     oriented_edge,
     wedge_of_words,
 )
 from .tameness import (
     AlmostRose,
+    TamenessCertificate,
+    _tame_certificate,
     almost_rose_from_parts,
     factor_through_almost_rose,
-    induced_morphism,
 )
 from .words import (
     CyclicWord,
@@ -45,6 +45,7 @@ from .words import (
     free_reduce,
     invert,
     is_reduced,
+    normalize_classes,
     parse_word,
 )
 
@@ -376,58 +377,37 @@ def brute_force_morphism(
 # -- constructive pipelines ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReadingProof:
-    """A closed path in a graph spelling a cyclic word."""
-
-    cyclic: CyclicWord
-    start: int
-    path: tuple[int, ...]
-
-
-def _reading_proof(c: CyclicWord, rose: AlmostRose) -> ReadingProof:
-    """The closed path along which ``rose`` reads the cyclically reduced
-    class ``c``, read off ``induced_morphism(circuit(c), rose)``: it starts
-    at the image of circuit vertex 0, and its i-th directed edge is the
-    image of circuit edge i + 1, reversed when letter i is negative.
-
-    This is the only closed path reading ``c`` from that start.  Only the
-    wedge letter y has two edges leaving u, the loop and the edge to v, and
-    every other letter leaves each vertex at most once.  The letter after
-    y can be read from both u and v only when it is y^-1, and a cyclically
-    reduced class has no such pair, so the branch is decided at once.
-    """
-    m = induced_morphism(circuit(c), rose)
-    if m is None:
-        raise RuntimeError(f"internal error: class {c!s} unreadable in the almost-rose")
-    emap = m.edge_map
-    path = tuple(emap[i] if x > 0 else -emap[i] for i, x in enumerate(c.letters, start=1))
-    return ReadingProof(c, m.vertex_map[0], path)
+def _certified(rose: AlmostRose, classes) -> TamenessCertificate:
+    """The tame certificate that ``rose`` reads ``classes``, the one
+    ``decide_tame`` would give with this rose; ``verify_certificate``
+    checks it."""
+    cert = _tame_certificate(normalize_classes(classes), rose)
+    if cert is None:
+        raise RuntimeError("internal error: a class is unreadable in the folded almost-rose")
+    return cert
 
 
-def rose_for_basis(basis: EndomorphismSpec) -> tuple[AlmostRose, FoldSequence, ReadingProof]:
+def rose_for_basis(basis: EndomorphismSpec) -> tuple[TamenessCertificate, FoldSequence]:
     """Fold the wedge of circles spelling a verified basis into an
-    almost-rose that reads the first basis word.
+    almost-rose, ``cert.rose``, and certify that it reads the first basis
+    word.
 
     The first word must be cyclically reduced of length at least two; a
     single letter is rejected since it is readable in suitable
-    almost-roses without any folding.
+    almost-roses without any folding.  ``wedge_of_words`` rejects an
+    empty or unreduced word.
     """
     if not is_verified_automorphism(basis):
         raise ValueError("basis is not a verified automorphism")
-    n = basis.rank
     w1 = basis.images[0]
-    for w in basis.images:
-        if len(w) == 0 or not is_reduced(w):
-            raise ValueError(f"basis words must be reduced and nonempty: {w!s}")
     if len(w1) < 2:
         raise ValueError("first basis word must have length at least 2; single letters are trivially readable")
     cyc, conj = cyclic_reduce(w1)
     if len(conj) != 0:
         raise ValueError(f"first basis word must be cyclically reduced, got {w1!s}")
-    wedge = wedge_of_words(basis.images, n)
+    wedge = wedge_of_words(basis.images, basis.rank)
     rose, seq = factor_through_almost_rose(wedge.graph)
-    return rose, seq, _reading_proof(cyc, rose)
+    return _certified(rose, [cyc]), seq
 
 
 def _wedge_at_basepoints(a: BasedGraph, b: BasedGraph) -> BasedGraph:
@@ -447,8 +427,9 @@ def _wedge_at_basepoints(a: BasedGraph, b: BasedGraph) -> BasedGraph:
 
 def rose_for_separable(
     witness: SeparableWitness, classes: tuple[CyclicWord, ...]
-) -> tuple[AlmostRose, tuple[ReadingProof, ...]]:
-    """An almost-rose reading every class of a witnessed separable set.
+) -> TamenessCertificate:
+    """The tame certificate of an almost-rose reading every class of a
+    witnessed separable set.
 
     Builds the folded based graph of each (twisted) factor, conjugates
     both factors by single letters until the wedge point sees two distinct
@@ -481,7 +462,7 @@ def rose_for_separable(
         rose = almost_rose_from_parts(n, letters1[0], letters1[1:], (), letters2)
     else:
         rose, _ = factor_through_almost_rose(wedge.graph)
-    return rose, tuple(_reading_proof(c, rose) for c in classes)
+    return _certified(rose, classes)
 
 
 # -- random corpora ------------------------------------------------------------

@@ -286,8 +286,8 @@ def induced_morphism(g: LabeledGraph, rose: AlmostRose) -> GraphMorphism | None:
     letter, so ``g``'s lies inside it exactly when, at every vertex, the
     incoming letters all lie on one of the two clique sides kept in
     ``rose.sides``.  One pass over ``g.edges`` tests this and picks each
-    vertex's image (``_induced_map``, which ``decide_tame`` runs on the
-    circuit edges read from the letters).  No Whitehead graph is built;
+    vertex's image (``_induced_map``, which ``_tame_certificate`` runs on
+    the circuit edges read from the letters).  No Whitehead graph is built;
     the result is checked over the same edges with the check of
     ``verify_morphism``.
     """
@@ -501,6 +501,21 @@ def _is_spanning_tree(
     return True
 
 
+def _tame_certificate(norm: tuple[CyclicWord, ...], rose: AlmostRose) -> TamenessCertificate | None:
+    """The tame certificate that ``rose`` reads every class of ``norm``
+    (normalized, of the rose's rank), or None when it misses one.
+
+    This is the one place that reads classes in a rose: the circuit edges
+    read off the letters (``_circuit_edges``) go through ``_checked_map``,
+    so a class is read only through the morphism of its circuit.
+    """
+    edges = _circuit_edges(norm)
+    morphism = _checked_map(range(len(edges)), edges, rose)
+    if morphism is None:
+        return None
+    return TamenessCertificate(tame=True, rank=rose.rank, classes=norm, rose=rose, morphism=morphism)
+
+
 def decide_tame(classes, rank: int | None = None) -> TamenessCertificate:
     """Decide tameness of a set of conjugacy classes with a checkable
     certificate for either verdict.
@@ -518,13 +533,10 @@ def decide_tame(classes, rank: int | None = None) -> TamenessCertificate:
     rose = build_rose_from_whitehead(w)
     if rose is not None:
         # build_rose_from_whitehead has checked the Whitehead inclusion
-        edges = _circuit_edges(norm)
-        morphism = _checked_map(range(len(edges)), edges, rose)
-        if morphism is None:
+        cert = _tame_certificate(norm, rose)
+        if cert is None:
             raise RuntimeError("internal error: induced morphism missing despite inclusion")
-        return TamenessCertificate(
-            tame=True, rank=rank, classes=norm, rose=rose, morphism=morphism
-        )
+        return cert
     adj = w.adjacency()
     letters = w.letters()
     # letter x sits at position 2(|x| - 1), its inverse right after it
@@ -570,7 +582,10 @@ def verify_certificate(classes, cert: TamenessCertificate, rank: int | None = No
     vertex they share, and the last one returns to the first.
 
     A not-tame certificate must list the Whitehead edges of the classes,
-    and its trees must span the graph and each punctured graph.
+    and its trees must span the graph and each punctured graph.  Their
+    counts, 2n - 1 tree edges and 2n witnesses, are checked before the
+    graph's 2n-letter index is built, so a huge declared rank costs
+    nothing.
     """
     try:
         norm = normalize_classes(classes)
@@ -591,6 +606,8 @@ def verify_certificate(classes, cert: TamenessCertificate, rank: int | None = No
         cert.whitehead_edges is None
         or cert.spanning_tree is None
         or cert.non_cut_witness is None
+        or len(cert.spanning_tree) != 2 * rank - 1
+        or len(cert.non_cut_witness) != 2 * rank
     ):
         return False
     w = whitehead_of_classes(norm, rank)

@@ -6,9 +6,7 @@ from hypothesis import strategies as hyp_st
 
 import rosefold as rf
 from rosefold.oracles import (
-    ReadingProof,
     SearchLimitError,
-    _reading_proof,
     endomorphism_to_text,
     parse_endomorphism_text,
     random_basis,
@@ -16,6 +14,8 @@ from rosefold.oracles import (
     random_labeled_graph,
     separable_witness_to_text,
 )
+from rosefold.tameness import _tame_certificate
+from rosefold.words import normalize_classes
 
 from conftest import graph_st, reads
 
@@ -258,22 +258,29 @@ class TestBruteForceMorphism:
             assert included == brute == induced
 
 
+def first_word_verifies(basis, cert):
+    """Whether ``cert`` verifies as the tame certificate of the class of
+    the first basis word."""
+    return cert.tame and rf.verify_certificate([rf.conjugacy_class(basis.images[0])], cert)
+
+
 class TestRoseForBasis:
     def test_two_letter_basis(self):
         basis = spec(("ab", "b"), inverses=("aB", "b"))
-        rose, seq, proof = rf.rose_for_basis(basis)
-        assert (rose.k, rose.l) == (1, 2)
+        cert, seq = rf.rose_for_basis(basis)
+        assert (cert.rose.k, cert.rose.l) == (1, 2)
         assert not any(s.betti_dropped for s in seq.steps)
-        assert str(proof.cyclic) == "ab"
-        assert len(proof.path) == 2
+        assert [str(c) for c in cert.classes] == ["ab"]
+        assert first_word_verifies(basis, cert)
 
     def test_longer_first_word(self):
         # (aab, ab) is a basis: the inverse sends a -> aB, b -> bAb
         basis = spec(("aab", "ab"), inverses=("aB", "bAb"))
         assert rf.is_verified_automorphism(basis)
-        rose, _, proof = rf.rose_for_basis(basis)
-        assert reads(rose.graph, cyc("aab"))
-        assert str(proof.cyclic) == "aab"
+        cert, _ = rf.rose_for_basis(basis)
+        assert reads(cert.rose.graph, cyc("aab"))
+        assert [str(c) for c in cert.classes] == ["aab"]
+        assert first_word_verifies(basis, cert)
 
     def test_single_letter_rejected(self):
         basis = spec(("a", "b"), inverses=("a", "b"))
@@ -291,13 +298,21 @@ class TestRoseForBasis:
         with pytest.raises(ValueError, match="cyclically reduced"):
             rf.rose_for_basis(basis)
 
+    def test_unreduced_word_rejected(self):
+        # bBb reduces to b, so this is a basis, but the wedge needs reduced circles
+        basis = spec(("ab", "bBb"), inverses=("aB", "b"))
+        assert rf.is_verified_automorphism(basis)
+        with pytest.raises(ValueError, match="reduced and nonempty: bBb"):
+            rf.rose_for_basis(basis)
+
     @given(hyp_st.integers(0, 10**6))
     @settings(max_examples=30)
     def test_random_bases(self, seed):
         basis = random_basis(random.Random(seed), 2)
-        rose, seq, proof = rf.rose_for_basis(basis)
+        cert, seq = rf.rose_for_basis(basis)
         assert not any(s.betti_dropped for s in seq.steps)
-        assert reads(rose.graph, proof.cyclic)
+        assert reads(cert.rose.graph, cert.classes[0])
+        assert first_word_verifies(basis, cert)
 
 
 def closed_walk_class(rng, g, max_len):
@@ -325,20 +340,9 @@ def reading_classes(rng, rose):
     return classes + [c for c in walks if c is not None]
 
 
-def is_closed_reading(g, start, path, c):
-    """Whether the directed edges ``path`` form a closed walk at ``start``
-    in ``g`` spelling the letters of ``c``."""
-    v = start
-    for d, x in zip(path, c.letters, strict=True):
-        if g.dir_origin(d) != v or g.dir_label(d) != x:
-            return False
-        v = g.dir_terminus(d)
-    return v == start
-
-
-class TestReadingProof:
-    """``_reading_proof`` reads a class through the induced morphism of its
-    circuit; brute force decides readability and gives the one reading."""
+class TestTameCertificate:
+    """``_tame_certificate`` reads a class through the morphism of its
+    circuit; brute force decides readability and gives the one morphism."""
 
     def roses(self):
         sample = random.Random(4).sample(rf.enumerate_almost_roses(4), 40)
@@ -349,20 +353,16 @@ class TestReadingProof:
         readable = unreadable = 0
         for rose in self.roses():
             for c in reading_classes(rng, rose):
-                brute = rf.brute_force_morphism(rf.circuit(c), rose.graph)
-                if brute is None:
+                norm = normalize_classes([c])
+                cert = _tame_certificate(norm, rose)
+                if rf.brute_force_morphism(rf.circuit(c), rose.graph) is None:
                     unreadable += 1
-                    with pytest.raises(RuntimeError, match="unreadable"):
-                        _reading_proof(c, rose)
+                    assert cert is None
                     continue
                 readable += 1
-                emap = brute.edge_map
-                start = brute.vertex_map[0]
-                path = tuple(
-                    emap[i + 1] if x > 0 else -emap[i + 1] for i, x in enumerate(c.letters)
-                )
-                assert is_closed_reading(rose.graph, start, path, c)
-                assert _reading_proof(c, rose) == ReadingProof(c, start, path)
+                assert cert is not None and rf.verify_certificate([c], cert)
+                assert cert.rose is rose
+                assert cert.morphism == rf.brute_force_morphism(rf.circuit(norm[0]), rose.graph)
         assert readable > 1000 and unreadable > 1000
 
 
@@ -377,9 +377,9 @@ class TestRoseForSeparable:
             conjugators=(word(""), word("")),
         )
         classes = (cyc("a"), cyc("b"))
-        rose, proofs = rf.rose_for_separable(witness, classes)
-        assert rose.k == rose.l  # the two-sided rose joined by an edge
-        assert len(proofs) == 2
+        cert = rf.rose_for_separable(witness, classes)
+        assert cert.rose.k == cert.rose.l  # the two-sided rose joined by an edge
+        assert rf.verify_certificate(classes, cert)
 
     def test_conjugated_class_handled(self):
         witness = rf.SeparableWitness(
@@ -391,8 +391,8 @@ class TestRoseForSeparable:
             conjugators=(word("b"),),
         )
         classes = (rf.conjugacy_class(word("baB")),)
-        rose, proofs = rf.rose_for_separable(witness, classes)
-        assert len(proofs) == 1
+        cert = rf.rose_for_separable(witness, classes)
+        assert rf.verify_certificate(classes, cert)
 
     def test_invalid_witness_rejected(self):
         witness = rf.SeparableWitness(
@@ -424,20 +424,19 @@ class TestRoseForSeparable:
             rf.conjugacy_class(word("abaBA")),
             rf.conjugacy_class(word("abA")),
         )
-        rose, proofs = rf.rose_for_separable(witness, classes)
-        assert len(proofs) == 2
+        cert = rf.rose_for_separable(witness, classes)
+        assert rf.verify_certificate(classes, cert)
         for c in classes:
-            assert reads(rose.graph, c)
+            assert reads(cert.rose.graph, c)
 
     @given(hyp_st.integers(0, 2000))
     @settings(max_examples=30)
     def test_seeded_sets_read_in_their_rose(self, seed):
         classes, witness = rf.random_separable_set(3, seed=seed, count=3)
-        rose, proofs = rf.rose_for_separable(witness, classes)
-        for c, proof in zip(classes, proofs):
-            assert proof.cyclic == c
-            assert len(proof.path) == len(c)
-            assert reads(rose.graph, c)
+        cert = rf.rose_for_separable(witness, classes)
+        assert rf.verify_certificate(classes, cert)
+        for c in classes:
+            assert reads(cert.rose.graph, c)
 
 
 class TestWitnessFiles:

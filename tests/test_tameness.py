@@ -862,6 +862,22 @@ class TestVerifyCertificate:
         bad = dataclasses.replace(cert, whitehead_edges=cert.whitehead_edges[:-1])
         assert not rf.verify_certificate(classes, bad)
 
+    def test_huge_declared_rank_rejected_before_the_letter_index(self, monkeypatch):
+        # 2n - 1 tree edges and 2n witnesses are counted before the 2n
+        # letters are listed; listing them at rank 10^12 ran out of memory
+        n = 10**12
+        classes = normalize_classes([rf.CyclicWord((1, 2, -1, -2), n)])
+        edges = tuple(rf.whitehead_of_classes(classes, n).sorted_edges())
+        cert = rf.TamenessCertificate(
+            False, n, classes, whitehead_edges=edges, spanning_tree=(), non_cut_witness=()
+        )
+
+        def no_letters(self):
+            raise AssertionError("the 2n-letter index was built")
+
+        monkeypatch.setattr(WhiteheadGraph, "letters", no_letters)
+        assert not rf.verify_certificate(classes, cert)
+
 
 class TestCertificateText:
     def test_tame_golden(self):
