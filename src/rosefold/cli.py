@@ -349,9 +349,9 @@ def cmd_fold(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    if not 2 <= args.n <= MAX_PARSE_RANK or args.max_len < 1 or args.budget < 1:
-        raise CliError(f"need 2 <= n <= {MAX_PARSE_RANK}, max_len >= 1, budget >= 1")
-    orbit = primitive_orbit(args.n, args.max_len, args.budget)
+    if args.max_len < 1 or args.budget < 1:
+        raise CliError("need max_len >= 1, budget >= 1")
+    orbit = primitive_orbit(_check_rank(args.n), args.max_len, args.budget)
     classes = normalize_classes(list(orbit.classes))
     lines = [str(c) for c in classes]
     if args.out:
@@ -365,10 +365,10 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_sep(args) -> int:
-    if not 2 <= args.n <= MAX_PARSE_RANK or args.count < 1 or args.max_len < 2:
-        raise CliError(f"need 2 <= n <= {MAX_PARSE_RANK}, count >= 1, max_len >= 2")
+    if args.count < 1 or args.max_len < 2:
+        raise CliError("need count >= 1, max_len >= 2")
     try:
-        classes, witness = random_separable_set(args.n, args.seed, args.count, args.max_len)
+        classes, witness = random_separable_set(_check_rank(args.n), args.seed, args.count, args.max_len)
     except (ValueError, RuntimeError) as exc:
         raise CliError(str(exc)) from exc
     class_lines = "\n".join(str(c) for c in classes) + "\n"

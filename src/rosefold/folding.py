@@ -15,10 +15,10 @@ default pick is the lowest vertex with a collision; there, the label
 whose second outgoing edge comes first in ``out_edges`` order, and that
 label's first two edges.  One pick costs one heap pop and one push per
 label with two or more edges at that vertex (at most 2·rank labels),
-after dropping the folded-away edges on top.  One fold costs three
-union-find lookups and, when the termini differ, pushing the smaller
-class's edges into the larger's heaps; each edge moves O(log E) times,
-so a run is near-linear in the number E of edge pairs.  A run builds
+after dropping the folded-away edges just under the live top.  One fold
+costs three union-find lookups and, when the termini differ, pushing the
+smaller class's edges into the larger's heaps; each edge moves O(log E)
+times, so a run is near-linear in the number E of edge pairs.  A run builds
 only the penultimate and final graphs with ``_replay``, which builds the
 graph after some steps from the merges they record: the penultimate
 graph from the start and all steps but the last, and the final graph
@@ -45,6 +45,7 @@ from .graphs import (
     Edge,
     LabeledGraph,
     NotConnectedError,
+    _dot_lines,
     betti,
     core,
     core_pair,
@@ -116,9 +117,11 @@ class _FoldState:
     the keys of its outgoing directed edges with that label; when two
     classes merge, the smaller heaps are pushed into the larger.  A
     folded-away edge pair is only marked dead, and its keys are dropped
-    when they reach the top of a heap.  ``todo`` is a heap of vertices
-    that may have a label collision: every class that gained one since
-    it was last found to have none.
+    when they come next after a heap's top, which is never dead: a fold
+    keeps the smaller id of its pair, whose key at each end is smaller
+    and in the same heap, and heaps only merge.  ``todo`` is a heap of
+    vertices that may have a label collision: every class that gained
+    one since it was last found to have none.
     """
 
     def __init__(self, g: LabeledGraph) -> None:
@@ -150,11 +153,7 @@ class _FoldState:
                 for h in out[v].values():
                     if len(h) < 2:
                         continue
-                    while h and h[0] >> 1 in dead:
-                        pop(h)
-                    if len(h) < 2:
-                        continue
-                    first = pop(h)
+                    first = pop(h)  # never dead; see the class docstring
                     while h and h[0] >> 1 in dead:
                         pop(h)
                     if h and (second is None or h[0] < second):
@@ -324,16 +323,9 @@ def fold_report_lines(seq: FoldSequence) -> list[str]:
 
 def fold_sequence_to_dot(seq: FoldSequence) -> str:
     lines = ["digraph folds {"]
-    chars = LETTER_CHARS
     for i, snap in enumerate(seq.snapshots):
-        lines.append(f"  subgraph cluster_{i} {{")
-        lines.append(f'    label="snapshot {i}";')
-        for v in sorted(snap.vertices):
-            lines.append(f'    s{i}_v{v} [shape=circle label="{v}"];')
-        for e in snap.edges:
-            lines.append(
-                f'    s{i}_v{e.origin} -> s{i}_v{e.terminus} [label="{chars[e.label]}"];'
-            )
+        lines += [f"  subgraph cluster_{i} {{", f'    label="snapshot {i}";']
+        lines += _dot_lines(snap, "    ", f"s{i}_v")
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"

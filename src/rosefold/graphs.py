@@ -34,6 +34,7 @@ from .words import (
     CyclicWord,
     RankError,
     Word,
+    _valid_rank,
     class_rank,
     is_reduced,
     letter_from_char,
@@ -71,8 +72,7 @@ class LabeledGraph:
     _out: dict[int, list[tuple[int, int, int]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.rank < 2:
-            raise RankError(f"rank must be at least 2, got {self.rank}")
+        _valid_rank(self.rank)
         object.__setattr__(self, "edges", tuple(sorted(self.edges, key=lambda e: e.eid)))
         by_id: dict[int, Edge] = {}
         out: dict[int, list[tuple[int, int, int]]] = {v: [] for v in self.vertices}
@@ -174,9 +174,7 @@ class GraphMorphism:
 
 
 def rose(n: int) -> LabeledGraph:
-    """One vertex with one loop per generator."""
-    if n < 2:
-        raise RankError(f"rose needs rank at least 2, got {n}")
+    """One vertex with one loop per generator; ``LabeledGraph`` checks ``n``."""
     return LabeledGraph(n, frozenset({0}), tuple(Edge(i, 0, 0, i) for i in range(1, n + 1)))
 
 
@@ -214,9 +212,8 @@ def disjoint_circuits(classes, rank: int | None = None) -> LabeledGraph:
 
 def wedge_of_words(ws: tuple[Word, ...], rank: int) -> BasedGraph:
     """Subdivided circles reading the given words, joined at basepoint 0."""
+    class_rank(ws, rank)
     for w in ws:
-        if w.rank != rank:
-            raise RankError(f"word rank {w.rank} differs from {rank}")
         if len(w) == 0 or not is_reduced(w):
             raise ValueError(f"wedge words must be reduced and nonempty: {w!s}")
     vertices = {0}
@@ -474,6 +471,8 @@ def parse_graph_text(text: str) -> LabeledGraph:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
+        if parts[0] == "rank" and rank is not None:
+            raise ValueError(f"graph text repeats its rank line, at line {lineno}: {raw!r}")
         try:
             if parts[0] == "rank" and len(parts) == 2:
                 rank = int(parts[1])
@@ -494,12 +493,16 @@ def parse_graph_text(text: str) -> LabeledGraph:
     return LabeledGraph(rank, frozenset(vertices), tuple(edges))
 
 
-def graph_to_dot(g: LabeledGraph, name: str = "G") -> str:
-    lines = [f"digraph {name} {{", "  rankdir=LR;"]
-    for v in sorted(g.vertices):
-        lines.append(f'  v{v} [shape=circle label="{v}"];')
+def _dot_lines(g: LabeledGraph, indent: str, prefix: str) -> list[str]:
+    """The DOT vertex and edge lines of ``g``, each line led by ``indent``
+    and each vertex named ``prefix`` followed by its number."""
     chars = LETTER_CHARS
+    lines = [f'{indent}{prefix}{v} [shape=circle label="{v}"];' for v in sorted(g.vertices)]
     for e in g.edges:
-        lines.append(f'  v{e.origin} -> v{e.terminus} [label="{chars[e.label]}"];')
-    lines.append("}")
+        lines.append(f'{indent}{prefix}{e.origin} -> {prefix}{e.terminus} [label="{chars[e.label]}"];')
+    return lines
+
+
+def graph_to_dot(g: LabeledGraph, name: str = "G") -> str:
+    lines = [f"digraph {name} {{", "  rankdir=LR;", *_dot_lines(g, "  ", "v"), "}"]
     return "\n".join(lines) + "\n"

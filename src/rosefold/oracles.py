@@ -36,9 +36,11 @@ from .tameness import (
 )
 from .words import (
     CyclicWord,
-    RankError,
     TrivialWordError,
     Word,
+    _same_rank,
+    _valid_rank,
+    class_rank,
     conjugacy_class,
     conjugate,
     cyclic_reduce,
@@ -67,17 +69,14 @@ class EndomorphismSpec:
     inverse_images: tuple[Word, ...] | None = None
 
     def __post_init__(self) -> None:
+        _valid_rank(self.rank)
         if len(self.images) != self.rank:
             raise ValueError(f"need {self.rank} images, got {len(self.images)}")
-        for w in self.images:
-            if w.rank != self.rank:
-                raise RankError(f"image rank {w.rank} differs from {self.rank}")
+        class_rank(self.images, self.rank)
         if self.inverse_images is not None:
             if len(self.inverse_images) != self.rank:
                 raise ValueError("inverse images must cover every generator")
-            for w in self.inverse_images:
-                if w.rank != self.rank:
-                    raise RankError("inverse image rank mismatch")
+            class_rank(self.inverse_images, self.rank)
 
 
 def identity_endomorphism(n: int) -> EndomorphismSpec:
@@ -86,8 +85,7 @@ def identity_endomorphism(n: int) -> EndomorphismSpec:
 
 
 def apply_endomorphism(spec: EndomorphismSpec, w: Word) -> Word:
-    if spec.rank != w.rank:
-        raise RankError(f"word rank {w.rank} differs from spec rank {spec.rank}")
+    _same_rank(spec.rank, w.rank)
     letters: list[int] = []
     for v in w.letters:
         img = spec.images[abs(v) - 1]
@@ -103,8 +101,7 @@ def inverse_spec(spec: EndomorphismSpec) -> EndomorphismSpec:
 
 def compose_endomorphisms(outer: EndomorphismSpec, inner: EndomorphismSpec) -> EndomorphismSpec:
     """The composite applying ``inner`` first, then ``outer``."""
-    if outer.rank != inner.rank:
-        raise RankError("cannot compose specs of different ranks")
+    _same_rank(outer.rank, inner.rank)
     images = tuple(apply_endomorphism(outer, w) for w in inner.images)
     inverse = None
     if outer.inverse_images is not None and inner.inverse_images is not None:
@@ -133,8 +130,7 @@ def nielsen_generators(n: int) -> list[EndomorphismSpec]:
     """Transpositions of generators, inversion of the first generator, and
     the transvection sending it to its product with the second; each spec
     carries its inverse."""
-    if n < 2:
-        raise ValueError(f"rank must be at least 2, got {n}")
+    _valid_rank(n)
 
     def gen(i: int) -> Word:
         return Word((i,), n)
@@ -245,8 +241,7 @@ def random_separable_set(
     """Deterministically draw ``count`` distinct classes, each conjugate
     into one factor of a random free decomposition twisted by a random
     automorphism."""
-    if n < 2:
-        raise ValueError(f"rank must be at least 2, got {n}")
+    _valid_rank(n)
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     if max_len < 2:
@@ -337,8 +332,7 @@ def brute_force_morphism(
     has an edge of ``h`` with the same label between their images, looked
     up in ``h.id_by_ends``; the least such edge is its image.
     """
-    if g.rank != h.rank:
-        raise RankError(f"rank mismatch: {g.rank} vs {h.rank}")
+    _same_rank(g.rank, h.rank)
     gverts = g.ascending_vertices
     hverts = h.ascending_vertices
     ng, nh = len(gverts), len(hverts)
@@ -471,6 +465,7 @@ def rose_for_separable(
 def random_labeled_graph(
     rng: random.Random, rank: int, max_vertices: int = 6, max_edge_pairs: int = 10
 ) -> LabeledGraph:
+    _valid_rank(rank)
     nv = rng.randint(1, max_vertices)
     ne = rng.randint(0, max_edge_pairs)
     edges = tuple(
@@ -481,15 +476,11 @@ def random_labeled_graph(
 
 
 def random_class(rng: random.Random, rank: int, max_len: int) -> CyclicWord:
-    while True:
-        letters = list(range(1, rank + 1))
-        w = _random_reduced_word(rng, rank, letters, rng.randint(1, max_len))
-        try:
-            cls = conjugacy_class(w)
-        except TrivialWordError:
-            continue
-        if len(cls) <= max_len:
-            return cls
+    """The class of a random reduced word of 1 to ``max_len`` letters.  One
+    draw: a nonempty reduced word is never trivial, and cyclic reduction
+    never lengthens it."""
+    letters = list(range(1, _valid_rank(rank) + 1))
+    return conjugacy_class(_random_reduced_word(rng, rank, letters, rng.randint(1, max_len)))
 
 
 def random_basis(rng: random.Random, n: int, max_moves: int = 6) -> EndomorphismSpec:
@@ -515,13 +506,14 @@ def _parse_word_token(token: str, rank: int) -> Word:
     return Word((), rank) if token == "-" else parse_word(token, rank)
 
 
+def _image_lines(spec: EndomorphismSpec) -> list[str]:
+    """The ``image`` lines of ``spec``, then its ``inverse`` lines if any."""
+    tagged = [("image", spec.images), ("inverse", spec.inverse_images or ())]
+    return [f"{tag} {i} -> {_word_token(w)}" for tag, ws in tagged for i, w in enumerate(ws, 1)]
+
+
 def endomorphism_to_text(spec: EndomorphismSpec) -> str:
-    lines = ["basis-witness", f"rank {spec.rank}"]
-    for i, w in enumerate(spec.images, start=1):
-        lines.append(f"image {i} -> {_word_token(w)}")
-    if spec.inverse_images is not None:
-        for i, w in enumerate(spec.inverse_images, start=1):
-            lines.append(f"inverse {i} -> {_word_token(w)}")
+    lines = ["basis-witness", f"rank {spec.rank}", *_image_lines(spec)]
     return "\n".join(lines) + "\n"
 
 
@@ -541,12 +533,17 @@ def parse_endomorphism_text(text: str) -> EndomorphismSpec:
             continue
         parts = line.split()
         if parts[0] == "rank" and len(parts) == 2:
-            rank = int(parts[1])
+            if rank is not None:
+                raise ValueError(f"witness text repeats its rank line: {raw!r}")
+            rank = _valid_rank(int(parts[1]))
         elif parts[0] in ("image", "inverse") and len(parts) == 4 and parts[2] == "->":
             if rank is None:
                 raise ValueError("witness text must declare rank before images")
             target = images if parts[0] == "image" else inverses
-            target[int(parts[1])] = _parse_word_token(parts[3], rank)
+            i = int(parts[1])
+            if i in target:
+                raise ValueError(f"witness text repeats {parts[0]} {i}: {raw!r}")
+            target[i] = _parse_word_token(parts[3], rank)
         else:
             raise ValueError(f"unrecognized witness line: {raw!r}")
     if rank is None or not _one_per_generator(images, rank):
@@ -561,11 +558,7 @@ def parse_endomorphism_text(text: str) -> EndomorphismSpec:
 
 def separable_witness_to_text(witness: SeparableWitness) -> str:
     lines = ["separable-witness", f"rank {witness.rank}", f"split {witness.split}"]
-    for i, w in enumerate(witness.automorphism.images, start=1):
-        lines.append(f"image {i} -> {_word_token(w)}")
-    assert witness.automorphism.inverse_images is not None
-    for i, w in enumerate(witness.automorphism.inverse_images, start=1):
-        lines.append(f"inverse {i} -> {_word_token(w)}")
+    lines += _image_lines(witness.automorphism)
     for j in range(len(witness.factor_words)):
         lines.append(f"factor {j + 1} -> {witness.factor_sides[j]}")
         lines.append(f"word {j + 1} -> {_word_token(witness.factor_words[j])}")

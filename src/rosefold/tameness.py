@@ -38,7 +38,15 @@ from .graphs import (
     oriented_edge,
 )
 from .whitehead import WhiteheadGraph, cut_vertices, whitehead_of_classes
-from .words import LETTER_CHARS, CyclicWord, RankError, class_rank, letter_key, normalize_classes
+from .words import (
+    LETTER_CHARS,
+    CyclicWord,
+    _same_rank,
+    _valid_rank,
+    class_rank,
+    letter_key,
+    normalize_classes,
+)
 
 
 class FoldFactorError(RuntimeError):
@@ -56,9 +64,7 @@ class SignedRelabeling:
     targets: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.targets)
-        if n < 2:
-            raise RankError(f"rank must be at least 2, got {n}")
+        n = _valid_rank(len(self.targets))
         if sorted(abs(t) for t in self.targets) != list(range(1, n + 1)):
             raise ValueError(f"targets are not a signed permutation: {self.targets}")
 
@@ -73,13 +79,6 @@ class SignedRelabeling:
     def apply_letter(self, v: int) -> int:
         t = self.targets[abs(v) - 1]
         return t if v > 0 else -t
-
-
-def _check_shape(n: int, k: int, l: int) -> None:
-    if n < 2:
-        raise ValueError(f"rank must be at least 2, got {n}")
-    if not (1 <= k <= l <= n and k < n):
-        raise ValueError(f"need 1 <= k <= l <= n and k < n, got k={k} l={l} n={n}")
 
 
 def _standard_graph(n: int, k: int, l: int, relabeling: SignedRelabeling) -> LabeledGraph:
@@ -109,11 +108,11 @@ class AlmostRose:
     graph: LabeledGraph = field(init=False)
 
     def __post_init__(self) -> None:
-        _check_shape(self.rank, self.k, self.l)
-        if self.relabeling.rank != self.rank:
-            raise RankError("relabeling rank differs from almost-rose rank")
-        graph = _standard_graph(self.rank, self.k, self.l, self.relabeling)
-        object.__setattr__(self, "graph", graph)
+        # Matching the relabeling's rank, which is at least 2, checks the rank.
+        n, k, l = _same_rank(self.relabeling.rank, self.rank), self.k, self.l
+        if not (1 <= k <= l <= n and k < n):
+            raise ValueError(f"need 1 <= k <= l <= n and k < n, got k={k} l={l} n={n}")
+        object.__setattr__(self, "graph", _standard_graph(n, k, l, self.relabeling))
 
     @functools.cached_property
     def sides(self) -> tuple[frozenset[int], frozenset[int]]:
@@ -255,8 +254,7 @@ def enumerate_almost_roses(n: int) -> list[AlmostRose]:
     sign of y.  Hence there are ``2n * sum C(n-1, k-1) * C(n-k, l-k) *
     2^(l-k)`` roses, summed over the shapes (k, l).
     """
-    if n < 2:
-        raise ValueError(f"rank must be at least 2, got {n}")
+    _valid_rank(n)
     signed_letters = sorted(
         (s * i for i in range(1, n + 1) for s in (1, -1)), key=letter_key
     )
@@ -291,8 +289,7 @@ def induced_morphism(g: LabeledGraph, rose: AlmostRose) -> GraphMorphism | None:
     the result is checked over the same edges with the check of
     ``verify_morphism``.
     """
-    if g.rank != rose.rank:
-        raise RankError(f"rank mismatch: graph {g.rank} vs almost-rose {rose.rank}")
+    _same_rank(rose.rank, g.rank)
     return _checked_map(g.vertices, g.edges, rose)
 
 

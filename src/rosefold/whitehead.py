@@ -14,7 +14,7 @@ import functools
 from dataclasses import dataclass
 
 from .graphs import LabeledGraph, adjacency_components
-from .words import LETTER_CHARS, RankError, class_rank, letter_key
+from .words import LETTER_CHARS, _check_letters, _same_rank, class_rank, letter_key
 
 
 @dataclass(frozen=True)
@@ -23,14 +23,10 @@ class WhiteheadGraph:
     edges: frozenset[frozenset[int]]
 
     def __post_init__(self) -> None:
-        if self.rank < 2:
-            raise RankError(f"rank must be at least 2, got {self.rank}")
+        _check_letters([v for edge in self.edges for v in edge], self.rank)
         for edge in self.edges:
             if len(edge) != 2:
                 raise ValueError(f"Whitehead edges join two distinct letters: {set(edge)}")
-            for v in edge:
-                if v == 0 or abs(v) > self.rank:
-                    raise RankError(f"letter {v} out of range for rank {self.rank}")
 
     def letters(self) -> list[int]:
         """The 2n letters in ``letter_key`` order: a, A, b, B, ..."""
@@ -152,8 +148,7 @@ def cut_vertices(w: WhiteheadGraph) -> set[int]:
 
 
 def is_subgraph(w1: WhiteheadGraph, w2: WhiteheadGraph) -> bool:
-    if w1.rank != w2.rank:
-        raise RankError(f"rank mismatch: {w1.rank} vs {w2.rank}")
+    _same_rank(w1.rank, w2.rank)
     return w1.edges <= w2.edges
 
 

@@ -24,7 +24,7 @@ class WordSyntaxError(ValueError):
 
 
 class RankError(ValueError):
-    """A letter index exceeds the ambient rank, or two ranks disagree."""
+    """A rank below 2, a letter index beyond the rank, or two ranks that disagree."""
 
 
 class TrivialWordError(ValueError):
@@ -73,9 +73,23 @@ def letter_from_char(c: str) -> int:
     raise WordSyntaxError(f"invalid letter {c!r}")
 
 
-def _check_letters(letters: tuple[int, ...], rank: int) -> None:
+def _valid_rank(rank: int) -> int:
+    """``rank``, which must be at least 2: the one rank rule.  Every word,
+    graph and map lives over a free basis of rank n >= 2."""
     if rank < 2:
         raise RankError(f"rank must be at least 2, got {rank}")
+    return rank
+
+
+def _same_rank(rank: int, other: int) -> int:
+    """``rank``, which ``other`` must equal; ``class_rank`` checks many values."""
+    if other != rank:
+        raise RankError(f"mixed ranks {rank} and {other}")
+    return rank
+
+
+def _check_letters(letters: Iterable[int], rank: int) -> None:
+    _valid_rank(rank)
     for v in letters:
         if v == 0 or abs(v) > rank:
             raise RankError(f"letter {v} out of range for rank {rank}")
@@ -188,11 +202,7 @@ def concat(*ws: Word) -> Word:
     """Concatenation without reduction; ranks must agree."""
     if not ws:
         raise ValueError("concat needs at least one word")
-    rank = ws[0].rank
-    for w in ws:
-        if w.rank != rank:
-            raise RankError(f"mixed ranks {rank} and {w.rank}")
-    return Word(tuple(v for w in ws for v in w.letters), rank)
+    return Word(tuple(v for w in ws for v in w.letters), class_rank(ws))
 
 
 def product(*ws: Word) -> Word:
@@ -263,16 +273,14 @@ def conjugacy_class(w: Word) -> CyclicWord:
     return canonical_rotation(cyclic_reduce(w)[0])
 
 
-def class_rank(classes: Iterable[CyclicWord], rank: int | None = None) -> int:
-    """The one rank of ``classes``, which must equal ``rank`` when given."""
-    ranks = {c.rank for c in classes}
-    if rank is not None:
-        ranks.add(rank)
-    if not ranks:
+def class_rank(classes: Iterable, rank: int | None = None) -> int:
+    """The one rank of ``classes``, or of any values with a ``.rank``,
+    which must equal ``rank`` when given."""
+    for c in classes:
+        rank = c.rank if rank is None else _same_rank(rank, c.rank)
+    if rank is None:
         raise ValueError("empty class set needs an explicit rank")
-    if len(ranks) > 1:
-        raise RankError(f"mixed ranks {sorted(ranks)}")
-    return ranks.pop()
+    return rank
 
 
 def normalize_classes(words: Iterable[CyclicWord]) -> tuple[CyclicWord, ...]:

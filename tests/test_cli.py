@@ -90,6 +90,11 @@ class TestTame:
         code, _, _ = run(capsys, "tame", "a!b")
         assert code == 2
 
+    def test_trivial_class_exits_2(self, capsys):
+        code, out, err = run(capsys, "tame", "aA")
+        assert code == 2 and out == ""
+        assert err.startswith("error: trivial word has no conjugacy class")
+
     def test_rank_above_26_exits_2(self, capsys):
         code, _, err = run(capsys, "tame", "ab", "--rank", "27")
         assert code == 2
@@ -244,6 +249,18 @@ class TestClassInputForms:
         assert code == 2 and out == ""
         assert err.startswith("error:") and message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command",
+        [["orbit", "{n}", "2"], ["sep", "{n}", "--seed", "1"], ["rose-wh", "{n}", "1", "2"]],
+        ids=["orbit", "sep", "rose-wh"],
+    )
+    @pytest.mark.parametrize("n, message", [("1", "at least 2, got 1"), ("-1", "at least 2, got -1"), ("27", "at most 26")])
+    def test_rank_argument_bounds_exit_2(self, capsys, command, n, message):
+        # the rank argument meets the same bounds, with the same words, as --rank
+        code, out, err = run(capsys, *(arg.format(n=n) for arg in command))
+        assert code == 2 and out == ""
+        assert err.startswith("error: rank must be") and message in err
+
     @pytest.mark.parametrize("command", ["tame", "wh"])
     def test_rotations_and_duplicates(self, capsys, command):
         outputs = [run(capsys, command, *ws)[:2] for ws in (["aab"], ["baa"], ["aba", "aab"])]
@@ -345,6 +362,58 @@ class TestFold:
         assert "penultimate: almost-rose k=1 l=1" in out
         assert out.endswith("first word readable in almost-rose: yes\n")
 
+    def test_core_graph_that_is_not_an_almost_rose_declines(self, capsys, tmp_path):
+        # core, Betti 2 and surjective, but the default fold order loses core-ness
+        g = rf.LabeledGraph(
+            2,
+            frozenset({0, 1, 2}),
+            (rf.Edge(1, 0, 1, 1), rf.Edge(2, 0, 2, 1), rf.Edge(3, 1, 2, 1), rf.Edge(4, 1, 2, 2)),
+        )
+        path = tmp_path / "core.txt"
+        path.write_text(rf.graph_to_text(g))
+        code, out, _ = run(capsys, "fold", "--graph", str(path))
+        assert code == 1
+        assert out.endswith("penultimate recognition declined: not an almost-rose\n")
+
+    def test_witness_with_graph_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "rose2.txt"
+        path.write_text(rf.graph_to_text(rf.rose(2)))
+        code, out, err = run(capsys, "fold", "--graph", str(path), "--witness", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: --witness only applies to --basis mode\n"
+
+    def test_witness_without_inverse_lines_is_not_verified(self, capsys, tmp_path):
+        path = tmp_path / "basis.witness"
+        path.write_text("basis-witness\nrank 2\nimage 1 -> ab\nimage 2 -> b\n")
+        code, out, _ = run(capsys, "fold", "--basis", "ab,b", "--witness", str(path))
+        assert code == 1
+        assert out.endswith("witness: not a verified automorphism\n")
+
+    @pytest.mark.parametrize(
+        "args, text, message",
+        [
+            (
+                ("--basis", "ab,b", "--witness"),
+                "basis-witness\nrank 2\nimage 1 -> b\nimage 1 -> ab\nimage 2 -> b\n"
+                "inverse 1 -> aB\ninverse 2 -> b\n",
+                "error: witness text repeats image 1: 'image 1 -> ab'\n",
+            ),
+            (
+                ("--graph",),
+                "rank 2\nrank 3\nvertex 0\nedge 1 0 0 a\nedge 2 0 0 b\n",
+                "error: graph text repeats its rank line, at line 2: 'rank 3'\n",
+            ),
+        ],
+        ids=["witness-repeats-image", "graph-repeats-rank"],
+    )
+    def test_file_repeating_a_line_exits_2(self, capsys, tmp_path, args, text, message):
+        # the last of the two lines used to win: the witness passed as a
+        # verified automorphism, and the graph was read at rank 3
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "fold", *args, str(path))
+        assert (code, out, err) == (2, "", message)
+
     def test_dot_snapshots(self, capsys):
         code, out, _ = run(capsys, "fold", "--basis", "ab,b", "--dot")
         assert code == 0
@@ -439,6 +508,13 @@ class TestSep:
         assert code1 == code2 == 0
         assert out1 == out2
         assert "classes: 4" in out1
+
+    def test_stdout_bytes_are_pinned(self, capsys):
+        # first 16 hex digits of the sha256 of stdout, recorded while the
+        # witness wrote its image and inverse lines with its own loop
+        code, out, _ = run(capsys, "sep", "3", "--seed", "7", "--count", "4")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == "6142f0cc31128c4f"
 
     def test_out_files(self, capsys, tmp_path):
         prefix = str(tmp_path / "corpus")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hyp_st
 
 import rosefold as rf
-from rosefold.folding import NotFoldableError, fold_report_lines, random_fold_pick
+from rosefold.folding import NotFoldableError, _FoldState, fold_report_lines, random_fold_pick
 from rosefold.graphs import Edge, LabeledGraph, NotConnectedError, oriented_edge
 from rosefold.oracles import random_labeled_graph
 
@@ -129,6 +129,48 @@ class TestAgainstGraphAtATimeFolds:
     def test_pick_must_return_a_listed_pair(self):
         with pytest.raises(NotFoldableError):
             rf.fold_to_completion(wedge(("ab", "b")), lambda pairs: (1, 2))
+
+
+def heap_tops_live(state):
+    """Whether no heap of the fold state has a folded-away edge on top."""
+    return all(h[0] >> 1 not in state.dead for by_label in state.out.values() for h in by_label.values() if h)
+
+
+def assert_heap_tops_stay_live(g, pick=None):
+    # ``first_pair`` pops each heap's top without a check: checked after
+    # every fold, and after every pick, which drops dead keys under the top
+    state = _FoldState(g)
+    while True:
+        if pick is None:
+            pair = state.first_pair()
+        else:
+            pairs = state.pairs()
+            pair = pick(pairs) if pairs else None
+        assert heap_tops_live(state)
+        if pair is None:
+            return
+        state.fold(*pair)
+        assert heap_tops_live(state)
+
+
+class TestFoldState:
+    @given(fold_graph_st(), hyp_st.integers(0, 10**6))
+    @settings(max_examples=150)
+    def test_no_heap_top_is_dead(self, g, seed):
+        assert_heap_tops_stay_live(g)
+        assert_heap_tops_stay_live(g, random_fold_pick(random.Random(seed)))
+
+    def test_no_heap_top_is_dead_in_a_large_wedge(self):
+        # a positive rank-3 basis of 600+ letters plus the product of its
+        # first two words, so some folds drop the Betti number
+        rng = random.Random(6)
+        basis = ["a", "b", "c"]
+        while sum(map(len, basis)) < 600:
+            i, j = rng.sample(range(3), 2)
+            basis[i] = basis[i] + basis[j] if rng.random() < 0.5 else basis[j] + basis[i]
+        g = wedge(basis + [basis[0] + basis[1]], 3)
+        assert any(step.betti_dropped for step in rf.fold_to_completion(g).steps)
+        assert_heap_tops_stay_live(g)
 
 
 class TestFoldScale:

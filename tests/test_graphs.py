@@ -613,6 +613,16 @@ class TestLabelIsomorphism:
         assert rf.is_label_isomorphic(g, renamed(g, 1500))
         assert not rf.is_label_isomorphic(g, rf.circuit(cyc("abc" * 499 + "acb", 3)))
 
+    def test_fails_only_after_backtracking(self):
+        # two a-triangles against one a-hexagon: the same vertex signatures
+        # and counts, so only the search tells them apart, and it backtracks
+        # at each triangle's third vertex
+        g = rf.disjoint_circuits([cyc("aaa"), cyc("aaa")])
+        h = rf.circuit(cyc("aaaaaa"))
+        assert sorted(map(len, rf.graphs.connected_components(g))) == [3, 3]
+        assert not rf.is_label_isomorphic(g, h)
+        assert not rf.is_label_isomorphic(h, g)
+
 
 class TestEdgeChecks:
     def test_nonpositive_edge_id_rejected(self):
@@ -624,6 +634,15 @@ class TestEdgeChecks:
         for label in (0, -2):
             with pytest.raises(ValueError, match=f"stored edge label must be positive, got {label}"):
                 LabeledGraph(2, frozenset({0}), (Edge(1, 0, 0, label),))
+
+    def test_duplicate_edge_id_rejected(self):
+        with pytest.raises(ValueError, match="duplicate edge id 1"):
+            LabeledGraph(2, frozenset({0}), (Edge(1, 0, 0, 1), Edge(1, 0, 0, 2)))
+
+    @pytest.mark.parametrize("ends", [(0, 5), (5, 0)])
+    def test_endpoint_outside_the_vertices_rejected(self, ends):
+        with pytest.raises(ValueError, match="edge 1 endpoint outside vertex set"):
+            LabeledGraph(2, frozenset({0}), (Edge(1, *ends, 1),))
 
     def test_an_edge_is_its_row(self):
         e = Edge(3, 0, 1, 2)
@@ -647,6 +666,11 @@ class TestTextFormats:
     def test_nonpositive_edge_id_reported_with_its_line(self):
         with pytest.raises(ValueError, match="bad graph line 3"):
             rf.parse_graph_text("rank 2\nvertex 0\nedge 0 0 0 a\n")
+
+    def test_repeated_rank_line_rejected(self):
+        # the last of two rank lines used to win
+        with pytest.raises(ValueError, match="repeats its rank line, at line 2"):
+            rf.parse_graph_text("rank 2\nrank 3\nvertex 0\nedge 1 0 0 a\n")
 
     def test_dot_contains_edges(self):
         dot = rf.graph_to_dot(rf.circuit(cyc("ab")))

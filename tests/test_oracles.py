@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as hyp_st
 import rosefold as rf
 from rosefold.oracles import (
     SearchLimitError,
+    _random_reduced_word,
     endomorphism_to_text,
     parse_endomorphism_text,
     random_basis,
@@ -194,6 +196,56 @@ class TestRandomSeparableSet:
             conjugators=(word(""),),
         )
         assert not rf.verify_separable_witness((cyc("b"),), witness)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(split=0),
+            dict(split=2),
+            dict(automorphism=rf.EndomorphismSpec(2, (word("a"), word("b")))),
+            dict(factor_sides=(1,)),
+            dict(factor_sides=(3, 2)),
+            dict(factor_words=(word(""), word("b"))),
+            dict(factor_words=(word("aA"), word("b"))),
+        ],
+        ids=["split-0", "split-n", "no-inverse", "short-sides", "bad-side", "empty-word", "unreduced-word"],
+    )
+    def test_malformed_witness_rejected(self, change):
+        witness = rf.SeparableWitness(
+            rank=2,
+            split=1,
+            automorphism=rf.identity_endomorphism(2),
+            factor_sides=(1, 2),
+            factor_words=(word("aa"), word("b")),
+            conjugators=(word(""), word("")),
+        )
+        classes = (cyc("aa"), cyc("b"))
+        assert not rf.verify_separable_witness(classes, dataclasses.replace(witness, **change))
+
+
+class TestVerifiedAutomorphism:
+    def test_without_inverse(self):
+        assert not rf.is_verified_automorphism(spec(("a", "b")))
+
+    def test_inverse_failing_one_way(self):
+        # the identity does not undo (a, b) -> (ab, b)
+        assert not rf.is_verified_automorphism(spec(("ab", "b"), inverses=("a", "b")))
+
+    def test_inverse_failing_the_other_way(self):
+        # phi(psi(a)) = phi(aB) = a, but psi(phi(a)) = psi(ab) = aBa
+        assert not rf.is_verified_automorphism(spec(("ab", "b"), inverses=("aB", "a")))
+
+
+class TestRandomClass:
+    def test_one_draw_per_class(self):
+        # a nonempty reduced word is a nontrivial class no longer than itself,
+        # so each call draws one length and one word, and never retries
+        rng, replay = random.Random(4), random.Random(4)
+        for max_len in (1, 2, 5, 9, 30):
+            c = random_class(rng, 3, max_len)
+            w = _random_reduced_word(replay, 3, [1, 2, 3], replay.randint(1, max_len))
+            assert c == rf.conjugacy_class(w) and len(c) <= max_len
+        assert rng.random() == replay.random()
 
 
 class TestBruteForceMorphism:
@@ -455,6 +507,15 @@ class TestWitnessFiles:
         text = endomorphism_to_text(spec(("ab", "b")))
         with pytest.raises(ValueError, match="one inverse image per generator"):
             parse_endomorphism_text(text + "inverse 1 -> aB\ninverse 3 -> b\n")
+
+    @pytest.mark.parametrize(
+        "line", ["rank 2", "image 1 -> ab", "inverse 2 -> b"], ids=["rank", "image", "inverse"]
+    )
+    def test_repeated_line_rejected(self, line):
+        # the last of two lines used to win, so a witness could contradict itself
+        text = endomorphism_to_text(spec(("ab", "b"), inverses=("aB", "b")))
+        with pytest.raises(ValueError, match=f"repeats .*{line}"):
+            parse_endomorphism_text(text + line + "\n")
 
     def test_separable_witness_text_is_stable(self):
         _, witness = rf.random_separable_set(3, seed=7, count=4)

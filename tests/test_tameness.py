@@ -852,6 +852,19 @@ class TestVerifyCertificate:
         )
         assert not rf.verify_certificate(classes, bad)
 
+    @pytest.mark.parametrize("missing", ["rose", "morphism"])
+    def test_tame_certificate_missing_a_part_rejected(self, missing):
+        classes = [cyc("aab")]
+        cert = rf.decide_tame(classes)
+        assert not rf.verify_certificate(classes, dataclasses.replace(cert, **{missing: None}))
+
+    def test_witness_letters_out_of_order_rejected(self):
+        # every tree still spans its punctured graph; only the order is wrong
+        classes = [cyc("abAB")]
+        cert = rf.decide_tame(classes)
+        bad = dataclasses.replace(cert, non_cut_witness=cert.non_cut_witness[::-1])
+        assert not rf.verify_certificate(classes, bad)
+
     def test_wrong_words_rejected(self):
         cert = rf.decide_tame([cyc("aab")])
         assert not rf.verify_certificate([cyc("ab")], cert)

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 import rosefold as rf
 from rosefold.cli import main
+from rosefold.oracles import parse_endomorphism_text, random_basis, random_class, random_labeled_graph
 from rosefold.words import RankError, TrivialWordError, WordSyntaxError, class_rank, letter_key
 
 from conftest import class_st, nontrivial_word_st, word_st
@@ -199,6 +200,92 @@ class TestRankDiscipline:
         # canonical_rotation skips these checks on rotations; the constructor keeps them
         with pytest.raises(error):
             rf.CyclicWord(letters, 2)
+
+
+def _rank_takers():
+    """Each library entry point that takes a rank, as a function of it."""
+    rng = random.Random(0)
+    return {
+        "Word": lambda n: rf.Word((), n),
+        "CyclicWord": lambda n: rf.CyclicWord((1,), n),
+        "parse_word": lambda n: rf.parse_word("", n),
+        "parse_cyclic_word": lambda n: rf.parse_cyclic_word("a", n),
+        "LabeledGraph": lambda n: rf.LabeledGraph(n, frozenset(), ()),
+        "rose": rf.rose,
+        "disjoint_circuits": lambda n: rf.disjoint_circuits([], n),
+        "wedge_of_words": lambda n: rf.wedge_of_words((), n),
+        "subgroup_graph": lambda n: rf.subgroup_graph((), n),
+        "parse_graph_text": lambda n: rf.parse_graph_text(f"rank {n}\n"),
+        "WhiteheadGraph": lambda n: rf.WhiteheadGraph(n, frozenset()),
+        "whitehead_of_classes": lambda n: rf.whitehead_of_classes([], n),
+        "SignedRelabeling": rf.SignedRelabeling.identity,
+        "almost_rose": lambda n: rf.almost_rose(n, 1, 1),
+        "enumerate_almost_roses": rf.enumerate_almost_roses,
+        "decide_tame": lambda n: rf.decide_tame([], n),
+        "EndomorphismSpec": lambda n: rf.EndomorphismSpec(n, ()),
+        "identity_endomorphism": rf.identity_endomorphism,
+        "nielsen_generators": rf.nielsen_generators,
+        "primitive_orbit": lambda n: rf.primitive_orbit(n, 2),
+        "random_separable_set": lambda n: rf.random_separable_set(n, 0, 1),
+        "random_basis": lambda n: random_basis(rng, n),
+        "random_class": lambda n: random_class(rng, n, 3),
+        "random_labeled_graph": lambda n: random_labeled_graph(rng, n),
+        "parse_endomorphism_text": lambda n: parse_endomorphism_text(f"rank {n}\n"),
+    }
+
+
+def _rank_combiners():
+    """Each library entry point that combines values which must share a
+    rank, given values of ranks 2 and 3."""
+    w2, w3 = rf.parse_word("ab", 2), rf.parse_word("ab", 3)
+    c2, c3 = rf.parse_cyclic_word("ab", 2), rf.parse_cyclic_word("ab", 3)
+    id2, id3 = rf.identity_endomorphism(2), rf.identity_endomorphism(3)
+    return {
+        "concat": lambda: rf.words.concat(w2, w3),
+        "product": lambda: rf.product(w2, w3),
+        "conjugate": lambda: rf.conjugate(w2, w3),
+        "class_rank": lambda: class_rank([c2, c3]),
+        "class_rank with a rank": lambda: class_rank([c2], 3),
+        "normalize_classes": lambda: rf.words.normalize_classes([c2, c3]),
+        "disjoint_circuits": lambda: rf.disjoint_circuits([c2, c3]),
+        "disjoint_circuits with a rank": lambda: rf.disjoint_circuits([c2], 3),
+        "whitehead_of_classes": lambda: rf.whitehead_of_classes([c2], 3),
+        "decide_tame": lambda: rf.decide_tame([c2], 3),
+        "wedge_of_words": lambda: rf.wedge_of_words((w2,), 3),
+        "subgroup_graph": lambda: rf.subgroup_graph((w2,), 3),
+        "is_subgraph": lambda: rf.is_subgraph(rf.WhiteheadGraph(2, frozenset()), rf.WhiteheadGraph(3, frozenset())),
+        "AlmostRose": lambda: rf.AlmostRose(3, 1, 2, rf.SignedRelabeling.identity(2)),
+        "induced_morphism": lambda: rf.induced_morphism(rf.circuit(c3), rf.almost_rose(2, 1, 1)),
+        "brute_force_morphism": lambda: rf.brute_force_morphism(rf.rose(2), rf.rose(3)),
+        "EndomorphismSpec images": lambda: rf.EndomorphismSpec(2, (w3, w3)),
+        "EndomorphismSpec inverse images": lambda: rf.EndomorphismSpec(2, (w2, w2), (w3, w3)),
+        "apply_endomorphism": lambda: rf.apply_endomorphism(id2, w3),
+        "compose_endomorphisms": lambda: rf.compose_endomorphisms(id2, id3),
+    }
+
+
+class TestRankTable:
+    """The rank rule lives in ``words``: every entry point that takes a rank
+    rejects one below 2, and every one that combines values rejects mixed
+    ranks, each with a ``RankError``."""
+
+    @pytest.mark.parametrize("name", sorted(_rank_takers()))
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_rank_below_two(self, name, n):
+        with pytest.raises(RankError, match="rank must be at least 2"):
+            _rank_takers()[name](n)
+
+    @pytest.mark.parametrize("name", sorted(_rank_combiners()))
+    def test_mixed_ranks(self, name):
+        with pytest.raises(RankError, match="mixed ranks"):
+            _rank_combiners()[name]()
+
+    def test_checks_of_mixed_ranks_return_false(self):
+        # predicates and verifiers answer instead of raising
+        assert not rf.verify_morphism(rf.GraphMorphism(), rf.rose(2), rf.rose(3))
+        assert not rf.is_label_isomorphic(rf.rose(2), rf.rose(3))
+        cert = rf.decide_tame([rf.parse_cyclic_word("ab", 2)])
+        assert not rf.verify_certificate([rf.parse_cyclic_word("ab", 3)], cert)
 
 
 class TestLetterChecks:
