@@ -58,9 +58,9 @@ class CriterionResult:
         return f"{status} {self.name}: {self.detail} [{self.seconds:.3f}s{bound}]"
 
 
-def _best_of(fn, repeats: int = 3) -> float:
+def _best_of(fn) -> float:
     best = float("inf")
-    for _ in range(repeats):
+    for _ in range(3):
         t0 = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - t0)

@@ -2,7 +2,9 @@
 
 Exit codes are a contract: 0 affirmative, 1 negative or declined, 2 usage
 or parse errors, 3 internal inconsistency (a certificate failing its own
-verification, which should never happen).
+verification, which should never happen).  A rejected input is a
+``ValueError`` wherever it is found, in this module or in the library;
+``main`` alone turns it into ``error: <reason>`` on stderr and exit 2.
 
 Output is line-oriented and diff-stable: edge lists are sorted, classes
 canonically rotated, and every randomized command is keyed by a seed.
@@ -46,7 +48,7 @@ from .words import (
     CyclicWord,
     TrivialWordError,
     Word,
-    WordSyntaxError,
+    _valid_rank,
     conjugacy_class,
     cyclic_reduce,
     free_reduce,
@@ -56,26 +58,20 @@ from .words import (
 )
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
+class CliError(ValueError):
+    """An input rejected by the command line itself rather than the library."""
 
 
 def _check_rank(n: int) -> int:
-    if n < 2:
-        raise CliError(f"rank must be at least 2, got {n}")
-    if n > MAX_PARSE_RANK:
+    """The library's rank rule, plus the cap of the 26-letter text form."""
+    if _valid_rank(n) > MAX_PARSE_RANK:
         raise CliError(f"rank must be at most {MAX_PARSE_RANK}, got {n}")
     return n
 
 
 def _parse_words(texts: list[str], rank_flag: int | None) -> tuple[tuple[Word, ...], int]:
     """Read each character once; the rank is ``--rank`` or the highest letter index (at least 2)."""
-    try:
-        letters = [tuple(letter_from_char(c) for c in text) for text in texts]
-    except WordSyntaxError as exc:
-        raise CliError(str(exc)) from exc
+    letters = [tuple(letter_from_char(c) for c in text) for text in texts]
     max_index = max((abs(v) for ls in letters for v in ls), default=0)
     rank = max(2, max_index) if rank_flag is None else _check_rank(rank_flag)
     if max_index > rank:
@@ -280,28 +276,21 @@ def cmd_tame(args) -> int:
 
 
 def cmd_rose_wh(args) -> int:
-    try:
-        rose = almost_rose(_check_rank(args.n), args.k, args.l)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    rose = almost_rose(_check_rank(args.n), args.k, args.l)
     return _print_wh(whitehead_of_almost_rose(rose), args.dot)
 
 
 def _fold_input(args) -> tuple[LabeledGraph, tuple[Word, ...]]:
     """The graph to fold, and the basis words it wedges (none for ``--graph``)."""
+    if bool(args.basis) == bool(args.graph):
+        raise CliError("fold needs exactly one of --basis or --graph")
     if args.graph:
-        try:
-            return parse_graph_text(_read_text(args.graph, "graph")), ()
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        return parse_graph_text(_read_text(args.graph, "graph")), ()
     texts = [t for t in args.basis.split(",") if t]
     if not texts:
         raise CliError("empty basis")
     basis, rank = _parse_words(texts, args.rank)
-    try:
-        return wedge_of_words(basis, rank).graph, basis
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return wedge_of_words(basis, rank).graph, basis
 
 
 def cmd_fold(args) -> int:
@@ -314,10 +303,7 @@ def cmd_fold(args) -> int:
     if args.witness:
         if not basis:
             raise CliError("--witness only applies to --basis mode")
-        try:
-            spec = parse_endomorphism_text(_read_text(args.witness, "witness"))
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        spec = parse_endomorphism_text(_read_text(args.witness, "witness"))
         if [w.letters for w in spec.images] != [w.letters for w in basis]:
             raise CliError("witness images do not match the supplied basis")
     print("\n".join(fold_report_lines(seq)))
@@ -349,8 +335,6 @@ def cmd_fold(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    if args.max_len < 1 or args.budget < 1:
-        raise CliError("need max_len >= 1, budget >= 1")
     orbit = primitive_orbit(_check_rank(args.n), args.max_len, args.budget)
     classes = normalize_classes(list(orbit.classes))
     lines = [str(c) for c in classes]
@@ -365,12 +349,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_sep(args) -> int:
-    if args.count < 1 or args.max_len < 2:
-        raise CliError("need count >= 1, max_len >= 2")
-    try:
-        classes, witness = random_separable_set(_check_rank(args.n), args.seed, args.count, args.max_len)
-    except (ValueError, RuntimeError) as exc:
-        raise CliError(str(exc)) from exc
+    classes, witness = random_separable_set(_check_rank(args.n), args.seed, args.count, args.max_len)
     class_lines = "\n".join(str(c) for c in classes) + "\n"
     witness_text = separable_witness_to_text(witness)
     if args.out:
@@ -466,16 +445,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "fold" and bool(args.basis) == bool(args.graph):
-        print("error: fold needs exactly one of --basis or --graph", file=sys.stderr)
-        return 2
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return 2
 
 
 if __name__ == "__main__":

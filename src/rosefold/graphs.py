@@ -485,9 +485,9 @@ def parse_graph_text(text: str) -> LabeledGraph:
                 label = letter_from_char(parts[4])
                 edges.append(oriented_edge(eid, origin, terminus, label))
             else:
-                raise ValueError(f"unrecognized graph line {lineno}: {raw!r}")
-        except (ValueError, KeyError) as exc:
-            raise ValueError(f"bad graph line {lineno}: {raw!r}") from exc
+                raise ValueError("expected 'rank N', 'vertex V' or 'edge ID ORIGIN TERMINUS LETTER'")
+        except ValueError as exc:
+            raise ValueError(f"bad graph line {lineno}: {raw!r}: {exc}") from exc
     if rank is None:
         raise ValueError("graph text missing a rank line")
     return LabeledGraph(rank, frozenset(vertices), tuple(edges))
@@ -503,6 +503,6 @@ def _dot_lines(g: LabeledGraph, indent: str, prefix: str) -> list[str]:
     return lines
 
 
-def graph_to_dot(g: LabeledGraph, name: str = "G") -> str:
-    lines = [f"digraph {name} {{", "  rankdir=LR;", *_dot_lines(g, "  ", "v"), "}"]
+def graph_to_dot(g: LabeledGraph) -> str:
+    lines = ["digraph G {", "  rankdir=LR;", *_dot_lines(g, "  ", "v"), "}"]
     return "\n".join(lines) + "\n"

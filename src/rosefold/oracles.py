@@ -168,6 +168,8 @@ def primitive_orbit(n: int, max_len: int, budget: int = 2_000_000) -> PrimitiveO
     """
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     specs: list[EndomorphismSpec] = []
     for s in nielsen_generators(n):
         specs.append(s)
@@ -254,15 +256,15 @@ def random_separable_set(
         short = [len(conjugacy_class(w)) <= headroom for w in phi.images]
         if any(short[:m]) and any(short[m:]):
             break
-    classes: list[CyclicWord] = []
+    classes: dict[CyclicWord, None] = {}  # in drawing order
     sides: list[int] = []
     words: list[Word] = []
     conjs: list[Word] = []
     attempts = 0
     while len(classes) < count:
         attempts += 1
-        if attempts > 2000 * count:
-            raise RuntimeError("could not draw enough distinct classes under the length cap")
+        if attempts > 2000 * (len(classes) + 1):  # bounded by the classes found, not by count
+            raise ValueError("could not draw enough distinct classes under the length cap")
         side = rng.choice((1, 2))
         letters = list(range(1, m + 1)) if side == 1 else list(range(m + 1, n + 1))
         u = _random_reduced_word(rng, n, letters, rng.randint(1, max(1, max_len // 2)))
@@ -271,7 +273,7 @@ def random_separable_set(
         cls = conjugacy_class(element)
         if len(cls) > max_len or cls in classes:
             continue
-        classes.append(cls)
+        classes[cls] = None
         sides.append(side)
         words.append(u)
         conjs.append(conj)
@@ -483,10 +485,10 @@ def random_class(rng: random.Random, rank: int, max_len: int) -> CyclicWord:
     return conjugacy_class(_random_reduced_word(rng, rank, letters, rng.randint(1, max_len)))
 
 
-def random_basis(rng: random.Random, n: int, max_moves: int = 6) -> EndomorphismSpec:
+def random_basis(rng: random.Random, n: int) -> EndomorphismSpec:
     """A verified basis whose first word is cyclically reduced of length >= 2."""
     while True:
-        spec = _random_nielsen_composite(rng, n, max_moves)
+        spec = _random_nielsen_composite(rng, n, max_moves=6)
         w1 = spec.images[0]
         if len(w1) < 2:
             continue

@@ -49,8 +49,8 @@ from .words import (
 )
 
 
-class FoldFactorError(RuntimeError):
-    """The fold sequence failed to pass through an almost-rose."""
+class FoldFactorError(ValueError):
+    """The fold sequence failed to pass through an almost-rose: a rejected input."""
 
 
 @dataclass(frozen=True)
@@ -404,11 +404,10 @@ def factor_through_almost_rose(g: LabeledGraph) -> tuple[AlmostRose, FoldSequenc
     almost-rose together with the full sequence.
 
     Requires ``g`` connected, core, of full Betti number, mapping onto the
-    whole free group, and not the rose itself.  A Betti-dropping step or a
-    penultimate snapshot that fails recognition raises
-    :class:`FoldFactorError`, which signals that the input did not satisfy
-    the preconditions (dropping Betti contradicts surjectivity at full
-    Betti number).
+    whole free group, and not the rose itself.  No fold then drops the
+    Betti number, since ``g`` and the final rose both have Betti number n.
+    A penultimate snapshot that fails recognition raises
+    :class:`FoldFactorError`.
     """
     n = g.rank
     if not is_connected(g):
@@ -422,11 +421,6 @@ def factor_through_almost_rose(g: LabeledGraph) -> tuple[AlmostRose, FoldSequenc
     seq = fold_to_completion(g)
     if not is_rose(seq.final):
         raise ValueError("graph does not map onto the whole free group")
-    for step in seq.steps:
-        if step.betti_dropped:
-            raise FoldFactorError(
-                "a fold dropped the Betti number; the graph was not surjective at full rank"
-            )
     rose = recognize_almost_rose(seq.penultimate)
     if rose is None:
         raise FoldFactorError(

@@ -152,9 +152,9 @@ def is_subgraph(w1: WhiteheadGraph, w2: WhiteheadGraph) -> bool:
     return w1.edges <= w2.edges
 
 
-def whitehead_to_dot(w: WhiteheadGraph, name: str = "wh") -> str:
+def whitehead_to_dot(w: WhiteheadGraph) -> str:
     cuts = cut_vertices(w)
-    lines = [f"graph {name} {{"]
+    lines = ["graph wh {"]
     for i, comp in enumerate(components(w)):
         lines.append(f"  subgraph cluster_{i} {{")
         for v in comp:

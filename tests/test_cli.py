@@ -11,6 +11,7 @@ import threading
 import pytest
 
 import rosefold as rf
+from rosefold import cli
 from rosefold.cli import main
 from rosefold.oracles import endomorphism_to_text
 
@@ -99,6 +100,12 @@ class TestTame:
         code, _, err = run(capsys, "tame", "ab", "--rank", "27")
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_failed_self_check_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verify_certificate", lambda *args: False)
+        code, out, err = run(capsys, "tame", "aab")
+        assert (code, out) == (3, "")
+        assert err == "internal error: certificate failed self-verification\n"
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "cert.txt"
@@ -414,6 +421,69 @@ class TestFold:
         code, out, err = run(capsys, "fold", *args, str(path))
         assert (code, out, err) == (2, "", message)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "rank 2\nvertex 0\nedge 0 0 0 a\n",
+                "error: bad graph line 3: 'edge 0 0 0 a': edge id must be positive, got 0\n",
+            ),
+            (
+                "rank 2\nvertx 1\n",
+                "error: bad graph line 2: 'vertx 1': expected 'rank N', 'vertex V'"
+                " or 'edge ID ORIGIN TERMINUS LETTER'\n",
+            ),
+            (
+                "rank 2\n\n# a comment\nvertex 0\nloop 0 a\n",
+                "error: bad graph line 5: 'loop 0 a': expected 'rank N', 'vertex V'"
+                " or 'edge ID ORIGIN TERMINUS LETTER'\n",
+            ),
+        ],
+        ids=["nonpositive-edge-id", "unknown-keyword", "after-blank-and-comment"],
+    )
+    def test_bad_graph_line_names_its_reason(self, capsys, tmp_path, text, message):
+        # the reason used to be dropped, so these all read "bad graph line N: '<line>'"
+        path = tmp_path / "input.graph"
+        path.write_text(text)
+        code, out, err = run(capsys, "fold", "--graph", str(path))
+        assert (code, out, err) == (2, "", message)
+
+    def test_missing_graph_file_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "fold", "--graph", str(tmp_path / "missing.graph"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read graph file: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "basis, message",
+        [(",", "error: empty basis\n"), ("aA", "error: wedge words must be reduced and nonempty: aA\n")],
+        ids=["empty", "unreduced"],
+    )
+    def test_rejected_basis_exits_2(self, capsys, basis, message):
+        assert run(capsys, "fold", "--basis", basis) == (2, "", message)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "basis-witness\nrank 2\nimage 1 -> a\nimage 2 -> b\n",
+                "error: witness images do not match the supplied basis\n",
+            ),
+            (
+                "basis-witness\nimage 1 -> ab\nrank 2\nimage 2 -> b\n",
+                "error: witness text must declare rank before images\n",
+            ),
+            (
+                "basis-witness\nrank 2\nimage 1 -> ab\nimage 2 -> b\nforward 1\n",
+                "error: unrecognized witness line: 'forward 1'\n",
+            ),
+        ],
+        ids=["other-images", "image-before-rank", "unknown-line"],
+    )
+    def test_rejected_witness_exits_2(self, capsys, tmp_path, text, message):
+        path = tmp_path / "basis.witness"
+        path.write_text(text)
+        assert run(capsys, "fold", "--basis", "ab,b", "--witness", str(path)) == (2, "", message)
+
     def test_dot_snapshots(self, capsys):
         code, out, _ = run(capsys, "fold", "--basis", "ab,b", "--dot")
         assert code == 0
@@ -483,6 +553,9 @@ class TestOrbit:
     def test_zero_length_exits_2(self, capsys):
         code, _, _ = run(capsys, "orbit", "2", "0")
         assert code == 2
+
+    def test_zero_budget_exits_2(self, capsys):
+        assert run(capsys, "orbit", "2", "3", "--budget", "0") == (2, "", "error: budget must be at least 1, got 0\n")
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "orbit.txt"
@@ -615,3 +688,63 @@ class TestCheck:
     def test_unknown_criterion_exits_2(self, capsys):
         code, _, err = run(capsys, "check", "--only", "nope")
         assert code == 2 and "unknown criteria" in err
+
+
+def make_raise(monkeypatch, owner, name, exc):
+    """Replace ``owner.name`` (or ``owner[name]``) with a call that raises ``exc``."""
+
+    def raiser(*args, **kwargs):
+        raise exc
+
+    patch = monkeypatch.setitem if isinstance(owner, dict) else monkeypatch.setattr
+    patch(owner, name, raiser)
+
+
+# Each command with a library call it makes before printing anything
+COMMAND_CALLS = [
+    (("reduce", "ab"), cli, "free_reduce"),
+    (("wh", "ab"), cli, "whitehead_of_classes"),
+    (("cutvx", "ab"), cli, "whitehead_of_classes"),
+    (("tame", "ab"), cli, "decide_tame"),
+    (("fold", "--basis", "ab,b"), cli, "fold_to_completion"),
+    (("rose-wh", "3", "1", "2"), cli, "whitehead_of_almost_rose"),
+    (("orbit", "2", "2"), cli, "primitive_orbit"),
+    (("sep", "3", "--seed", "1"), cli, "random_separable_set"),
+    (("check", "--only", "wh-closed-form-312"), rf.acceptance.CRITERIA, "wh-closed-form-312"),
+]
+
+
+class TestErrorBoundary:
+    """``main`` alone turns a rejected input, any ``ValueError``, into exit 2;
+    any other exception is an internal error and is not caught."""
+
+    @pytest.mark.parametrize("argv, owner, name", COMMAND_CALLS, ids=[c[0][0] for c in COMMAND_CALLS])
+    def test_value_error_in_any_command_exits_2(self, capsys, monkeypatch, argv, owner, name):
+        make_raise(monkeypatch, owner, name, ValueError("rejected deep inside"))
+        assert run(capsys, *argv) == (2, "", "error: rejected deep inside\n")
+
+    @pytest.mark.parametrize("argv, owner, name", COMMAND_CALLS, ids=[c[0][0] for c in COMMAND_CALLS])
+    def test_runtime_error_in_any_command_propagates(self, capsys, monkeypatch, argv, owner, name):
+        make_raise(monkeypatch, owner, name, RuntimeError("internal error: broken"))
+        with pytest.raises(RuntimeError, match="internal error: broken"):
+            main(list(argv))
+
+    def test_every_command_is_covered(self):
+        commands = cli.build_parser()._subparsers._group_actions[0].choices
+        assert {argv[0] for argv, _, _ in COMMAND_CALLS} == set(commands)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("orbit", "2", "0"), "max_len must be at least 1, got 0"),
+            (("sep", "3", "--seed", "1", "--count", "0"), "count must be at least 1, got 0"),
+            (("sep", "3", "--seed", "1", "--max-len", "1"), "max_len must be at least 2, got 1"),
+        ],
+        ids=["orbit-max-len", "sep-count", "sep-max-len"],
+    )
+    def test_bounds_are_the_library_messages(self, capsys, argv, message):
+        # each bound is checked once, where its value is used
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_cli_error_is_a_value_error(self):
+        assert issubclass(cli.CliError, ValueError)

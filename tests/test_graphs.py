@@ -644,6 +644,14 @@ class TestEdgeChecks:
         with pytest.raises(ValueError, match="edge 1 endpoint outside vertex set"):
             LabeledGraph(2, frozenset({0}), (Edge(1, *ends, 1),))
 
+    def test_label_above_the_rank_rejected(self):
+        with pytest.raises(RankError, match="edge 1 label 3 exceeds rank 2"):
+            LabeledGraph(2, frozenset({0}), (Edge(1, 0, 0, 3),))
+
+    def test_basepoint_outside_the_vertices_rejected(self):
+        with pytest.raises(ValueError, match="basepoint 1 not a vertex"):
+            rf.BasedGraph(rf.rose(2), 1)
+
     def test_an_edge_is_its_row(self):
         e = Edge(3, 0, 1, 2)
         assert e == (3, 0, 1, 2) and e._replace(label=1) == Edge(3, 0, 1, 1)
@@ -666,6 +674,20 @@ class TestTextFormats:
     def test_nonpositive_edge_id_reported_with_its_line(self):
         with pytest.raises(ValueError, match="bad graph line 3"):
             rf.parse_graph_text("rank 2\nvertex 0\nedge 0 0 0 a\n")
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("edge 1 0 0 1", "invalid letter '1'"),
+            ("edge 1 0 x a", "invalid literal for int"),
+            ("vertex 0 1", "expected 'rank N', 'vertex V' or 'edge ID ORIGIN TERMINUS LETTER'"),
+        ],
+        ids=["bad-letter", "bad-vertex", "wrong-word-count"],
+    )
+    def test_bad_line_names_its_reason(self, line, reason):
+        with pytest.raises(ValueError) as info:
+            rf.parse_graph_text(f"rank 2\nvertex 0\n{line}\n")
+        assert str(info.value).startswith(f"bad graph line 3: {line!r}: {reason}")
 
     def test_repeated_rank_line_rejected(self):
         # the last of two rank lines used to win

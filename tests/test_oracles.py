@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hyp_st
 
 import rosefold as rf
+from rosefold import oracles
 from rosefold.oracles import (
     SearchLimitError,
     _random_reduced_word,
@@ -159,6 +161,10 @@ class TestPrimitiveOrbit:
         with pytest.raises(ValueError):
             rf.primitive_orbit(2, 0)
 
+    def test_bad_budget_rejected(self):
+        with pytest.raises(ValueError, match="budget must be at least 1, got 0"):
+            rf.primitive_orbit(2, 3, budget=0)
+
 
 class TestRandomSeparableSet:
     def test_deterministic_in_seed(self):
@@ -167,6 +173,41 @@ class TestRandomSeparableSet:
         assert a == b and wa == wb
         c, _ = rf.random_separable_set(3, seed=8, count=4)
         assert a != c
+
+    def test_seeded_sets_are_pinned(self):
+        # first 16 hex digits of the sha256 of 90 seeded sets and witnesses,
+        # two of them give-ups, recorded while drawn classes were looked up
+        # in a list and the give-up came after 2,000 draws per class asked for
+        h = hashlib.sha256()
+        for n in range(2, 7):
+            for count in (1, 3, 6):
+                for max_len in (2, 6, 14):
+                    for seed in range(2):
+                        try:
+                            classes, witness = rf.random_separable_set(n, seed, count, max_len)
+                        except ValueError:
+                            h.update(f"{n} {seed} {count} {max_len} gave up\n".encode())
+                            continue
+                        h.update(" ".join(map(str, classes)).encode() + b"\n")
+                        h.update(separable_witness_to_text(witness).encode())
+        assert h.hexdigest()[:16] == "cd5bd69ca82d5654"
+
+    def test_unmeetable_count_gives_up_early(self, monkeypatch):
+        # rank 3 has few classes of length <= 2, so a million cannot be met;
+        # the search gives up after 2,000 draws per class found, and one more,
+        # not after 2,000 per class asked for
+        calls = 0
+
+        def counted(w):
+            nonlocal calls
+            calls += 1
+            if calls > 100_000:
+                raise AssertionError("still drawing after 100,000 classes")
+            return rf.conjugacy_class(w)
+
+        monkeypatch.setattr(oracles, "conjugacy_class", counted)
+        with pytest.raises(ValueError, match="could not draw enough distinct classes"):
+            rf.random_separable_set(3, 1, 10**6, 2)
 
     def test_witness_replays(self):
         classes, witness = rf.random_separable_set(3, seed=11, count=4)
@@ -221,6 +262,20 @@ class TestRandomSeparableSet:
         )
         classes = (cyc("aa"), cyc("b"))
         assert not rf.verify_separable_witness(classes, dataclasses.replace(witness, **change))
+
+
+class TestEndomorphismSpecChecks:
+    def test_wrong_image_count_rejected(self):
+        with pytest.raises(ValueError, match="need 2 images, got 1"):
+            rf.EndomorphismSpec(2, (word("a"),))
+
+    def test_wrong_inverse_count_rejected(self):
+        with pytest.raises(ValueError, match="inverse images must cover every generator"):
+            rf.EndomorphismSpec(2, (word("a"), word("b")), (word("a"),))
+
+    def test_inverse_of_spec_without_inverse_rejected(self):
+        with pytest.raises(ValueError, match="spec carries no inverse witness"):
+            oracles.inverse_spec(spec(("a", "b")))
 
 
 class TestVerifiedAutomorphism:

@@ -544,6 +544,31 @@ class TestFactorThroughAlmostRose:
         with pytest.raises(ValueError):
             rf.factor_through_almost_rose(rf.circuit(cyc("ab")))
 
+    def test_disconnected_rejected(self):
+        g = LabeledGraph(2, frozenset({0, 1}), (Edge(1, 0, 0, 1), Edge(2, 1, 1, 2)))
+        with pytest.raises(rf.NotConnectedError):
+            rf.factor_through_almost_rose(g)
+
+    def test_non_core_rejected(self):
+        # the rose with a pendant a edge
+        g = LabeledGraph(2, frozenset({0, 1}), (Edge(1, 0, 0, 1), Edge(2, 0, 0, 2), Edge(3, 0, 1, 1)))
+        with pytest.raises(ValueError, match="requires a core graph"):
+            rf.factor_through_almost_rose(g)
+
+    def test_not_onto_the_free_group_rejected(self):
+        # core, Betti 2 and already folded, but it reads only <aa, b>
+        g = rf.wedge_of_words((word("aa"), word("b")), 2).graph
+        with pytest.raises(ValueError, match="does not map onto the whole free group"):
+            rf.factor_through_almost_rose(g)
+
+    def test_betti_dropping_fold_rejected_as_not_onto(self):
+        # a fold that drops the Betti number leaves less than the rose's n,
+        # so the final graph is no rose and the graph is not onto
+        g = rf.wedge_of_words((word("ab"), word("ab")), 2).graph
+        assert any(step.betti_dropped for step in rf.fold_to_completion(g).steps)
+        with pytest.raises(ValueError, match="does not map onto the whole free group"):
+            rf.factor_through_almost_rose(g)
+
     @given(hyp_st.integers(0, 10**6))
     @settings(max_examples=30)
     def test_wedges_of_bases_stay_core_throughout(self, seed):
@@ -574,6 +599,7 @@ class TestFactorThroughAlmostRose:
         assert rf.core(g) == g and rf.betti(g) == 2 and rf.is_pi1_surjective(g)
         with pytest.raises(FoldFactorError):
             rf.factor_through_almost_rose(g)
+        assert issubclass(FoldFactorError, ValueError)  # a rejected input, not an internal error
 
 
 class TestDecideTame:

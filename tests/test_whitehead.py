@@ -71,6 +71,14 @@ class TestWhOfGraph:
         expected |= {frozenset(p) for p in itertools.combinations(side2, 2)}
         assert w.edges == frozenset(expected)
 
+    def test_one_letter_edge_rejected(self):
+        with pytest.raises(ValueError, match="Whitehead edges join two distinct letters"):
+            WhiteheadGraph(2, frozenset({frozenset({1})}))
+
+    def test_self_loop_rejected(self):
+        with pytest.raises(ValueError, match="no Whitehead self-loops"):
+            whitehead_edge(-2, -2)
+
     def test_parallel_same_label_edges_contribute_nothing(self):
         # exactly the foldable configuration: the two-edge path reads a
         # cancelling word, so no Whitehead edge appears

@@ -186,6 +186,14 @@ class TestRankDiscipline:
         with pytest.raises(RankError):
             rf.product(rf.parse_word("a", 2), rf.parse_word("a", 3))
 
+    def test_empty_concat_rejected(self):
+        with pytest.raises(ValueError, match="concat needs at least one word"):
+            rf.words.concat()
+
+    def test_letter_beyond_the_text_form_rejected(self):
+        with pytest.raises(RankError, match="letter index 27 has no character form"):
+            rf.words.letter_to_char(27)
+
     def test_cyclic_word_requires_cyclically_reduced(self):
         with pytest.raises(ValueError):
             rf.parse_cyclic_word("abA", 2)
