@@ -295,10 +295,6 @@ def _fold_input(args) -> tuple[LabeledGraph, tuple[Word, ...]]:
 
 def cmd_fold(args) -> int:
     g, basis = _fold_input(args)
-    seq = fold_to_completion(g)
-    if args.dot:
-        print(fold_sequence_to_dot(seq), end="")
-        return 0
     spec = None
     if args.witness:
         if not basis:
@@ -306,6 +302,10 @@ def cmd_fold(args) -> int:
         spec = parse_endomorphism_text(_read_text(args.witness, "witness"))
         if [w.letters for w in spec.images] != [w.letters for w in basis]:
             raise CliError("witness images do not match the supplied basis")
+    seq = fold_to_completion(g)
+    if args.dot:
+        print(fold_sequence_to_dot(seq), end="")
+        return 0
     print("\n".join(fold_report_lines(seq)))
     if spec is not None:
         if not is_verified_automorphism(spec):
@@ -438,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sep)
 
     p = sub.add_parser("check", help="run the acceptance criteria")
-    p.add_argument("--only", nargs="*", help="criterion names to run")
+    p.add_argument("--only", nargs="+", help="criterion names to run")
     p.set_defaults(fn=cmd_check)
 
     return parser

@@ -12,9 +12,10 @@ vertex -> its outgoing ``(directed edge, label, terminus)`` entries, so
 every accessor is a lookup instead of a scan of the edge list.  An
 ``Edge`` is the row ``(eid, origin, terminus, label)`` itself, so the
 morphism checks read ``edges`` and ``edge_map()`` as they are.  Two more
-tables, read only by ``oracles.brute_force_morphism``, are built on first
-use and then kept: ``ascending_vertices`` and ``id_by_ends``
-(``(origin, terminus, label)`` -> the least edge id with those ends).  A
+tables are built on first use and then kept: ``ascending_vertices``, the
+order in which ``oracles.brute_force_morphism`` and ``is_label_isomorphic``
+visit vertices, and ``id_by_ends`` (``(origin, terminus, label)`` -> the
+least edge id with those ends), read only by the morphism search.  A
 graph that is only folded or printed never builds them.
 
 A graph reads a class when the class's circuit maps into it.  There is no
@@ -138,8 +139,8 @@ class LabeledGraph:
 
     @functools.cached_property
     def ascending_vertices(self) -> tuple[int, ...]:
-        """The vertices in ascending order, the order a morphism search
-        visits them in."""
+        """The vertices in ascending order, the order a morphism search or an
+        isomorphism walk visits them in."""
         return tuple(sorted(self.vertices))
 
     @functools.cached_property
@@ -382,73 +383,70 @@ def _is_morphism_on(
     return True
 
 
-def _vertex_signature(g: LabeledGraph, v: int) -> tuple[int, ...]:
-    return tuple(sorted(label for _, label, _ in g.out_edges(v)))
-
-
 def is_label_isomorphic(g: LabeledGraph, h: LabeledGraph) -> bool:
-    """Existence of a label-preserving graph isomorphism.
+    """Existence of a label-preserving graph isomorphism between two folded
+    graphs; a graph that is not folded raises ``ValueError``.
 
-    Backtracking over vertex bijections with signature pruning, on an
-    explicit stack, so the depth is not bounded by the recursion limit:
-    the vertices of ``g`` are assigned in ascending order, each to the
-    unused vertices of ``h`` in ascending order.  A candidate must carry
-    the same labels to every vertex assigned so far; only neighbours can
-    carry any, so the check costs the valence, not the assignment size.
+    A folded graph is deterministic: each label leaves a vertex on at most
+    one edge, so the image of one vertex fixes the map on its component.
+    Each component of ``g`` is walked from its least vertex into ``h``,
+    from each unused vertex of ``h`` in ascending order.  A walk follows
+    equal labels and fails as soon as a vertex and its image have
+    different outgoing labels or an image is hit twice.  Isomorphism is an
+    equivalence, so the first walk that succeeds is kept and none is ever
+    undone: O(V * (V + E)) in all.
     """
+    if not (is_folded(g) and is_folded(h)):
+        raise ValueError("label isomorphism is decided for folded graphs only")
     if g.rank != h.rank or len(g.vertices) != len(h.vertices) or len(g.edges) != len(h.edges):
         return False
-    gsigs = {v: _vertex_signature(g, v) for v in g.vertices}
-    hsigs = {v: _vertex_signature(h, v) for v in h.vertices}
-    if sorted(gsigs.values()) != sorted(hsigs.values()):
-        return False
-
-    def pair_labels(gr: LabeledGraph) -> dict[int, dict[int, list[int]]]:
-        """Per vertex a, per vertex b: the sorted labels of the directed edges
-        from a to b.  A stored edge b -> a shows as its inverse, a loop at a
-        as its label and its inverse."""
-        out: dict[int, dict[int, list[int]]] = {}
-        for a in gr.vertices:
-            by_end: dict[int, list[int]] = {}
-            for _, label, t in gr.out_edges(a):
-                by_end.setdefault(t, []).append(label)
-            for labels in by_end.values():
-                labels.sort()
-            out[a] = by_end
-        return out
-
-    gpairs, hpairs = pair_labels(g), pair_labels(h)
-    gverts = sorted(g.vertices)
-    hverts = sorted(h.vertices)
-    assignment: dict[int, int] = {}
+    gout = g.out_map()
+    # vertex of h -> label -> terminus; one terminus per label, as h is folded
+    hnext = {w: {label: t for _, label, t in outs} for w, outs in h.out_map().items()}
+    walked: set[int] = set()
     used: set[int] = set()
-    # next_candidate[i]: where the search for the image of gverts[i] resumes in hverts.
-    next_candidate = [0]
-    while next_candidate:
-        i = len(next_candidate) - 1
-        if i == len(gverts):
-            return True
-        v = gverts[i]
-        gv = gpairs[v]
-        to_assigned = {assignment[u]: labels for u, labels in gv.items() if u in assignment}
-        for j in range(next_candidate[i], len(hverts)):
-            w = hverts[j]
-            if w in used or hsigs[w] != gsigs[v]:
-                continue
-            hw = hpairs[w]
-            if gv.get(v) != hw.get(w):
-                continue
-            if to_assigned == {x: labels for x, labels in hw.items() if x in used}:
-                next_candidate[i] = j + 1
-                assignment[v] = w
-                used.add(w)
-                next_candidate.append(0)
+    for v in g.ascending_vertices:
+        if v in walked:
+            continue
+        for w in h.ascending_vertices:
+            if w not in used and (image := _walk(gout, hnext, v, w)) is not None:
+                walked.update(image)
+                used.update(image.values())
                 break
         else:
-            next_candidate.pop()
-            if i:
-                used.remove(assignment.pop(gverts[i - 1]))
-    return False
+            return False
+    return True
+
+
+def _walk(
+    gout: Mapping[int, list[tuple[int, int, int]]],
+    hnext: dict[int, dict[int, int]],
+    v: int,
+    w: int,
+) -> dict[int, int] | None:
+    """The label-preserving injection of ``v``'s component onto ``w``'s
+    that sends ``v`` to ``w``, or None when there is none.
+
+    Each vertex reached must have exactly its image's outgoing labels, and
+    each label leads to the image's terminus on that label.  An image is
+    never a vertex that an earlier walk used: those fill whole components
+    of ``h``, and ``w`` is outside them.
+    """
+    image, back = {v: w}, {w: v}
+    todo = [v]
+    for a in todo:  # grows while it is read
+        step = hnext[image[a]]
+        if len(step) != len(gout[a]):
+            return None
+        for _, label, t in gout[a]:
+            u = step.get(label)
+            if u is None or image.get(t, u) != u or back.get(u, t) != t:
+                return None
+            if t not in image:
+                image[t] = u
+                back[u] = t
+                todo.append(t)
+    return image
 
 
 # -- text formats ----------------------------------------------------------

@@ -362,7 +362,7 @@ def build_rose_from_whitehead(w: WhiteheadGraph) -> AlmostRose | None:
     share a clique side.
     """
     n = w.rank
-    adj = w.adjacency()
+    adj = w.adjacency
     letters = w.letters()
     cuts = cut_vertices(w)
     if cuts:
@@ -372,13 +372,8 @@ def build_rose_from_whitehead(w: WhiteheadGraph) -> AlmostRose | None:
         if len(comps) == 1:
             return None
         c = letters[1] if len(comps) == 2 and not adj[letters[0]] else letters[0]
-    side1 = {-c}
-    stack = [-c]
-    while stack:
-        for x in adj[stack.pop()]:
-            if x != c and x not in side1:
-                side1.add(x)
-                stack.append(x)
+    punctured = {x: nbrs - {c} for x, nbrs in adj.items() if x != c}
+    side1 = adjacency_components(punctured, [-c])[0]
     wholly1: list[int] = []
     split_targets: list[int] = []
     wholly2: list[int] = []
@@ -523,15 +518,13 @@ def decide_tame(classes, rank: int | None = None) -> TamenessCertificate:
     # None exactly when w is connected and has no cut vertex.
     rose = build_rose_from_whitehead(w)
     if rose is not None:
-        # build_rose_from_whitehead has checked the Whitehead inclusion
-        cert = _tame_certificate(norm, rose)
-        if cert is None:
-            raise RuntimeError("internal error: induced morphism missing despite inclusion")
-        return cert
-    adj = w.adjacency()
+        # build_rose_from_whitehead has checked the Whitehead inclusion, so
+        # every class maps into the rose
+        return _tame_certificate(norm, rose)
+    adj = w.adjacency
     letters = w.letters()
-    # letter x sits at position 2(|x| - 1), its inverse right after it
-    nbrs = [sorted(2 * abs(y) - 1 - (y > 0) for y in adj[x]) for x in letters]
+    # letter x sits at position letter_key(x) - 2: a at 0, A at 1, b at 2, ...
+    nbrs = [sorted(letter_key(y) - 2 for y in adj[x]) for x in letters]
     tree = _bfs_tree(nbrs, letters)
     # A leaf of the tree other than its root discovers no letter, so the
     # search without it takes every other step as before: its punctured
@@ -604,7 +597,7 @@ def verify_certificate(classes, cert: TamenessCertificate, rank: int | None = No
     w = whitehead_of_classes(norm, rank)
     if tuple(w.sorted_edges()) != cert.whitehead_edges:
         return False
-    adj = w.adjacency()
+    adj = w.adjacency
     letters = w.letters()
     if not _is_spanning_tree(cert.spanning_tree, adj.keys(), adj):
         return False

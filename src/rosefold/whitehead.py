@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import combinations
 
 from .graphs import LabeledGraph, adjacency_components
 from .words import LETTER_CHARS, _check_letters, _same_rank, class_rank, letter_key
@@ -32,17 +33,14 @@ class WhiteheadGraph:
         """The 2n letters in ``letter_key`` order: a, A, b, B, ..."""
         return [v for i in range(1, self.rank + 1) for v in (i, -i)]
 
+    @functools.cached_property
     def adjacency(self) -> dict[int, set[int]]:
         """Letter -> the set of its neighbours, every letter a key.
 
-        Built on first call and kept, so ``cut_vertices``, ``components``
+        Built on first use and kept, so ``cut_vertices``, ``components``
         and the tameness decision and check all share one index; shared
         with the graph, so read only.
         """
-        return self._adjacency
-
-    @functools.cached_property
-    def _adjacency(self) -> dict[int, set[int]]:
         adj: dict[int, set[int]] = {v: set() for v in self.letters()}
         for edge in self.edges:
             u, v = edge
@@ -75,10 +73,7 @@ def whitehead_of_graph(g: LabeledGraph) -> WhiteheadGraph:
     """
     edges: set[frozenset[int]] = set()
     for v in g.vertices:
-        incoming = sorted(g.in_labels(v), key=letter_key)
-        for i, x in enumerate(incoming):
-            for y in incoming[i + 1 :]:
-                edges.add(whitehead_edge(x, y))
+        edges.update(whitehead_edge(x, y) for x, y in combinations(g.in_labels(v), 2))
     return WhiteheadGraph(g.rank, frozenset(edges))
 
 
@@ -101,13 +96,13 @@ def whitehead_of_classes(classes, rank: int | None = None) -> WhiteheadGraph:
 
 def components(w: WhiteheadGraph) -> list[tuple[int, ...]]:
     """Connected components as letter tuples, isolated letters included."""
-    comps = adjacency_components(w.adjacency(), w.letters())
+    comps = adjacency_components(w.adjacency, w.letters())
     return [tuple(sorted(comp, key=letter_key)) for comp in comps]
 
 
 def cut_vertices(w: WhiteheadGraph) -> set[int]:
     """Articulation points: removal disconnects the vertex's own component."""
-    adj = w.adjacency()
+    adj = w.adjacency
     order: dict[int, int] = {}
     low: dict[int, int] = {}
     result: set[int] = set()

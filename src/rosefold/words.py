@@ -240,12 +240,22 @@ def canonical_rotation(c: CyclicWord) -> CyclicWord:
     Two cyclic words represent the same conjugacy class exactly when
     their canonical rotations are identical sequences.
 
-    O(L) in the length L: Duval's Lyndon factorization (J. Algorithms 4,
-    1983) run over the doubled key sequence, where the least rotation
-    starts at the last Lyndon factor that begins in the first copy.
+    O(L) in the length L: see :func:`_least_rotation`.
 
     >>> str(canonical_rotation(parse_cyclic_word("bA", 2)))
     'Ab'
+    """
+    return _least_rotation(c)[0]
+
+
+def _least_rotation(c: CyclicWord) -> tuple[CyclicWord, list[int]]:
+    """The least rotation of ``c`` and its ``letter_key`` list, built once
+    for both the rotation and the sort in ``normalize_classes``.
+
+    Duval's Lyndon factorization (J. Algorithms 4, 1983) run over the
+    doubled key sequence: the least rotation starts at the last Lyndon
+    factor that begins in the first copy.  ``c`` itself is returned when
+    it is already least.
     """
     ls = c.letters
     k = len(ls)
@@ -264,8 +274,8 @@ def canonical_rotation(c: CyclicWord) -> CyclicWord:
         while i <= p:
             i += j - p
     if best == 0:
-        return c
-    return CyclicWord._rotation(c, best)
+        return c, keys[:k]
+    return CyclicWord._rotation(c, best), keys[best : best + k]
 
 
 def conjugacy_class(w: Word) -> CyclicWord:
@@ -288,10 +298,8 @@ def normalize_classes(words: Iterable[CyclicWord]) -> tuple[CyclicWord, ...]:
     words = list(words)
     if words:
         class_rank(words)
-    seen = {}
+    ranked = {}
     for c in words:
-        cc = canonical_rotation(c)
-        seen[cc.letters] = cc
-    return tuple(
-        sorted(seen.values(), key=lambda c: (len(c), _letter_keys(c.letters)))
-    )
+        cc, keys = _least_rotation(c)
+        ranked[cc.letters] = (len(keys), keys), cc
+    return tuple(cc for _, cc in sorted(ranked.values(), key=lambda kc: kc[0]))

@@ -126,6 +126,56 @@ def fold_morphism(before: LabeledGraph, step: FoldStep) -> GraphMorphism:
     return GraphMorphism(vertex_map=vmap, edge_map=emap)
 
 
+def recursive_is_label_isomorphic(g, h):
+    """Label isomorphism of any two graphs, folded or not: a recursive
+    backtracking search over vertex bijections, one level of recursion per
+    vertex, and every assigned vertex compared at each step.  The oracle
+    for ``is_label_isomorphic`` on folded graphs, and the isomorphism test
+    for graphs that are not folded, such as almost-roses."""
+    if g.rank != h.rank or len(g.vertices) != len(h.vertices) or len(g.edges) != len(h.edges):
+        return False
+
+    def signature(gr, v):
+        return tuple(sorted(label for _, label, _ in gr.out_edges(v)))
+
+    gsigs = {v: signature(g, v) for v in g.vertices}
+    hsigs = {v: signature(h, v) for v in h.vertices}
+    if sorted(gsigs.values()) != sorted(hsigs.values()):
+        return False
+
+    def pair_labels(gr, a, b):
+        return sorted(label for _, label, t in gr.out_edges(a) if t == b)
+
+    gverts = sorted(g.vertices)
+    hverts = sorted(h.vertices)
+    assignment = {}
+    used = set()
+
+    def extend(i):
+        if i == len(gverts):
+            return True
+        v = gverts[i]
+        for w in hverts:
+            if w in used or hsigs[w] != gsigs[v]:
+                continue
+            ok = pair_labels(g, v, v) == pair_labels(h, w, w)
+            if ok:
+                for u, x in assignment.items():
+                    if pair_labels(g, v, u) != pair_labels(h, w, x):
+                        ok = False
+                        break
+            if ok:
+                assignment[v] = w
+                used.add(w)
+                if extend(i + 1):
+                    return True
+                del assignment[v]
+                used.remove(w)
+        return False
+
+    return extend(0)
+
+
 def graph_st(rank: int = 2, max_vertices: int = 6, max_edge_pairs: int = 10):
     return st.integers(0, 10**9).map(
         lambda seed: random_labeled_graph(
@@ -136,15 +186,16 @@ def graph_st(rank: int = 2, max_vertices: int = 6, max_edge_pairs: int = 10):
 
 @pytest.fixture
 def rotation_calls(monkeypatch):
-    """Every ``canonical_rotation`` call the library makes, in order."""
+    """Every least-rotation scan the library makes, in order: the one
+    routine behind ``canonical_rotation`` and ``normalize_classes``."""
     calls = []
-    original = words.canonical_rotation
+    original = words._least_rotation
 
     def counting(c):
         calls.append(c)
         return original(c)
 
-    monkeypatch.setattr(words, "canonical_rotation", counting)
+    monkeypatch.setattr(words, "_least_rotation", counting)
     return calls
 
 

@@ -389,6 +389,19 @@ class TestFold:
         assert (code, out) == (2, "")
         assert err == "error: --witness only applies to --basis mode\n"
 
+    @pytest.mark.parametrize("dot", [False, True], ids=["report", "dot"])
+    @pytest.mark.parametrize("case", ["graph", "missing-file", "garbage"])
+    def test_witness_checked_with_or_without_dot(self, capsys, tmp_path, case, dot):
+        # the witness is read and checked before anything is printed, with --dot too
+        graph = tmp_path / "rose2.txt"
+        graph.write_text(rf.graph_to_text(rf.rose(2)))
+        witness = tmp_path / "basis.witness"
+        if case == "garbage":
+            witness.write_text("garbage\n")
+        args = ("--graph", str(graph)) if case == "graph" else ("--basis", "ab,b")
+        code, out, err = run(capsys, "fold", *args, "--witness", str(witness), *(("--dot",) if dot else ()))
+        assert (code, out) == (2, "") and err.startswith("error:")
+
     def test_witness_without_inverse_lines_is_not_verified(self, capsys, tmp_path):
         path = tmp_path / "basis.witness"
         path.write_text("basis-witness\nrank 2\nimage 1 -> ab\nimage 2 -> b\n")
@@ -688,6 +701,13 @@ class TestCheck:
     def test_unknown_criterion_exits_2(self, capsys):
         code, _, err = run(capsys, "check", "--only", "nope")
         assert code == 2 and "unknown criteria" in err
+
+    def test_only_needs_a_name(self, capsys):
+        # an empty list would select nothing, and argparse rejects it
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--only"])
+        assert exc.value.code == 2
+        assert "--only" in capsys.readouterr().err
 
 
 def make_raise(monkeypatch, owner, name, exc):

@@ -9,7 +9,7 @@ from rosefold.graphs import Edge, LabeledGraph, _prune, oriented_edge
 from rosefold.oracles import random_labeled_graph
 from rosefold.words import RankError
 
-from conftest import class_set_st, class_st, graph_st, letter_st, reads
+from conftest import class_set_st, class_st, graph_st, letter_st, reads, recursive_is_label_isomorphic
 
 
 def cyc(text, rank=2):
@@ -18,54 +18,6 @@ def cyc(text, rank=2):
 
 def word(text, rank=2):
     return rf.parse_word(text, rank)
-
-
-def recursive_is_label_isomorphic(g, h):
-    """The recursive backtracking search that ``is_label_isomorphic``
-    replaced: one level of recursion per vertex, and every assigned vertex
-    compared at each step."""
-    if g.rank != h.rank or len(g.vertices) != len(h.vertices) or len(g.edges) != len(h.edges):
-        return False
-
-    def signature(gr, v):
-        return tuple(sorted(label for _, label, _ in gr.out_edges(v)))
-
-    gsigs = {v: signature(g, v) for v in g.vertices}
-    hsigs = {v: signature(h, v) for v in h.vertices}
-    if sorted(gsigs.values()) != sorted(hsigs.values()):
-        return False
-
-    def pair_labels(gr, a, b):
-        return sorted(label for _, label, t in gr.out_edges(a) if t == b)
-
-    gverts = sorted(g.vertices)
-    hverts = sorted(h.vertices)
-    assignment = {}
-    used = set()
-
-    def extend(i):
-        if i == len(gverts):
-            return True
-        v = gverts[i]
-        for w in hverts:
-            if w in used or hsigs[w] != gsigs[v]:
-                continue
-            ok = pair_labels(g, v, v) == pair_labels(h, w, w)
-            if ok:
-                for u, x in assignment.items():
-                    if pair_labels(g, v, u) != pair_labels(h, w, x):
-                        ok = False
-                        break
-            if ok:
-                assignment[v] = w
-                used.add(w)
-                if extend(i + 1):
-                    return True
-                del assignment[v]
-                used.remove(w)
-        return False
-
-    return extend(0)
 
 
 def renamed(g, perm_seed):
@@ -588,21 +540,44 @@ class TestLabelIsomorphism:
 
     @given(graph_st(rank=2))
     def test_reflexive_under_renaming(self, g):
+        g = rf.fold_to_completion(g).final
         shifted = LabeledGraph(
             g.rank,
             frozenset(v + 100 for v in g.vertices),
             tuple(Edge(e.eid + 50, e.origin + 100, e.terminus + 100, e.label) for e in g.edges),
         )
-        assert rf.is_label_isomorphic(g, shifted)
+        assert rf.is_label_isomorphic(g, shifted) == recursive_is_label_isomorphic(g, shifted) is True
 
     @given(graph_st(rank=2, max_vertices=6, max_edge_pairs=8), graph_st(rank=2, max_vertices=6, max_edge_pairs=8))
     def test_matches_recursive_search(self, g, h):
+        g, h = rf.fold_to_completion(g).final, rf.fold_to_completion(h).final
         assert rf.is_label_isomorphic(g, h) == recursive_is_label_isomorphic(g, h)
 
     @given(graph_st(rank=3, max_vertices=7, max_edge_pairs=9), st.integers(0, 10**6))
     def test_matches_recursive_search_on_renamed_copies(self, g, perm_seed):
+        g = rf.fold_to_completion(g).final
         h = renamed(g, perm_seed)
         assert rf.is_label_isomorphic(g, h) == recursive_is_label_isomorphic(g, h) is True
+
+    def test_unfolded_graph_rejected(self):
+        # two a-edges leave vertex 0: an almost-rose keeps one such pair
+        unfolded = LabeledGraph(2, frozenset({0, 1}), (Edge(1, 0, 0, 1), Edge(2, 0, 1, 1), Edge(3, 1, 1, 2)))
+        assert not rf.is_folded(unfolded)
+        for g, h in ((unfolded, rf.rose(2)), (rf.rose(2), unfolded), (unfolded, unfolded)):
+            with pytest.raises(ValueError, match="folded graphs only"):
+                rf.is_label_isomorphic(g, h)
+
+    def test_second_component_skips_the_first_ones_images(self):
+        # both components of g have one shape, so the walk of the second
+        # component from h's least vertex would succeed onto the first
+        # component's images; it must move on to an unused vertex
+        g = rf.disjoint_circuits([cyc("aab"), cyc("aab")])
+        h = renamed(g, 7)
+        other = rf.disjoint_circuits([cyc("aab"), cyc("abb")])
+        assert len(rf.graphs.connected_components(g)) == 2
+        assert rf.is_label_isomorphic(g, h) == recursive_is_label_isomorphic(g, h) is True
+        assert rf.is_label_isomorphic(g, other) == recursive_is_label_isomorphic(g, other) is False
+        assert rf.is_label_isomorphic(other, g) == recursive_is_label_isomorphic(other, g) is False
 
     def test_long_circuit_needs_no_recursion(self):
         # the recursive search raised RecursionError here: one frame per vertex
@@ -614,9 +589,9 @@ class TestLabelIsomorphism:
         assert not rf.is_label_isomorphic(g, rf.circuit(cyc("abc" * 499 + "acb", 3)))
 
     def test_fails_only_after_backtracking(self):
-        # two a-triangles against one a-hexagon: the same vertex signatures
-        # and counts, so only the search tells them apart, and it backtracks
-        # at each triangle's third vertex
+        # two a-triangles against one a-hexagon: the same outgoing labels at
+        # every vertex and the same counts, so only the walk tells them
+        # apart: each walk of a triangle closes up three steps too early
         g = rf.disjoint_circuits([cyc("aaa"), cyc("aaa")])
         h = rf.circuit(cyc("aaaaaa"))
         assert sorted(map(len, rf.graphs.connected_components(g))) == [3, 3]

@@ -22,7 +22,7 @@ def wh_edges(*pairs):
 
 def brute_cut_vertices(w: WhiteheadGraph) -> set[int]:
     """Delete each vertex and recount the components of its component."""
-    adj = w.adjacency()
+    adj = w.adjacency
     comps = {frozenset(c) for c in rf.components(w)}
     cuts = set()
     for v in w.letters():

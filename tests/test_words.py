@@ -194,6 +194,13 @@ class TestRankDiscipline:
         with pytest.raises(RankError, match="letter index 27 has no character form"):
             rf.words.letter_to_char(27)
 
+    def test_word_beyond_the_text_form_has_no_string(self):
+        # the letter table has no entry for 27, so its lookup falls back
+        # to letter_to_char and raises as it does
+        for letters in ((27,), (1, -27)):
+            with pytest.raises(RankError, match="letter index 27 has no character form"):
+                str(rf.Word(letters, 27))
+
     def test_cyclic_word_requires_cyclically_reduced(self):
         with pytest.raises(ValueError):
             rf.parse_cyclic_word("abA", 2)
