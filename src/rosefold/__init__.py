@@ -47,7 +47,6 @@ from .folding import (
     NotFoldableError,
     fold_to_completion,
     foldable_pairs,
-    is_pi1_surjective,
     subgroup_graph,
 )
 from .whitehead import (

@@ -94,127 +94,62 @@ def _read_text(path: str, what: str) -> str:
         raise CliError(f"cannot read {what} file: {exc}") from exc
 
 
-def _beside(path: Path, tag: str, make):
-    """``(p, make(p))`` for the first free hidden name ``p`` beside ``path``;
-    names carry a random part, so a file left by a killed run is skipped."""
+def _temp_copy(target: Path, text: str, old: os.stat_result | None) -> Path:
+    """A new hidden file beside ``target`` holding ``text``, with the
+    permission bits of ``old`` (the replaced file) or else the umask's.
+    Its name carries a random part, so a file left by a killed run is skipped."""
     for _ in range(100):
-        p = path.with_name(f".{path.name}.{secrets.token_hex(4)}.{tag}")
+        tmp = target.with_name(f".{target.name}.{secrets.token_hex(4)}.tmp")
         try:
-            return p, make(p)
+            f = open(tmp, "x")
         except FileExistsError:
             continue
-    raise FileExistsError(errno.EEXIST, "no free temporary name", str(path))
+        try:
+            with f:
+                f.write(text)
+            if old is not None:
+                os.chmod(tmp, stat.S_IMODE(old.st_mode))
+            return tmp
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    raise FileExistsError(errno.EEXIST, "no free temporary name", str(target))
 
 
-def _temp_copy(target: Path, data: str | bytes, old: os.stat_result | None) -> Path:
-    """A new hidden file beside ``target`` holding ``data``, with the
-    permission bits of ``old`` (the replaced file) or else the umask's."""
-    tmp, f = _beside(target, "tmp", lambda p: open(p, "xb" if isinstance(data, bytes) else "x"))
-    try:
-        with f:
-            f.write(data)
-        if old is not None:
-            os.chmod(tmp, stat.S_IMODE(old.st_mode))
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    return tmp
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path``.
 
-
-def _replaceable(path: str, st: os.stat_result | None) -> bool:
-    """Whether a new file can stand in for ``path``: it is absent, or a
-    regular file with no other name and the caller as owner, and the
-    caller may create files in its directory."""
-    if st is not None and not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and st.st_uid == os.geteuid()):
-        return False
-    return os.access(os.path.dirname(os.path.realpath(path)), os.W_OK | os.X_OK)
-
-
-def _write_text(*files: tuple[str, str]) -> None:
-    """Write each ``(path, text)``, all or none.
-
-    A replaceable target (see ``_replaceable``; a symlink is followed) is
-    replaced atomically: its text goes to a temporary file beside it,
-    which ``os.replace`` moves into place once every temporary is written;
-    an existing target keeps its permission bits, and one the caller may
-    not write is refused.  Any other target (a device such as /dev/null,
-    a FIFO, a file with other hard links or another owner) is written in
-    place, as ``Path.write_text`` does, after the replacements; so is
-    any target in a directory the caller may not add files to.
-
-    When several files are written, each existing replaceable target is
-    first kept as a hard link beside it (or in memory, where the file
-    system has no hard links).  If a step fails, the replaced targets get
-    their old contents back, or are removed if they were absent, and only
-    temporary files are deleted; in-place writes cannot be undone.
+    A target that is absent, or a regular file with no other name and the
+    caller as owner, in a directory the caller may add files to, is
+    replaced atomically (through a symlink): ``text`` goes to a temporary
+    file beside it, which ``os.replace`` moves into place.  A replaced
+    file keeps its permission bits, and one the caller may not write is
+    refused.  Any other target (a device such as /dev/null, a FIFO, a file
+    with other hard links or another owner, or one in a directory the
+    caller may not add files to) is written in place, as
+    ``Path.write_text`` does.  A failed replacement leaves the target as
+    it was and removes the temporary file.
     """
-    swaps: list[tuple[Path, str, os.stat_result | None]] = []
-    in_place: list[tuple[str, str]] = []
-    temps: list[Path] = []
-    backups: dict[Path, Path | bytes] = {}  # target -> hard link to, or bytes of, its old contents
-    moved = 0
-    current = ""
     try:
-        for path, text in files:
-            current = path
-            try:
-                st = os.stat(path)
-            except FileNotFoundError:
-                st = None
-            if not _replaceable(path, st):
-                in_place.append((path, text))
-                continue
-            if st is not None and not os.access(path, os.W_OK):
-                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
-            swaps.append((Path(os.path.realpath(path)), text, st))
-        for target, text, st in swaps:
-            current = str(target)
-            temps.append(_temp_copy(target, text, st))
-            if st is not None and len(files) > 1:
-                try:
-                    backups[target] = _beside(target, "bak", lambda p: os.link(target, p))[0]
-                except OSError:
-                    backups[target] = target.read_bytes()
-        for (target, _, _), tmp in zip(swaps, temps):
-            current = str(target)
-            os.replace(tmp, target)
-            moved += 1
-        for path, text in in_place:
-            current = path
+        try:
+            st = os.stat(path)
+        except FileNotFoundError:
+            st = None
+        target = Path(os.path.realpath(path))
+        sole = st is None or (stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and st.st_uid == os.geteuid())
+        if not (sole and os.access(target.parent, os.W_OK | os.X_OK)):
             Path(path).write_text(text)
+            return
+        if st is not None and not os.access(path, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        tmp = _temp_copy(target, text, st)
+        try:
+            os.replace(tmp, target)
+        except OSError:
+            tmp.unlink(missing_ok=True)
+            raise
     except OSError as exc:
-        problems = _roll_back(swaps[:moved], backups, temps)
-        raise CliError(f"cannot write output file {current}: {exc.strerror or exc}{problems}") from exc
-    problems = _roll_back([], backups, [])
-    if problems:
-        raise CliError(f"wrote the output files, but{problems[1:]}")
-
-
-def _roll_back(moved, backups: dict[Path, Path | bytes], temps: list[Path]) -> str:
-    """Give each moved target its old contents back (removing it if it was
-    absent), then delete every temporary file and every backup not needed
-    to recover a target that could not be restored; returns a
-    ``"; could not ..."`` note per step that failed, or ``""``."""
-    problems = ""
-    for target, _, st in moved:
-        old = backups.pop(target, None)
-        try:
-            if st is None:
-                target.unlink()
-            elif isinstance(old, Path):
-                os.replace(old, target)
-            elif old is not None:
-                temps.append(_temp_copy(target, old, st))
-                os.replace(temps[-1], target)
-        except OSError as exc:
-            kept = f" (its old contents are in {old})" if isinstance(old, Path) else ""
-            problems += f"; could not restore {target}{kept}: {exc.strerror or exc}"
-    for p in temps + [b for b in backups.values() if isinstance(b, Path)]:
-        try:
-            p.unlink(missing_ok=True)
-        except OSError as exc:
-            problems += f"; could not remove {p}: {exc.strerror or exc}"
-    return problems
+        raise CliError(f"cannot write output file {path}: {exc.strerror or exc}") from exc
 
 
 def _cut_line(w: WhiteheadGraph) -> str:
@@ -243,10 +178,6 @@ def _print_wh(w: WhiteheadGraph, dot: bool) -> int:
     return 0
 
 
-def _relabel_text(targets: tuple[int, ...]) -> str:
-    return " ".join(f"{i}->{t}" for i, t in enumerate(targets, start=1))
-
-
 def cmd_reduce(args) -> int:
     (w,), _ = _parse_words([args.word], args.rank)
     print(str(free_reduce(w)))
@@ -270,7 +201,7 @@ def cmd_tame(args) -> int:
         return 3
     text = certificate_to_text(cert)
     if args.out:
-        _write_text((args.out, text))
+        _write_text(args.out, text)
     print(text, end="")
     return 0 if cert.tame else 1
 
@@ -323,10 +254,8 @@ def cmd_fold(args) -> int:
     if rose is None:
         print("penultimate recognition declined: not an almost-rose")
         return 1
-    print(
-        f"penultimate: almost-rose k={rose.k} l={rose.l}"
-        f" relabel [{_relabel_text(rose.relabeling.targets)}]"
-    )
+    relabel = " ".join(f"{i}->{t}" for i, t in enumerate(rose.relabeling.targets, start=1))
+    print(f"penultimate: almost-rose k={rose.k} l={rose.l} relabel [{relabel}]")
     if spec is not None:
         readable = _tame_certificate((conjugacy_class(basis[0]),), rose) is not None
         print(f"first word readable in almost-rose: {'yes' if readable else 'no'}")
@@ -337,12 +266,11 @@ def cmd_fold(args) -> int:
 def cmd_orbit(args) -> int:
     orbit = primitive_orbit(_check_rank(args.n), args.max_len, args.budget)
     classes = normalize_classes(list(orbit.classes))
-    lines = [str(c) for c in classes]
+    text = "".join(f"{c}\n" for c in classes)
     if args.out:
-        _write_text((args.out, "\n".join(lines) + "\n"))
+        _write_text(args.out, text)
     else:
-        for line in lines:
-            print(line)
+        print(text, end="")
     print(f"classes: {len(classes)}")
     print(f"complete: {'yes' if orbit.complete else 'no'}")
     return 0
@@ -350,13 +278,11 @@ def cmd_orbit(args) -> int:
 
 def cmd_sep(args) -> int:
     classes, witness = random_separable_set(_check_rank(args.n), args.seed, args.count, args.max_len)
-    class_lines = "\n".join(str(c) for c in classes) + "\n"
-    witness_text = separable_witness_to_text(witness)
+    text = separable_witness_to_text(classes, witness)
     if args.out:
-        _write_text((args.out + ".classes", class_lines), (args.out + ".witness", witness_text))
+        _write_text(args.out, text)
     else:
-        print(class_lines, end="")
-        print(witness_text, end="")
+        print(text, end="")
     print(f"classes: {len(classes)}")
     print(f"split: {witness.split}")
     return 0
@@ -434,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=int, default=4)
     p.add_argument("--max-len", type=int, default=10)
-    p.add_argument("--out", help="file prefix for .classes and .witness")
+    p.add_argument("--out", help="write the witness, with its classes, to this file instead")
     p.set_defaults(fn=cmd_sep)
 
     p = sub.add_parser("check", help="run the acceptance criteria")

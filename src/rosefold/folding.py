@@ -44,14 +44,10 @@ from .graphs import (
     BasedGraph,
     Edge,
     LabeledGraph,
-    NotConnectedError,
     _dot_lines,
     betti,
-    core,
     core_pair,
-    is_connected,
     is_folded,
-    is_rose,
     wedge_of_words,
 )
 from .words import LETTER_CHARS
@@ -271,14 +267,6 @@ def random_fold_pick(rng: random.Random) -> Callable[[list[tuple[int, int]]], tu
         return pairs[rng.randrange(len(pairs))]
 
     return pick
-
-
-def is_pi1_surjective(g: LabeledGraph) -> bool:
-    """Whether the labeling map sends the fundamental group onto the whole
-    free group: the folded core image must be the rose itself."""
-    if not is_connected(g):
-        raise NotConnectedError("pi1-surjectivity is defined for connected graphs")
-    return is_rose(core(fold_to_completion(g).final))
 
 
 def subgroup_graph(generators, rank: int) -> BasedGraph:

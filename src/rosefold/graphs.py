@@ -35,6 +35,10 @@ from .words import (
     CyclicWord,
     RankError,
     Word,
+    _bad_line,
+    _int,
+    _once,
+    _text_lines,
     _valid_rank,
     class_rank,
     is_reduced,
@@ -464,28 +468,24 @@ def parse_graph_text(text: str) -> LabeledGraph:
     rank: int | None = None
     vertices: set[int] = set()
     edges: list[Edge] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "rank" and rank is not None:
-            raise ValueError(f"graph text repeats its rank line, at line {lineno}: {raw!r}")
-        try:
-            if parts[0] == "rank" and len(parts) == 2:
-                rank = int(parts[1])
-            elif parts[0] == "vertex" and len(parts) == 2:
-                vertices.add(int(parts[1]))
-            elif parts[0] == "edge" and len(parts) == 5:
-                eid, origin, terminus = int(parts[1]), int(parts[2]), int(parts[3])
+    seen: set[str] = set()
+    try:
+        for lineno, keyword, fields in _text_lines(text):
+            if keyword == "rank" and len(fields) == 1:
+                _once(seen, "rank")
+                rank = _valid_rank(_int(fields[0]))
+            elif keyword == "vertex" and len(fields) == 1:
+                vertices.add(_int(fields[0]))
+            elif keyword == "edge" and len(fields) == 4:
+                eid, origin, terminus = map(_int, fields[:3])
                 if eid <= 0:  # reported with its line, not when the graph is built
                     raise ValueError(f"edge id must be positive, got {eid}")
-                label = letter_from_char(parts[4])
-                edges.append(oriented_edge(eid, origin, terminus, label))
+                _once(seen, f"edge {eid}")
+                edges.append(oriented_edge(eid, origin, terminus, letter_from_char(fields[3])))
             else:
                 raise ValueError("expected 'rank N', 'vertex V' or 'edge ID ORIGIN TERMINUS LETTER'")
-        except ValueError as exc:
-            raise ValueError(f"bad graph line {lineno}: {raw!r}: {exc}") from exc
+    except ValueError as exc:
+        raise _bad_line("graph", text, lineno, exc) from exc
     if rank is None:
         raise ValueError("graph text missing a rank line")
     return LabeledGraph(rank, frozenset(vertices), tuple(edges))

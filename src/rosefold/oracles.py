@@ -38,7 +38,11 @@ from .words import (
     CyclicWord,
     TrivialWordError,
     Word,
+    _bad_line,
+    _int,
+    _once,
     _same_rank,
+    _text_lines,
     _valid_rank,
     class_rank,
     conjugacy_class,
@@ -504,10 +508,6 @@ def _word_token(w: Word) -> str:
     return str(w) if len(w) else "-"
 
 
-def _parse_word_token(token: str, rank: int) -> Word:
-    return Word((), rank) if token == "-" else parse_word(token, rank)
-
-
 def _image_lines(spec: EndomorphismSpec) -> list[str]:
     """The ``image`` lines of ``spec``, then its ``inverse`` lines if any."""
     tagged = [("image", spec.images), ("inverse", spec.inverse_images or ())]
@@ -529,25 +529,25 @@ def parse_endomorphism_text(text: str) -> EndomorphismSpec:
     rank: int | None = None
     images: dict[int, Word] = {}
     inverses: dict[int, Word] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#") or line == "basis-witness":
-            continue
-        parts = line.split()
-        if parts[0] == "rank" and len(parts) == 2:
-            if rank is not None:
-                raise ValueError(f"witness text repeats its rank line: {raw!r}")
-            rank = _valid_rank(int(parts[1]))
-        elif parts[0] in ("image", "inverse") and len(parts) == 4 and parts[2] == "->":
-            if rank is None:
-                raise ValueError("witness text must declare rank before images")
-            target = images if parts[0] == "image" else inverses
-            i = int(parts[1])
-            if i in target:
-                raise ValueError(f"witness text repeats {parts[0]} {i}: {raw!r}")
-            target[i] = _parse_word_token(parts[3], rank)
-        else:
-            raise ValueError(f"unrecognized witness line: {raw!r}")
+    seen: set[str] = set()
+    try:
+        for lineno, keyword, fields in _text_lines(text):
+            if keyword == "basis-witness" and not fields:
+                continue
+            if keyword == "rank" and len(fields) == 1:
+                _once(seen, "rank")
+                rank = _valid_rank(_int(fields[0]))
+            elif keyword in ("image", "inverse") and len(fields) == 3 and fields[1] == "->":
+                if rank is None:
+                    raise ValueError("rank must be declared before images")
+                i = _int(fields[0])
+                _once(seen, f"{keyword} {i}")
+                word = Word((), rank) if fields[2] == "-" else parse_word(fields[2], rank)
+                (images if keyword == "image" else inverses)[i] = word
+            else:
+                raise ValueError("expected 'basis-witness', 'rank N', 'image I -> WORD' or 'inverse I -> WORD'")
+    except ValueError as exc:
+        raise _bad_line("witness", text, lineno, exc) from exc
     if rank is None or not _one_per_generator(images, rank):
         raise ValueError("witness text must give one image per generator")
     inv = None
@@ -558,11 +558,16 @@ def parse_endomorphism_text(text: str) -> EndomorphismSpec:
     return EndomorphismSpec(rank, tuple(images[i] for i in range(1, rank + 1)), inv)
 
 
-def separable_witness_to_text(witness: SeparableWitness) -> str:
+def separable_witness_to_text(classes: tuple[CyclicWord, ...], witness: SeparableWitness) -> str:
+    """The witness as text, each element's block led by its class, so that
+    one file states the claim and its proof; the arguments are those of
+    :func:`verify_separable_witness`."""
     lines = ["separable-witness", f"rank {witness.rank}", f"split {witness.split}"]
     lines += _image_lines(witness.automorphism)
-    for j in range(len(witness.factor_words)):
-        lines.append(f"factor {j + 1} -> {witness.factor_sides[j]}")
-        lines.append(f"word {j + 1} -> {_word_token(witness.factor_words[j])}")
-        lines.append(f"conj {j + 1} -> {_word_token(witness.conjugators[j])}")
+    blocks = zip(classes, witness.factor_sides, witness.factor_words, witness.conjugators, strict=True)
+    for j, (cls, side, u, conj) in enumerate(blocks, start=1):
+        lines.append(f"class {j} -> {cls}")
+        lines.append(f"factor {j} -> {side}")
+        lines.append(f"word {j} -> {_word_token(u)}")
+        lines.append(f"conj {j} -> {_word_token(conj)}")
     return "\n".join(lines) + "\n"

@@ -14,7 +14,7 @@ are safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 MAX_PARSE_RANK = 26
 
@@ -303,3 +303,34 @@ def normalize_classes(words: Iterable[CyclicWord]) -> tuple[CyclicWord, ...]:
         cc, keys = _least_rotation(c)
         ranked[cc.letters] = (len(keys), keys), cc
     return tuple(cc for _, cc in sorted(ranked.values(), key=lambda kc: kc[0]))
+
+
+
+def _text_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """``(lineno, keyword, fields)`` for each line of a text format that is
+    not blank or a ``#`` comment, numbered from 1 and split into words."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if parts and not parts[0].startswith("#"):
+            yield lineno, parts[0], parts[1:]
+
+
+def _bad_line(what: str, text: str, lineno: int, exc: ValueError) -> ValueError:
+    """``exc`` as ``bad <what> line N: '<line>': <reason>``, of its own class."""
+    return type(exc)(f"bad {what} line {lineno}: {text.splitlines()[lineno - 1]!r}: {exc}")
+
+
+def _once(seen: set[str], key: str) -> None:
+    """Note a line giving ``key``; a second one would let a file contradict itself."""
+    if key in seen:
+        raise ValueError(f"repeats an earlier {key!r} line")
+    seen.add(key)
+
+
+def _int(field: str) -> int:
+    """An integer as the writers write it: an optional ``-`` and ASCII digits
+    (``int`` also takes ``1_0``, ``+1`` and digits of other scripts)."""
+    digits = field[1:] if field.startswith("-") else field
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int: {field!r}")
+    return int(field)

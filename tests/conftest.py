@@ -126,6 +126,14 @@ def fold_morphism(before: LabeledGraph, step: FoldStep) -> GraphMorphism:
     return GraphMorphism(vertex_map=vmap, edge_map=emap)
 
 
+def is_pi1_surjective(g: LabeledGraph) -> bool:
+    """Whether the labeling map sends the fundamental group onto the whole
+    free group: the folded core image must be the rose itself."""
+    if not rf.is_connected(g):
+        raise rf.NotConnectedError("pi1-surjectivity is defined for connected graphs")
+    return rf.is_rose(rf.core(rf.fold_to_completion(g).final))
+
+
 def recursive_is_label_isomorphic(g, h):
     """Label isomorphism of any two graphs, folded or not: a recursive
     backtracking search over vertex bijections, one level of recursion per

@@ -416,12 +416,12 @@ class TestFold:
                 ("--basis", "ab,b", "--witness"),
                 "basis-witness\nrank 2\nimage 1 -> b\nimage 1 -> ab\nimage 2 -> b\n"
                 "inverse 1 -> aB\ninverse 2 -> b\n",
-                "error: witness text repeats image 1: 'image 1 -> ab'\n",
+                "error: bad witness line 4: 'image 1 -> ab': repeats an earlier 'image 1' line\n",
             ),
             (
                 ("--graph",),
                 "rank 2\nrank 3\nvertex 0\nedge 1 0 0 a\nedge 2 0 0 b\n",
-                "error: graph text repeats its rank line, at line 2: 'rank 3'\n",
+                "error: bad graph line 2: 'rank 3': repeats an earlier 'rank' line\n",
             ),
         ],
         ids=["witness-repeats-image", "graph-repeats-rank"],
@@ -483,11 +483,12 @@ class TestFold:
             ),
             (
                 "basis-witness\nimage 1 -> ab\nrank 2\nimage 2 -> b\n",
-                "error: witness text must declare rank before images\n",
+                "error: bad witness line 2: 'image 1 -> ab': rank must be declared before images\n",
             ),
             (
                 "basis-witness\nrank 2\nimage 1 -> ab\nimage 2 -> b\nforward 1\n",
-                "error: unrecognized witness line: 'forward 1'\n",
+                "error: bad witness line 5: 'forward 1': expected 'basis-witness', 'rank N',"
+                " 'image I -> WORD' or 'inverse I -> WORD'\n",
             ),
         ],
         ids=["other-images", "image-before-rank", "unknown-line"],
@@ -596,92 +597,45 @@ class TestSep:
         assert "classes: 4" in out1
 
     def test_stdout_bytes_are_pinned(self, capsys):
-        # first 16 hex digits of the sha256 of stdout, recorded while the
-        # witness wrote its image and inverse lines with its own loop
+        # first 16 hex digits of the sha256 of stdout, re-recorded when the
+        # witness text took in its classes as `class` lines; moved back to
+        # the head of stdout as bare lines, they give the bytes recorded
+        # while the witness wrote its image and inverse lines with its own loop
         code, out, _ = run(capsys, "sep", "3", "--seed", "7", "--count", "4")
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest()[:16] == "6142f0cc31128c4f"
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == "36dc5844528c7086"
+        lines = out.splitlines(keepends=True)
+        bare = [line.split(" -> ")[1] for line in lines if line.startswith("class ")]
+        before = "".join(bare + [line for line in lines if not line.startswith("class ")])
+        assert hashlib.sha256(before.encode()).hexdigest()[:16] == "6142f0cc31128c4f"
 
     def test_out_files(self, capsys, tmp_path):
-        prefix = str(tmp_path / "corpus")
-        code, _, _ = run(capsys, "sep", "3", "--seed", "7", "--count", "4", "--out", prefix)
-        assert code == 0
-        classes = (tmp_path / "corpus.classes").read_text().splitlines()
-        assert len(classes) == 4
-        witness = (tmp_path / "corpus.witness").read_text()
-        assert witness.startswith("separable-witness\n")
+        # one file holds the claim and its proof: the witness with its classes
+        target = tmp_path / "corpus.witness"
+        code, out, _ = run(capsys, "sep", "3", "--seed", "7", "--count", "4", "--out", str(target))
+        assert (code, out) == (0, "classes: 4\nsplit: 2\n")
+        printed = run(capsys, "sep", "3", "--seed", "7", "--count", "4")[1]
+        assert target.read_text() + out == printed
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.witness"]
 
     def test_bad_count_exits_2(self, capsys):
         code, _, _ = run(capsys, "sep", "3", "--seed", "1", "--count", "0")
         assert code == 2
 
     def test_unwritable_out_exits_2(self, capsys, tmp_path):
-        prefix = str(tmp_path / "missing" / "corpus")
-        code, _, err = run(capsys, "sep", "3", "--seed", "7", "--count", "4", "--out", prefix)
+        target = str(tmp_path / "missing" / "corpus.witness")
+        code, _, err = run(capsys, "sep", "3", "--seed", "7", "--count", "4", "--out", target)
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
 
-    def test_failed_second_write_leaves_no_file(self, capsys, tmp_path):
-        (tmp_path / "p.witness").mkdir()
-        code, out, err = run(capsys, "sep", "3", "--seed", "7", "--count", "4", "--out", str(tmp_path / "p"))
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and "Traceback" not in err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.witness"]
-
-    def test_failed_second_write_keeps_old_first_file(self, capsys, tmp_path):
-        (tmp_path / "p.classes").write_text("old classes\n")
-        (tmp_path / "p.witness").mkdir()
-        code, out, err = run(capsys, "sep", "3", "--seed", "7", "--count", "4", "--out", str(tmp_path / "p"))
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and "Traceback" not in err
-        assert (tmp_path / "p.classes").read_text() == "old classes\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.classes", "p.witness"]
-
-    def test_without_hard_links_old_file_is_restored_from_memory(self, capsys, tmp_path, monkeypatch):
-        def no_links(src, dst):
-            raise OSError(errno.EPERM, "Operation not permitted")
-
-        monkeypatch.setattr(os, "link", no_links)
-        (tmp_path / "p.classes").write_text("old classes\n")
-        (tmp_path / "p.classes").chmod(0o640)
-        (tmp_path / "p.witness").mkdir()
-        code, out, err = run(capsys, "sep", "3", "--seed", "7", "--count", "4", "--out", str(tmp_path / "p"))
-        assert code == 2 and out == "" and "Traceback" not in err
-        assert (tmp_path / "p.classes").read_text() == "old classes\n"
-        assert stat.S_IMODE((tmp_path / "p.classes").stat().st_mode) == 0o640
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.classes", "p.witness"]
-        (tmp_path / "p.witness").rmdir()
-        (tmp_path / "p.witness").write_text("old\n")
-        code, _, _ = run(capsys, "sep", "3", "--seed", "7", "--count", "4", "--out", str(tmp_path / "p"))
-        assert code == 0 and (tmp_path / "p.witness").read_text().startswith("separable-witness\n")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.classes", "p.witness"]
-
-    def test_failed_restore_exits_2_and_keeps_the_backup(self, capsys, tmp_path, monkeypatch):
-        replace = os.replace
-
-        def no_restore(src, dst):
-            if str(src).endswith(".bak"):
-                raise OSError(errno.EIO, "Input/output error")
-            replace(src, dst)
-
-        monkeypatch.setattr(os, "replace", no_restore)
-        (tmp_path / "p.classes").write_text("old classes\n")
-        (tmp_path / "p.witness").mkdir()
-        code, out, err = run(capsys, "sep", "3", "--seed", "7", "--count", "4", "--out", str(tmp_path / "p"))
-        assert code == 2 and out == "" and "Traceback" not in err
-        assert "could not restore" in err and "Input/output error" in err
-        (backup,) = tmp_path.glob(".p.classes.*.bak")
-        assert backup.read_text() == "old classes\n" and str(backup) in err
-
     def test_out_files_replace_old_ones(self, capsys, tmp_path):
-        prefix = tmp_path / "p"
-        for suffix in (".classes", ".witness"):
-            (tmp_path / ("p" + suffix)).write_text("old\n")
-        code, _, _ = run(capsys, "sep", "3", "--seed", "7", "--count", "4", "--out", str(prefix))
+        target = tmp_path / "p"
+        target.write_text("old witness, longer than the new one\n" * 20)
+        code, _, _ = run(capsys, "sep", "3", "--seed", "7", "--count", "4", "--out", str(target))
         assert code == 0
-        assert (tmp_path / "p.witness").read_text().startswith("separable-witness\n")
-        assert len((tmp_path / "p.classes").read_text().splitlines()) == 4
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.classes", "p.witness"]
+        text = target.read_text()
+        assert text.startswith("separable-witness\n") and text.count("\nclass ") == 4
+        assert [p.name for p in tmp_path.iterdir()] == ["p"]
 
     def test_rank_above_26_exits_2(self, capsys):
         code, _, err = run(capsys, "sep", "27", "--seed", "1", "--count", "1", "--max-len", "2")

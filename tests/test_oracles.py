@@ -166,6 +166,24 @@ class TestPrimitiveOrbit:
             rf.primitive_orbit(2, 3, budget=0)
 
 
+def _separable_grid_digest(witness_text) -> str:
+    """First 16 hex digits of the sha256 of 90 seeded separable sets, two of
+    them give-ups, each hashed as its classes and ``witness_text(classes, witness)``."""
+    h = hashlib.sha256()
+    for n in range(2, 7):
+        for count in (1, 3, 6):
+            for max_len in (2, 6, 14):
+                for seed in range(2):
+                    try:
+                        classes, witness = rf.random_separable_set(n, seed, count, max_len)
+                    except ValueError:
+                        h.update(f"{n} {seed} {count} {max_len} gave up\n".encode())
+                        continue
+                    h.update(" ".join(map(str, classes)).encode() + b"\n")
+                    h.update(witness_text(classes, witness).encode())
+    return h.hexdigest()[:16]
+
+
 class TestRandomSeparableSet:
     def test_deterministic_in_seed(self):
         a, wa = rf.random_separable_set(3, seed=7, count=4)
@@ -175,22 +193,20 @@ class TestRandomSeparableSet:
         assert a != c
 
     def test_seeded_sets_are_pinned(self):
-        # first 16 hex digits of the sha256 of 90 seeded sets and witnesses,
-        # two of them give-ups, recorded while drawn classes were looked up
-        # in a list and the give-up came after 2,000 draws per class asked for
-        h = hashlib.sha256()
-        for n in range(2, 7):
-            for count in (1, 3, 6):
-                for max_len in (2, 6, 14):
-                    for seed in range(2):
-                        try:
-                            classes, witness = rf.random_separable_set(n, seed, count, max_len)
-                        except ValueError:
-                            h.update(f"{n} {seed} {count} {max_len} gave up\n".encode())
-                            continue
-                        h.update(" ".join(map(str, classes)).encode() + b"\n")
-                        h.update(separable_witness_to_text(witness).encode())
-        assert h.hexdigest()[:16] == "cd5bd69ca82d5654"
+        # re-recorded when the witness text took in its classes as `class` lines
+        assert _separable_grid_digest(separable_witness_to_text) == "75385111f96ee891"
+
+    def test_witness_text_gained_only_its_class_lines(self):
+        # the digest recorded while drawn classes were looked up in a list and
+        # the give-up came after 2,000 draws per class asked for, before the
+        # witness text carried its classes: the draws did not change
+        def without_class_lines(classes, witness):
+            lines = separable_witness_to_text(classes, witness).splitlines(keepends=True)
+            class_lines = [line for line in lines if line.startswith("class ")]
+            assert class_lines == [f"class {j} -> {c}\n" for j, c in enumerate(classes, start=1)]
+            return "".join(line for line in lines if not line.startswith("class "))
+
+        assert _separable_grid_digest(without_class_lines) == "cd5bd69ca82d5654"
 
     def test_unmeetable_count_gives_up_early(self, monkeypatch):
         # rank 3 has few classes of length <= 2, so a million cannot be met;
@@ -569,11 +585,16 @@ class TestWitnessFiles:
     def test_repeated_line_rejected(self, line):
         # the last of two lines used to win, so a witness could contradict itself
         text = endomorphism_to_text(spec(("ab", "b"), inverses=("aB", "b")))
-        with pytest.raises(ValueError, match=f"repeats .*{line}"):
+        with pytest.raises(ValueError, match=f"^bad witness line 7: '{line}': repeats an earlier '"):
             parse_endomorphism_text(text + line + "\n")
 
     def test_separable_witness_text_is_stable(self):
-        _, witness = rf.random_separable_set(3, seed=7, count=4)
-        assert separable_witness_to_text(witness) == separable_witness_to_text(witness)
-        text = separable_witness_to_text(witness)
-        assert "split" in text and "image 1 ->" in text and "conj 1 ->" in text
+        classes, witness = rf.random_separable_set(3, seed=7, count=4)
+        text = separable_witness_to_text(classes, witness)
+        assert text == separable_witness_to_text(classes, witness)
+        assert "split" in text and "image 1 ->" in text and "class 1 ->" in text and "conj 1 ->" in text
+
+    def test_separable_witness_text_needs_one_class_per_element(self):
+        classes, witness = rf.random_separable_set(3, seed=7, count=4)
+        with pytest.raises(ValueError):
+            separable_witness_to_text(classes[:3], witness)

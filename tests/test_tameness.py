@@ -16,7 +16,15 @@ from rosefold.tameness import FoldFactorError, almost_rose_from_parts
 from rosefold.whitehead import WhiteheadGraph
 from rosefold.words import RankError, class_rank, letter_key, letter_to_char, normalize_classes
 
-from conftest import class_set_st, fold_once, graph_st, reads, recursive_is_label_isomorphic, relabeling_st
+from conftest import (
+    class_set_st,
+    fold_once,
+    graph_st,
+    is_pi1_surjective,
+    reads,
+    recursive_is_label_isomorphic,
+    relabeling_st,
+)
 
 
 def cyc(text, rank=2):
@@ -596,7 +604,7 @@ class TestFactorThroughAlmostRose:
             frozenset({0, 1, 2}),
             (Edge(1, 0, 1, 1), Edge(2, 0, 2, 1), Edge(3, 1, 2, 1), Edge(4, 1, 2, 2)),
         )
-        assert rf.core(g) == g and rf.betti(g) == 2 and rf.is_pi1_surjective(g)
+        assert rf.core(g) == g and rf.betti(g) == 2 and is_pi1_surjective(g)
         with pytest.raises(FoldFactorError):
             rf.factor_through_almost_rose(g)
         assert issubclass(FoldFactorError, ValueError)  # a rejected input, not an internal error
