@@ -16,7 +16,7 @@ from rosefold import (
     whitehead_of_almost_rose,
     whitehead_to_dot,
 )
-from rosefold.words import letter_to_char
+from rosefold.words import LETTER_CHARS
 
 
 def main() -> int:
@@ -35,7 +35,7 @@ def main() -> int:
             f"{j}->{t}" for j, t in enumerate(rose.relabeling.targets, start=1)
         )
         wh = whitehead_of_almost_rose(rose)
-        cuts = "".join(sorted(letter_to_char(v) for v in cut_vertices(wh)))
+        cuts = "".join(sorted(LETTER_CHARS[v] for v in cut_vertices(wh)))
         print(f"  [{i:02d}] k={rose.k} l={rose.l} relabel [{relabel}] wh-cut-vertices {cuts}")
         if outdir:
             (outdir / f"rose_{args.rank}_{i:02d}.dot").write_text(graph_to_dot(rose.graph))

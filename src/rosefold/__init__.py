@@ -15,7 +15,7 @@ from .words import (
     cyclic_reduce,
     free_reduce,
     invert,
-    parse_cyclic_word,
+    parse_letters,
     parse_word,
     product,
 )

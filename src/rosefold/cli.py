@@ -52,30 +52,26 @@ from .words import (
     conjugacy_class,
     cyclic_reduce,
     free_reduce,
-    letter_from_char,
     letter_key,
     normalize_classes,
+    parse_letters,
 )
-
-
-class CliError(ValueError):
-    """An input rejected by the command line itself rather than the library."""
 
 
 def _check_rank(n: int) -> int:
     """The library's rank rule, plus the cap of the 26-letter text form."""
     if _valid_rank(n) > MAX_PARSE_RANK:
-        raise CliError(f"rank must be at most {MAX_PARSE_RANK}, got {n}")
+        raise ValueError(f"rank must be at most {MAX_PARSE_RANK}, got {n}")
     return n
 
 
 def _parse_words(texts: list[str], rank_flag: int | None) -> tuple[tuple[Word, ...], int]:
     """Read each character once; the rank is ``--rank`` or the highest letter index (at least 2)."""
-    letters = [tuple(letter_from_char(c) for c in text) for text in texts]
+    letters = [parse_letters(text) for text in texts]
     max_index = max((abs(v) for ls in letters for v in ls), default=0)
     rank = max(2, max_index) if rank_flag is None else _check_rank(rank_flag)
     if max_index > rank:
-        raise CliError(f"a letter with index {max_index} exceeds rank {rank}")
+        raise ValueError(f"a letter with index {max_index} exceeds rank {rank}")
     return tuple(Word(ls, rank) for ls in letters), rank
 
 
@@ -84,14 +80,14 @@ def _parse_classes(texts: list[str], rank_flag: int | None) -> tuple[tuple[Cycli
     try:
         return tuple(cyclic_reduce(w)[0] for w in words), rank
     except TrivialWordError as exc:
-        raise CliError(f"trivial word has no conjugacy class: {exc}") from exc
+        raise ValueError(f"trivial word has no conjugacy class: {exc}") from exc
 
 
 def _read_text(path: str, what: str) -> str:
     try:
         return Path(path).read_text()
     except OSError as exc:
-        raise CliError(f"cannot read {what} file: {exc}") from exc
+        raise ValueError(f"cannot read {what} file: {exc}") from exc
 
 
 def _temp_copy(target: Path, text: str, old: os.stat_result | None) -> Path:
@@ -149,7 +145,7 @@ def _write_text(path: str, text: str) -> None:
             tmp.unlink(missing_ok=True)
             raise
     except OSError as exc:
-        raise CliError(f"cannot write output file {path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot write output file {path}: {exc.strerror or exc}") from exc
 
 
 def _cut_line(w: WhiteheadGraph) -> str:
@@ -214,12 +210,14 @@ def cmd_rose_wh(args) -> int:
 def _fold_input(args) -> tuple[LabeledGraph, tuple[Word, ...]]:
     """The graph to fold, and the basis words it wedges (none for ``--graph``)."""
     if bool(args.basis) == bool(args.graph):
-        raise CliError("fold needs exactly one of --basis or --graph")
+        raise ValueError("fold needs exactly one of --basis or --graph")
     if args.graph:
+        if args.rank is not None:
+            raise ValueError("--rank only applies to --basis mode")
         return parse_graph_text(_read_text(args.graph, "graph")), ()
     texts = [t for t in args.basis.split(",") if t]
     if not texts:
-        raise CliError("empty basis")
+        raise ValueError("empty basis")
     basis, rank = _parse_words(texts, args.rank)
     return wedge_of_words(basis, rank).graph, basis
 
@@ -229,10 +227,10 @@ def cmd_fold(args) -> int:
     spec = None
     if args.witness:
         if not basis:
-            raise CliError("--witness only applies to --basis mode")
+            raise ValueError("--witness only applies to --basis mode")
         spec = parse_endomorphism_text(_read_text(args.witness, "witness"))
         if [w.letters for w in spec.images] != [w.letters for w in basis]:
-            raise CliError("witness images do not match the supplied basis")
+            raise ValueError("witness images do not match the supplied basis")
     seq = fold_to_completion(g)
     if args.dot:
         print(fold_sequence_to_dot(seq), end="")
@@ -293,7 +291,7 @@ def cmd_check(args) -> int:
     if args.only:
         unknown = [name for name in args.only if name not in acceptance.CRITERIA]
         if unknown:
-            raise CliError(f"unknown criteria: {' '.join(unknown)}")
+            raise ValueError(f"unknown criteria: {' '.join(unknown)}")
         selected = {name: acceptance.CRITERIA[name] for name in args.only}
     passed = True
     for criterion in selected.values():

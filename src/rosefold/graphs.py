@@ -35,6 +35,7 @@ from .words import (
     CyclicWord,
     RankError,
     Word,
+    WordSyntaxError,
     _bad_line,
     _int,
     _once,
@@ -42,7 +43,7 @@ from .words import (
     _valid_rank,
     class_rank,
     is_reduced,
-    letter_from_char,
+    parse_letters,
 )
 
 
@@ -67,6 +68,19 @@ def oriented_edge(eid: int, origin: int, terminus: int, label: int) -> Edge:
     return Edge(eid, terminus, origin, -label)
 
 
+def _check_edge(e: Edge, vertices: Collection[int], rank: int) -> None:
+    """The rules a stored edge keeps, apart from a distinct id: ``LabeledGraph``
+    checks each edge with them, and the graph reader each edge line."""
+    if e.eid <= 0:
+        raise ValueError(f"edge id must be positive, got {e.eid}")
+    if e.label <= 0:
+        raise ValueError(f"stored edge label must be positive, got {e.label}")
+    if e.origin not in vertices or e.terminus not in vertices:
+        raise ValueError(f"edge {e.eid} endpoint outside vertex set")
+    if e.label > rank:
+        raise RankError(f"edge {e.eid} label {e.label} exceeds rank {rank}")
+
+
 @dataclass(frozen=True)
 class LabeledGraph:
     rank: int
@@ -82,17 +96,10 @@ class LabeledGraph:
         by_id: dict[int, Edge] = {}
         out: dict[int, list[tuple[int, int, int]]] = {v: [] for v in self.vertices}
         for e in self.edges:
-            if e.eid <= 0:
-                raise ValueError(f"edge id must be positive, got {e.eid}")
-            if e.label <= 0:
-                raise ValueError(f"stored edge label must be positive, got {e.label}")
+            _check_edge(e, out, self.rank)
             if e.eid in by_id:
                 raise ValueError(f"duplicate edge id {e.eid}")
             by_id[e.eid] = e
-            if e.origin not in out or e.terminus not in out:
-                raise ValueError(f"edge {e.eid} endpoint outside vertex set")
-            if e.label > self.rank:
-                raise RankError(f"edge {e.eid} label {e.label} exceeds rank {self.rank}")
             out[e.origin].append((e.eid, e.label, e.terminus))
             out[e.terminus].append((-e.eid, -e.label, e.origin))
         object.__setattr__(self, "_by_id", by_id)
@@ -467,7 +474,7 @@ def graph_to_text(g: LabeledGraph) -> str:
 def parse_graph_text(text: str) -> LabeledGraph:
     rank: int | None = None
     vertices: set[int] = set()
-    edges: list[Edge] = []
+    edges: list[tuple[int, Edge]] = []  # (line number, edge)
     seen: set[str] = set()
     try:
         for lineno, keyword, fields in _text_lines(text):
@@ -475,20 +482,27 @@ def parse_graph_text(text: str) -> LabeledGraph:
                 _once(seen, "rank")
                 rank = _valid_rank(_int(fields[0]))
             elif keyword == "vertex" and len(fields) == 1:
-                vertices.add(_int(fields[0]))
+                v = _int(fields[0])
+                _once(seen, f"vertex {v}")
+                vertices.add(v)
             elif keyword == "edge" and len(fields) == 4:
                 eid, origin, terminus = map(_int, fields[:3])
-                if eid <= 0:  # reported with its line, not when the graph is built
-                    raise ValueError(f"edge id must be positive, got {eid}")
                 _once(seen, f"edge {eid}")
-                edges.append(oriented_edge(eid, origin, terminus, letter_from_char(fields[3])))
+                if len(fields[3]) != 1:
+                    raise WordSyntaxError(f"invalid letter {fields[3]!r}")
+                edges.append((lineno, oriented_edge(eid, origin, terminus, *parse_letters(fields[3]))))
             else:
                 raise ValueError("expected 'rank N', 'vertex V' or 'edge ID ORIGIN TERMINUS LETTER'")
     except ValueError as exc:
         raise _bad_line("graph", text, lineno, exc) from exc
     if rank is None:
         raise ValueError("graph text missing a rank line")
-    return LabeledGraph(rank, frozenset(vertices), tuple(edges))
+    for lineno, e in edges:  # the rank and vertices may follow an edge line
+        try:
+            _check_edge(e, vertices, rank)
+        except ValueError as exc:
+            raise _bad_line("graph", text, lineno, exc) from exc
+    return LabeledGraph(rank, frozenset(vertices), tuple(e for _, e in edges))
 
 
 def _dot_lines(g: LabeledGraph, indent: str, prefix: str) -> list[str]:

@@ -533,8 +533,10 @@ def parse_endomorphism_text(text: str) -> EndomorphismSpec:
     try:
         for lineno, keyword, fields in _text_lines(text):
             if keyword == "basis-witness" and not fields:
-                continue
-            if keyword == "rank" and len(fields) == 1:
+                _once(seen, keyword)
+                if len(seen) > 1:
+                    raise ValueError("'basis-witness' must be the first line")
+            elif keyword == "rank" and len(fields) == 1:
                 _once(seen, "rank")
                 rank = _valid_rank(_int(fields[0]))
             elif keyword in ("image", "inverse") and len(fields) == 3 and fields[1] == "->":

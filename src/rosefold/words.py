@@ -13,10 +13,11 @@ are safe to share between threads.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-MAX_PARSE_RANK = 26
+MAX_PARSE_RANK = len(string.ascii_lowercase)
 
 
 class WordSyntaxError(ValueError):
@@ -42,35 +43,29 @@ def _letter_keys(letters: tuple[int, ...]) -> list[int]:
     return list(map(key_of.__getitem__, letters))
 
 
-def letter_to_char(letter: int) -> str:
-    i = abs(letter)
-    if not 1 <= i <= MAX_PARSE_RANK:
-        raise RankError(f"letter index {i} has no character form (max {MAX_PARSE_RANK})")
-    c = chr(ord("a") + i - 1)
-    return c if letter > 0 else c.upper()
-
-
 class _LetterChars(dict):
-    """Letter -> its character; a key with no character form raises as
-    ``letter_to_char`` does."""
+    """Letter -> its character; a letter with no character form raises
+    ``RankError``."""
 
     def __missing__(self, letter: int) -> str:
-        return letter_to_char(letter)
+        raise RankError(f"letter index {abs(letter)} has no character form (max {MAX_PARSE_RANK})")
 
 
-# The one letter table: writers look each letter up here instead of
-# calling ``letter_to_char`` per letter.  Read only.
+# The one letter table, read both ways: writers look each letter up here,
+# and ``parse_letters`` reads text through its inverse.  Read only.
 LETTER_CHARS = _LetterChars(
-    {v: letter_to_char(v) for i in range(1, MAX_PARSE_RANK + 1) for v in (i, -i)}
+    {v: c if v > 0 else c.upper() for i, c in enumerate(string.ascii_lowercase, 1) for v in (i, -i)}
 )
+_CHAR_LETTERS = {c: v for v, c in LETTER_CHARS.items()}
 
 
-def letter_from_char(c: str) -> int:
-    if len(c) == 1 and c.isascii() and c.isalpha():
-        if c.islower():
-            return ord(c) - ord("a") + 1
-        return -(ord(c) - ord("A") + 1)
-    raise WordSyntaxError(f"invalid letter {c!r}")
+def parse_letters(text: str) -> tuple[int, ...]:
+    """The letters ``text`` spells, one per character: the one reader of
+    letters from text."""
+    try:
+        return tuple(map(_CHAR_LETTERS.__getitem__, text))
+    except KeyError as exc:
+        raise WordSyntaxError(f"invalid letter {exc.args[0]!r}") from None
 
 
 def _valid_rank(rank: int) -> int:
@@ -164,12 +159,7 @@ def parse_word(text: str, rank: int) -> Word:
     >>> parse_word("abA", 2).letters
     (1, 2, -1)
     """
-    return Word(tuple(letter_from_char(c) for c in text), rank)
-
-
-def parse_cyclic_word(text: str, rank: int) -> CyclicWord:
-    """Parse text that must already spell a cyclically reduced word."""
-    return CyclicWord(tuple(letter_from_char(c) for c in text), rank)
+    return Word(parse_letters(text), rank)
 
 
 def is_reduced(w: Word) -> bool:
@@ -242,7 +232,7 @@ def canonical_rotation(c: CyclicWord) -> CyclicWord:
 
     O(L) in the length L: see :func:`_least_rotation`.
 
-    >>> str(canonical_rotation(parse_cyclic_word("bA", 2)))
+    >>> str(canonical_rotation(CyclicWord(parse_letters("bA"), 2)))
     'Ab'
     """
     return _least_rotation(c)[0]

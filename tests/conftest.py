@@ -209,17 +209,18 @@ def rotation_calls(monkeypatch):
 
 @pytest.fixture
 def letter_parse_calls(monkeypatch):
-    """Every ``letter_from_char`` call, through any rosefold module that imported it."""
+    """The text of every ``parse_letters`` call, through any rosefold module
+    that imported it."""
     calls = []
-    original = words.letter_from_char
+    original = words.parse_letters
 
-    def counting(c):
-        calls.append(c)
-        return original(c)
+    def counting(text):
+        calls.append(text)
+        return original(text)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "rosefold" and getattr(module, "letter_from_char", None) is original:
-            monkeypatch.setattr(module, "letter_from_char", counting)
+        if name.split(".")[0] == "rosefold" and getattr(module, "parse_letters", None) is original:
+            monkeypatch.setattr(module, "parse_letters", counting)
     return calls
 
 

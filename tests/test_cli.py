@@ -225,8 +225,9 @@ class TestTame:
         assert code == 0 and len(rotation_calls) == 4
 
     def test_each_letter_read_once(self, capsys, letter_parse_calls):
+        # one table lookup per character, in one call per argument
         code, _, _ = run(capsys, "tame", "aab")
-        assert code == 0 and letter_parse_calls == ["a", "a", "b"]
+        assert code == 0 and letter_parse_calls == ["aab"]
 
     def test_parser_built_once_per_process(self, capsys, monkeypatch):
         run(capsys, "tame", "aab")
@@ -451,15 +452,43 @@ class TestFold:
                 "error: bad graph line 5: 'loop 0 a': expected 'rank N', 'vertex V'"
                 " or 'edge ID ORIGIN TERMINUS LETTER'\n",
             ),
+            (
+                "rank 2\nvertex 0\nedge 1 0 5 a\n",
+                "error: bad graph line 3: 'edge 1 0 5 a': edge 1 endpoint outside vertex set\n",
+            ),
+            (
+                "rank 2\nvertex 0\nedge 1 0 0 c\n",
+                "error: bad graph line 3: 'edge 1 0 0 c': edge 1 label 3 exceeds rank 2\n",
+            ),
+            (
+                "rank 2\nvertex 0\nvertex 0\nedge 1 0 0 a\nedge 2 0 0 b\n",
+                "error: bad graph line 3: 'vertex 0': repeats an earlier 'vertex 0' line\n",
+            ),
         ],
-        ids=["nonpositive-edge-id", "unknown-keyword", "after-blank-and-comment"],
+        ids=[
+            "nonpositive-edge-id",
+            "unknown-keyword",
+            "after-blank-and-comment",
+            "endpoint",
+            "label",
+            "repeated-vertex",
+        ],
     )
     def test_bad_graph_line_names_its_reason(self, capsys, tmp_path, text, message):
-        # the reason used to be dropped, so these all read "bad graph line N: '<line>'"
+        # the reason used to be dropped, so these all read "bad graph line N: '<line>'";
+        # the edge rules had no line, and a repeated vertex line folded with exit 0
         path = tmp_path / "input.graph"
         path.write_text(text)
         code, out, err = run(capsys, "fold", "--graph", str(path))
         assert (code, out, err) == (2, "", message)
+
+    @pytest.mark.parametrize("rank", ["1", "2", "3"])
+    def test_rank_with_graph_exits_2(self, capsys, tmp_path, rank):
+        # the graph file declares its rank; --rank was ignored, even --rank 1
+        path = tmp_path / "rose2.txt"
+        path.write_text(rf.graph_to_text(rf.rose(2)))
+        code, out, err = run(capsys, "fold", "--graph", str(path), "--rank", rank)
+        assert (code, out, err) == (2, "", "error: --rank only applies to --basis mode\n")
 
     def test_missing_graph_file_exits_2(self, capsys, tmp_path):
         code, out, err = run(capsys, "fold", "--graph", str(tmp_path / "missing.graph"))
@@ -490,10 +519,20 @@ class TestFold:
                 "error: bad witness line 5: 'forward 1': expected 'basis-witness', 'rank N',"
                 " 'image I -> WORD' or 'inverse I -> WORD'\n",
             ),
+            (
+                "basis-witness\nrank 2\nimage 1 -> ab\nimage 2 -> b\n"
+                "inverse 1 -> aB\ninverse 2 -> b\nbasis-witness\nbasis-witness\n",
+                "error: bad witness line 7: 'basis-witness': repeats an earlier 'basis-witness' line\n",
+            ),
+            (
+                "rank 2\nbasis-witness\nimage 1 -> ab\nimage 2 -> b\ninverse 1 -> aB\ninverse 2 -> b\n",
+                "error: bad witness line 2: 'basis-witness': 'basis-witness' must be the first line\n",
+            ),
         ],
-        ids=["other-images", "image-before-rank", "unknown-line"],
+        ids=["other-images", "image-before-rank", "unknown-line", "repeated-header", "late-header"],
     )
     def test_rejected_witness_exits_2(self, capsys, tmp_path, text, message):
+        # a header was skipped wherever it stood, so the last two ran to a report
         path = tmp_path / "basis.witness"
         path.write_text(text)
         assert run(capsys, "fold", "--basis", "ab,b", "--witness", str(path)) == (2, "", message)
@@ -719,6 +758,3 @@ class TestErrorBoundary:
     def test_bounds_are_the_library_messages(self, capsys, argv, message):
         # each bound is checked once, where its value is used
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
-
-    def test_cli_error_is_a_value_error(self):
-        assert issubclass(cli.CliError, ValueError)

@@ -31,7 +31,7 @@ def gen_words_st():
 
 
 def cyc(text, rank=2):
-    return rf.parse_cyclic_word(text, rank)
+    return rf.CyclicWord(rf.parse_letters(text), rank)
 
 
 def word(text, rank=2):

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -21,7 +22,7 @@ from conftest import (
 
 
 def cyc(text, rank=2):
-    return rf.parse_cyclic_word(text, rank)
+    return rf.CyclicWord(rf.parse_letters(text), rank)
 
 
 def word(text, rank=2):
@@ -116,7 +117,7 @@ def layout_class_sets(draw):
     """Rank and class sets with repeated and length-one classes, or none."""
     n = draw(st.integers(2, 4))
     classes = draw(st.lists(class_st(n), max_size=4))
-    classes += [cyc(rf.words.letter_to_char(x), n) for x in draw(st.lists(letter_st(n), max_size=2))]
+    classes += [cyc(rf.words.LETTER_CHARS[x], n) for x in draw(st.lists(letter_st(n), max_size=2))]
     if classes:
         classes += draw(st.lists(st.sampled_from(classes), max_size=3))
     return n, draw(st.permutations(classes))
@@ -664,13 +665,37 @@ class TestTextFormats:
             ("edge 1 0 0 1", "invalid letter '1'"),
             ("edge 1 0 x a", "invalid literal for int"),
             ("vertex 0 1", "expected 'rank N', 'vertex V' or 'edge ID ORIGIN TERMINUS LETTER'"),
+            ("edge 1 0 0 ab", "invalid letter 'ab'"),
+            ("edge 1 0 0 a1", "invalid letter 'a1'"),
+            ("vertex 0", "repeats an earlier 'vertex 0' line"),
+            ("edge 1 0 5 a", "edge 1 endpoint outside vertex set"),
+            ("edge 1 0 0 c", "edge 1 label 3 exceeds rank 2"),
         ],
-        ids=["bad-letter", "bad-vertex", "wrong-word-count"],
+        ids=[
+            "bad-letter",
+            "bad-vertex",
+            "wrong-word-count",
+            "two-letters",
+            "letter-and-digit",
+            "repeated-vertex",
+            "endpoint",
+            "label",
+        ],
     )
     def test_bad_line_names_its_reason(self, line, reason):
         with pytest.raises(ValueError) as info:
             rf.parse_graph_text(f"rank 2\nvertex 0\n{line}\n")
         assert str(info.value).startswith(f"bad graph line 3: {line!r}: {reason}")
+
+    def test_edge_rules_are_checked_once_the_file_is_read(self):
+        # the rank and the vertices may follow an edge line; the first edge
+        # line that breaks a rule is named, and a label beyond the rank
+        # stays a RankError
+        g = rf.parse_graph_text("edge 1 0 0 b\nvertex 0\nrank 2\n")
+        assert g == LabeledGraph(2, frozenset({0}), (Edge(1, 0, 0, 2),))
+        message = "bad graph line 1: 'edge 1 0 0 c': edge 1 label 3 exceeds rank 2"
+        with pytest.raises(RankError, match=f"^{re.escape(message)}$"):
+            rf.parse_graph_text("edge 1 0 0 c\nedge 2 0 7 a\nvertex 0\nrank 2\n")
 
     def test_repeated_rank_line_rejected(self):
         # the last of two rank lines used to win

@@ -29,7 +29,7 @@ def word(text, rank=2):
 
 
 def cyc(text, rank=2):
-    return rf.parse_cyclic_word(text, rank)
+    return rf.CyclicWord(rf.parse_letters(text), rank)
 
 
 def recursive_brute_force_morphism(g, h, max_states=10_000_000):
@@ -580,13 +580,23 @@ class TestWitnessFiles:
             parse_endomorphism_text(text + "inverse 1 -> aB\ninverse 3 -> b\n")
 
     @pytest.mark.parametrize(
-        "line", ["rank 2", "image 1 -> ab", "inverse 2 -> b"], ids=["rank", "image", "inverse"]
+        "line",
+        ["rank 2", "image 1 -> ab", "inverse 2 -> b", "basis-witness"],
+        ids=["rank", "image", "inverse", "header"],
     )
     def test_repeated_line_rejected(self, line):
         # the last of two lines used to win, so a witness could contradict itself
         text = endomorphism_to_text(spec(("ab", "b"), inverses=("aB", "b")))
         with pytest.raises(ValueError, match=f"^bad witness line 7: '{line}': repeats an earlier '"):
             parse_endomorphism_text(text + line + "\n")
+
+    def test_header_is_optional_and_first(self):
+        text = endomorphism_to_text(spec(("ab", "b")))
+        body = text.removeprefix("basis-witness\n")
+        assert parse_endomorphism_text("# a basis\n\n" + text) == parse_endomorphism_text(body)
+        message = "bad witness line 2: 'basis-witness': 'basis-witness' must be the first line"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_endomorphism_text(body.replace("\n", "\nbasis-witness\n", 1))
 
     def test_separable_witness_text_is_stable(self):
         classes, witness = rf.random_separable_set(3, seed=7, count=4)

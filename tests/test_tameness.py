@@ -14,7 +14,7 @@ from rosefold.graphs import Edge, LabeledGraph, adjacency_components, oriented_e
 from rosefold.oracles import random_class
 from rosefold.tameness import FoldFactorError, almost_rose_from_parts
 from rosefold.whitehead import WhiteheadGraph
-from rosefold.words import RankError, class_rank, letter_key, letter_to_char, normalize_classes
+from rosefold.words import LETTER_CHARS, RankError, class_rank, letter_key, normalize_classes
 
 from conftest import (
     class_set_st,
@@ -28,7 +28,7 @@ from conftest import (
 
 
 def cyc(text, rank=2):
-    return rf.parse_cyclic_word(text, rank)
+    return rf.CyclicWord(rf.parse_letters(text), rank)
 
 
 def word(text, rank=2):
@@ -289,7 +289,7 @@ def tame_class_sets(seed, count):
         if rng.random() < 0.3:
             classes.append(classes[0])
         if rng.random() < 0.3:
-            classes.append(cyc(letter_to_char(rng.choice(letters)), n))
+            classes.append(cyc(LETTER_CHARS[rng.choice(letters)], n))
         if rf.decide_tame(classes, n).tame:
             found.append((classes, n))
     return found

@@ -13,7 +13,7 @@ from conftest import class_set_st, class_st, graph_st, word_st
 
 
 def cyc(text, rank=2):
-    return rf.parse_cyclic_word(text, rank)
+    return rf.CyclicWord(rf.parse_letters(text), rank)
 
 
 def wh_edges(*pairs):

@@ -1,5 +1,6 @@
 import random
 import re
+import string
 from pathlib import Path
 
 import pytest
@@ -66,6 +67,33 @@ class TestParse:
         assert str(rf.parse_word(text, 3)) == text
 
 
+class TestLetterTable:
+    """``LETTER_CHARS`` is the one map from letters to characters, and
+    ``parse_letters`` reads text through its inverse."""
+
+    def test_table_is_the_alphabet_both_ways(self):
+        chars = rf.words.LETTER_CHARS
+        assert [chars[v] for v in range(1, 27)] == list(string.ascii_lowercase)
+        assert [chars[-v] for v in range(1, 27)] == list(string.ascii_uppercase)
+        text = string.ascii_lowercase + string.ascii_uppercase
+        assert rf.parse_letters(text) == tuple(range(1, 27)) + tuple(range(-1, -27, -1))
+
+    @given(st.lists(st.integers(-26, 26).filter(bool), max_size=30))
+    def test_parse_inverts_the_table(self, letters):
+        text = "".join(rf.words.LETTER_CHARS[v] for v in letters)
+        assert rf.parse_letters(text) == tuple(letters)
+
+    @pytest.mark.parametrize(
+        "text, bad", [("ab1", "1"), ("a b", " "), ("-", "-"), ("a\u00e9", "\u00e9"), ("\u0430", "\u0430")]
+    )
+    def test_first_bad_character_is_named(self, text, bad):
+        with pytest.raises(WordSyntaxError, match=f"^invalid letter {re.escape(repr(bad))}$"):
+            rf.parse_letters(text)
+
+    def test_empty_text_is_no_letters(self):
+        assert rf.parse_letters("") == ()
+
+
 class TestFreeReduce:
     @pytest.mark.parametrize(
         "text,expected",
@@ -121,7 +149,7 @@ class TestCanonicalRotation:
         "text,expected", [("ba", "ab"), ("aab", "aab"), ("bab", "abb")]
     )
     def test_examples(self, text, expected):
-        assert str(rf.canonical_rotation(rf.parse_cyclic_word(text, 2))) == expected
+        assert str(rf.canonical_rotation(rf.CyclicWord(rf.parse_letters(text), 2))) == expected
 
     @given(nontrivial_word_st(rank=3), word_st(rank=3))
     def test_conjugation_invariance(self, w, u):
@@ -133,7 +161,7 @@ class TestCanonicalRotation:
 
     @pytest.mark.parametrize("text", ["a", "A", "b", "B", "c", "C", "abab", "BaBaBa", "baabaa", "cAbcAb", "aabaaac", "aacaaab"])
     def test_matches_oracle_on_short_and_periodic(self, text):
-        c = rf.parse_cyclic_word(text, 3)
+        c = rf.CyclicWord(rf.parse_letters(text), 3)
         assert rf.canonical_rotation(c).letters == least_rotation_oracle(c)
 
     @given(st.sampled_from((2, 3)).flatmap(lambda rank: rotated_power_st(rank)))
@@ -163,7 +191,7 @@ class TestCanonicalRotation:
         assert canonical == rf.CyclicWord(canonical.letters, c.rank)
 
     def test_rotation_skips_the_letter_checks(self, monkeypatch):
-        c = rf.parse_cyclic_word("bcAbcaa", 3)
+        c = rf.CyclicWord(rf.parse_letters("bcAbcaa"), 3)
         checked = []
         original = rf.words._check_letters
 
@@ -198,21 +226,21 @@ class TestRankDiscipline:
             rf.words.concat()
 
     def test_letter_beyond_the_text_form_rejected(self):
-        with pytest.raises(RankError, match="letter index 27 has no character form"):
-            rf.words.letter_to_char(27)
+        for letter in (27, -27):
+            with pytest.raises(RankError, match="^letter index 27 has no character form \\(max 26\\)$"):
+                rf.words.LETTER_CHARS[letter]
 
     def test_word_beyond_the_text_form_has_no_string(self):
-        # the letter table has no entry for 27, so its lookup falls back
-        # to letter_to_char and raises as it does
+        # the letter table has no entry for 27, so its lookup raises
         for letters in ((27,), (1, -27)):
             with pytest.raises(RankError, match="letter index 27 has no character form"):
                 str(rf.Word(letters, 27))
 
     def test_cyclic_word_requires_cyclically_reduced(self):
         with pytest.raises(ValueError):
-            rf.parse_cyclic_word("abA", 2)
+            rf.CyclicWord(rf.parse_letters("abA"), 2)
         with pytest.raises(TrivialWordError):
-            rf.parse_cyclic_word("", 2)
+            rf.CyclicWord(rf.parse_letters(""), 2)
 
     @pytest.mark.parametrize(
         "letters, error",
@@ -231,7 +259,6 @@ def _rank_takers():
         "Word": lambda n: rf.Word((), n),
         "CyclicWord": lambda n: rf.CyclicWord((1,), n),
         "parse_word": lambda n: rf.parse_word("", n),
-        "parse_cyclic_word": lambda n: rf.parse_cyclic_word("a", n),
         "LabeledGraph": lambda n: rf.LabeledGraph(n, frozenset(), ()),
         "rose": rf.rose,
         "disjoint_circuits": lambda n: rf.disjoint_circuits([], n),
@@ -260,7 +287,7 @@ def _rank_combiners():
     """Each library entry point that combines values which must share a
     rank, given values of ranks 2 and 3."""
     w2, w3 = rf.parse_word("ab", 2), rf.parse_word("ab", 3)
-    c2, c3 = rf.parse_cyclic_word("ab", 2), rf.parse_cyclic_word("ab", 3)
+    c2, c3 = rf.CyclicWord(rf.parse_letters("ab"), 2), rf.CyclicWord(rf.parse_letters("ab"), 3)
     id2, id3 = rf.identity_endomorphism(2), rf.identity_endomorphism(3)
     return {
         "concat": lambda: rf.words.concat(w2, w3),
@@ -306,8 +333,8 @@ class TestRankTable:
         # predicates and verifiers answer instead of raising
         assert not rf.verify_morphism(rf.GraphMorphism(), rf.rose(2), rf.rose(3))
         assert not rf.is_label_isomorphic(rf.rose(2), rf.rose(3))
-        cert = rf.decide_tame([rf.parse_cyclic_word("ab", 2)])
-        assert not rf.verify_certificate([rf.parse_cyclic_word("ab", 3)], cert)
+        cert = rf.decide_tame([rf.CyclicWord(rf.parse_letters("ab"), 2)])
+        assert not rf.verify_certificate([rf.CyclicWord(rf.parse_letters("ab"), 3)], cert)
 
 
 class TestLetterChecks:
@@ -354,7 +381,7 @@ class TestLetterChecks:
 
 class TestClassRank:
     def test_shared_rank(self):
-        classes = [rf.parse_cyclic_word("ab", 3), rf.parse_cyclic_word("c", 3)]
+        classes = [rf.CyclicWord(rf.parse_letters("ab"), 3), rf.CyclicWord(rf.parse_letters("c"), 3)]
         assert class_rank(classes) == 3
         assert class_rank(classes, 3) == 3
         assert class_rank([], 4) == 4
@@ -366,11 +393,11 @@ class TestClassRank:
 
     def test_mixed_ranks(self):
         with pytest.raises(RankError):
-            class_rank([rf.parse_cyclic_word("a", 2), rf.parse_cyclic_word("a", 3)])
+            class_rank([rf.CyclicWord(rf.parse_letters("a"), 2), rf.CyclicWord(rf.parse_letters("a"), 3)])
 
     def test_rank_mismatch(self):
         with pytest.raises(RankError):
-            class_rank([rf.parse_cyclic_word("ab", 2)], 3)
+            class_rank([rf.CyclicWord(rf.parse_letters("ab"), 2)], 3)
 
 
 # The two text formats on the one line reader: each parser with its writer.
@@ -443,7 +470,7 @@ class TestTextLines:
     def test_repeating_a_keyed_line_is_rejected(self, data):
         what, text = data.draw(st.sampled_from(SEEDED))
         lines = text.splitlines()
-        keyed = [i for i, line in enumerate(lines) if line.split()[0] in ("rank", "edge", "image", "inverse")]
+        keyed = [i for i, line in enumerate(lines) if line.split()[0] in KEYWORDS]
         i = data.draw(st.sampled_from(keyed))
         j = data.draw(st.integers(i + 1, len(lines)))
         fields = lines[i].split()
