@@ -1,7 +1,7 @@
 """The acceptance suite: one callable check per exit criterion.
 
-Each criterion returns a :class:`CriterionResult` with a pass flag, a
-human-readable detail string, and the measured wall time, so the same
+Each criterion returns a :class:`CriterionResult` with a correctness flag,
+a human-readable detail string, and the measured wall time, so the same
 checks back both ``pytest`` and the ``rosefold check`` subcommand.  All
 randomness is seeded; two runs produce identical corpora.  A criterion
 is declared once, with its name and time limit, by ``@criterion``.
@@ -46,14 +46,23 @@ from .words import parse_word, conjugacy_class
 
 @dataclass(frozen=True)
 class CriterionResult:
+    """A criterion's outcome: ``correct`` when its answer is right, passed
+    when it is also under its time limit.  ``line`` names the cause of a
+    failure: FAIL for a wrong answer, SLOW for a right one that missed its
+    limit."""
+
     name: str
-    passed: bool
+    correct: bool
     seconds: float
     limit: float | None
     detail: str
 
+    @property
+    def passed(self) -> bool:
+        return self.correct and (self.limit is None or self.seconds < self.limit)
+
     def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
+        status = "PASS" if self.passed else "SLOW" if self.correct else "FAIL"
         bound = f" (limit {self.limit:g}s)" if self.limit is not None else ""
         return f"{status} {self.name}: {self.detail} [{self.seconds:.3f}s{bound}]"
 
@@ -82,8 +91,7 @@ def criterion(name: str, limit: float | None):
             t0 = time.perf_counter()
             ok, detail, *timed = body()
             seconds = timed[0] if timed else time.perf_counter() - t0
-            passed = ok and (limit is None or seconds < limit)
-            return CriterionResult(name, passed, seconds, limit, detail)
+            return CriterionResult(name, ok, seconds, limit, detail)
 
         CRITERIA[name] = run
         return run

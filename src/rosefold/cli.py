@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes are a contract: 0 affirmative, 1 negative or declined, 2 usage
-or parse errors, 3 internal inconsistency (a certificate failing its own
-verification, which should never happen).  A rejected input is a
+or parse errors, 3 internal inconsistency (a certificate of ``tame`` or
+``fold --witness`` failing ``verify_certificate``, which should never
+happen).  A rejected input is a
 ``ValueError`` wherever it is found, in this module or in the library;
 ``main`` alone turns it into ``error: <reason>`` on stderr and exit 2.
 
@@ -228,34 +229,47 @@ def cmd_fold(args) -> int:
     if args.witness:
         if not basis:
             raise ValueError("--witness only applies to --basis mode")
+        if args.dot:
+            raise ValueError("--witness does not apply to --dot output")
         spec = parse_endomorphism_text(_read_text(args.witness, "witness"))
+        if spec.rank != basis[0].rank:
+            raise ValueError(f"witness rank {spec.rank} does not match basis rank {basis[0].rank}")
         if [w.letters for w in spec.images] != [w.letters for w in basis]:
             raise ValueError("witness images do not match the supplied basis")
     seq = fold_to_completion(g)
     if args.dot:
         print(fold_sequence_to_dot(seq), end="")
         return 0
+    verified = spec is not None and is_verified_automorphism(spec)
+    drop_at = next((i for i, s in enumerate(seq.steps, start=1) if s.betti_dropped), None)
+    rose = recognize_almost_rose(seq.penultimate) if seq.steps and drop_at is None else None
+    cert = None
+    if verified and rose is not None:
+        # the readability claim is checked before anything is printed
+        first = (conjugacy_class(basis[0]),)
+        cert = _tame_certificate(first, rose)
+        if cert is not None and not verify_certificate(first, cert):
+            print("internal error: certificate failed self-verification", file=sys.stderr)
+            return 3
     print("\n".join(fold_report_lines(seq)))
     if spec is not None:
-        if not is_verified_automorphism(spec):
+        if not verified:
             print("witness: not a verified automorphism")
             return 1
         print("witness: verified automorphism")
     if not seq.steps:
         print("already folded; no fold steps")
         return 0
-    if any(step.betti_dropped for step in seq.steps):
-        drop_at = next(i for i, s in enumerate(seq.steps, start=1) if s.betti_dropped)
+    if drop_at is not None:
         print(f"penultimate recognition declined: betti-dropping fold at step {drop_at}")
         return 1
-    rose = recognize_almost_rose(seq.penultimate)
     if rose is None:
         print("penultimate recognition declined: not an almost-rose")
         return 1
     relabel = " ".join(f"{i}->{t}" for i, t in enumerate(rose.relabeling.targets, start=1))
     print(f"penultimate: almost-rose k={rose.k} l={rose.l} relabel [{relabel}]")
     if spec is not None:
-        readable = _tame_certificate((conjugacy_class(basis[0]),), rose) is not None
+        readable = cert is not None
         print(f"first word readable in almost-rose: {'yes' if readable else 'no'}")
         return 0 if readable else 1
     return 0

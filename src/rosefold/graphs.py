@@ -507,11 +507,13 @@ def parse_graph_text(text: str) -> LabeledGraph:
 
 def _dot_lines(g: LabeledGraph, indent: str, prefix: str) -> list[str]:
     """The DOT vertex and edge lines of ``g``, each line led by ``indent``
-    and each vertex named ``prefix`` followed by its number."""
+    and each vertex named ``prefix`` followed by its number, or by ``m``
+    and its absolute value when negative: DOT reads ``v-1`` as two nodes."""
     chars = LETTER_CHARS
-    lines = [f'{indent}{prefix}{v} [shape=circle label="{v}"];' for v in sorted(g.vertices)]
+    name = {v: f"{prefix}{v}" if v >= 0 else f"{prefix}m{-v}" for v in g.vertices}
+    lines = [f'{indent}{name[v]} [shape=circle label="{v}"];' for v in sorted(g.vertices)]
     for e in g.edges:
-        lines.append(f'{indent}{prefix}{e.origin} -> {prefix}{e.terminus} [label="{chars[e.label]}"];')
+        lines.append(f'{indent}{name[e.origin]} -> {name[e.terminus]} [label="{chars[e.label]}"];')
     return lines
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Collection, Iterable, Sequence, Set
+from collections.abc import Iterable, Sequence, Set
 from dataclasses import dataclass, field
 
 from .folding import FoldSequence, _find, fold_to_completion
@@ -285,30 +285,17 @@ def induced_morphism(g: LabeledGraph, rose: AlmostRose) -> GraphMorphism | None:
     incoming letters all lie on one of the two clique sides kept in
     ``rose.sides``.  One pass over ``g.edges`` tests this and picks each
     vertex's image (``_induced_map``, which ``_tame_certificate`` runs on
-    the circuit edges read from the letters).  No Whitehead graph is built;
-    the result is checked over the same edges with the check of
-    ``verify_morphism``.
+    the circuit edges read from the letters).  No Whitehead graph is built,
+    and the map is returned as built: check it with ``verify_morphism``.
     """
     _same_rank(rose.rank, g.rank)
-    return _checked_map(g.vertices, g.edges, rose)
-
-
-def _checked_map(
-    vertices: Collection[int], edges: Sequence[tuple[int, int, int, int]], rose: AlmostRose
-) -> GraphMorphism | None:
-    """``_induced_map``, checked over the same edge list with the edge test
-    of ``verify_morphism``; a map that fails the check raises
-    ``RuntimeError``, since it cannot happen when the inclusion holds."""
-    m = _induced_map(vertices, edges, rose)
-    if m is not None and not _is_morphism_on(m, vertices, edges, rose.graph):
-        raise RuntimeError("internal error: induced morphism failed verification")
-    return m
+    return _induced_map(g.vertices, g.edges, rose)
 
 
 def _induced_map(
     vertices: Iterable[int], edges: Sequence[tuple[int, int, int, int]], rose: AlmostRose
 ) -> GraphMorphism | None:
-    """The maps of ``induced_morphism``, unchecked, for the graph with these
+    """The maps of ``induced_morphism`` for the graph with these
     vertices and ``(edge id, origin, terminus, letter)`` edges (an ``Edge``
     is such a row, and so is a row of ``_circuit_edges``), or None when
     some vertex receives a letter of each clique side other than the
@@ -357,9 +344,7 @@ def build_rose_from_whitehead(w: WhiteheadGraph) -> AlmostRose | None:
     becomes letter 1; the component of c^-1 in ``w`` minus c goes to the
     first clique side and everything else to the second, letters split
     across the sides becoming connecting edges (inverted when the
-    forbidden orientation lands on side one).  The result is checked edge
-    by edge: the ``rose.side_mask`` bits of each edge's two letters must
-    share a clique side.
+    forbidden orientation lands on side one).
     """
     n = w.rank
     adj = w.adjacency
@@ -387,11 +372,7 @@ def build_rose_from_whitehead(w: WhiteheadGraph) -> AlmostRose | None:
             split_targets.append(-j if pos else j)  # the member on side two
         else:
             wholly2.append(j)
-    rose = almost_rose_from_parts(n, c, wholly1, split_targets, wholly2)
-    mask = rose.side_mask
-    if any(not mask[x] & mask[y] for x, y in w.edges):
-        raise RuntimeError("internal error: built almost-rose misses Whitehead edges")
-    return rose
+    return almost_rose_from_parts(n, c, wholly1, split_targets, wholly2)
 
 
 def factor_through_almost_rose(g: LabeledGraph) -> tuple[AlmostRose, FoldSequence]:
@@ -492,11 +473,12 @@ def _tame_certificate(norm: tuple[CyclicWord, ...], rose: AlmostRose) -> Tamenes
     (normalized, of the rose's rank), or None when it misses one.
 
     This is the one place that reads classes in a rose: the circuit edges
-    read off the letters (``_circuit_edges``) go through ``_checked_map``,
-    so a class is read only through the morphism of its circuit.
+    read off the letters (``_circuit_edges``) go through ``_induced_map``,
+    so a class is read only through the morphism of its circuit.  The
+    certificate is returned unchecked; ``verify_certificate`` checks it.
     """
     edges = _circuit_edges(norm)
-    morphism = _checked_map(range(len(edges)), edges, rose)
+    morphism = _induced_map(range(len(edges)), edges, rose)
     if morphism is None:
         return None
     return TamenessCertificate(tame=True, rank=rose.rank, classes=norm, rose=rose, morphism=morphism)
@@ -511,6 +493,10 @@ def decide_tame(classes, rank: int | None = None) -> TamenessCertificate:
     one copy of the graph's shared adjacency, sorted once into letter
     order, and a punctured tree is searched for only when the removed
     letter is the root or an inner vertex of the first tree.
+
+    Neither certificate is checked here; ``verify_certificate`` checks
+    it.  A built rose that reads no morphism of the classes is an
+    internal error and raises ``RuntimeError``, so None is never returned.
     """
     norm = normalize_classes(classes)
     rank = class_rank(norm, rank)
@@ -518,9 +504,10 @@ def decide_tame(classes, rank: int | None = None) -> TamenessCertificate:
     # None exactly when w is connected and has no cut vertex.
     rose = build_rose_from_whitehead(w)
     if rose is not None:
-        # build_rose_from_whitehead has checked the Whitehead inclusion, so
-        # every class maps into the rose
-        return _tame_certificate(norm, rose)
+        cert = _tame_certificate(norm, rose)
+        if cert is None:
+            raise RuntimeError("internal error: a class is unreadable in the built almost-rose")
+        return cert
     adj = w.adjacency
     letters = w.letters()
     # letter x sits at position letter_key(x) - 2: a at 0, A at 1, b at 2, ...

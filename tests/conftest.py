@@ -236,3 +236,18 @@ def graphs_built(monkeypatch):
 
     monkeypatch.setattr(rf.LabeledGraph, "__post_init__", counting)
     return built
+
+
+@pytest.fixture
+def flipped_induced_map(monkeypatch):
+    """``tameness._induced_map`` with the image of vertex 0 moved to the
+    other rose vertex, so every tame certificate it builds is wrong."""
+    original = rf.tameness._induced_map
+
+    def flipped(vertices, edges, rose):
+        m = original(vertices, edges, rose)
+        vmap = dict(m.vertex_map)
+        vmap[0] = 1 - vmap[0]
+        return GraphMorphism(vertex_map=vmap, edge_map=m.edge_map)
+
+    monkeypatch.setattr(rf.tameness, "_induced_map", flipped)

@@ -302,6 +302,10 @@ class TestRoseWh:
         assert err.startswith("error:") and "Traceback" not in err
 
 
+# A verified witness that ab, b is a basis of rank 2
+AB_B_WITNESS = "basis-witness\nrank 2\nimage 1 -> ab\nimage 2 -> b\ninverse 1 -> aB\ninverse 2 -> b\n"
+
+
 def positive_basis(seed: int, letters: int) -> list[str]:
     """A positive basis of rank 3 with at least ``letters`` letters, grown
     from a, b, c by seeded Nielsen products."""
@@ -409,6 +413,23 @@ class TestFold:
         code, out, _ = run(capsys, "fold", "--basis", "ab,b", "--witness", str(path))
         assert code == 1
         assert out.endswith("witness: not a verified automorphism\n")
+
+    def test_unverified_witness_with_dot_exits_2(self, capsys, tmp_path):
+        # DOT output has no witness line, so --dot used to print the
+        # snapshots and exit 0 on a witness whose inverse lines are wrong
+        path = tmp_path / "basis.witness"
+        path.write_text(AB_B_WITNESS.replace("inverse 1 -> aB", "inverse 1 -> ab"))
+        code, out, _ = run(capsys, "fold", "--basis", "ab,b", "--witness", str(path))
+        assert code == 1 and out.endswith("witness: not a verified automorphism\n")
+        code, out, err = run(capsys, "fold", "--basis", "ab,b", "--witness", str(path), "--dot")
+        assert (code, out, err) == (2, "", "error: --witness does not apply to --dot output\n")
+
+    def test_witness_of_another_rank_exits_2(self, capsys, tmp_path):
+        # two words are no basis of rank 3, yet a rank-2 witness was verified
+        path = tmp_path / "basis.witness"
+        path.write_text(AB_B_WITNESS)
+        code, out, err = run(capsys, "fold", "--basis", "ab,b", "--rank", "3", "--witness", str(path))
+        assert (code, out, err) == (2, "", "error: witness rank 2 does not match basis rank 3\n")
 
     @pytest.mark.parametrize(
         "args, text, message",
@@ -541,6 +562,16 @@ class TestFold:
         code, out, _ = run(capsys, "fold", "--basis", "ab,b", "--dot")
         assert code == 0
         assert "cluster_0" in out and "cluster_1" in out
+
+    def test_dot_names_negative_vertices_apart(self, capsys, tmp_path):
+        # DOT reads s0_v-1 as node s0_v followed by node -1
+        path = tmp_path / "negative.txt"
+        path.write_text("rank 2\nvertex -1\nvertex 0\nedge 1 -1 0 a\nedge 2 0 -1 b\nedge 3 0 0 b\n")
+        code, out, _ = run(capsys, "fold", "--graph", str(path), "--dot")
+        assert code == 0 and "v-" not in out
+        assert '    s0_vm1 [shape=circle label="-1"];\n' in out
+        assert '    s0_vm1 -> s0_v0 [label="a"];\n' in out
+        assert '    s1_vm1 -> s1_vm1 [label="b"];\n' in out
 
     @pytest.mark.parametrize(
         "basis,digest",
@@ -741,6 +772,19 @@ class TestErrorBoundary:
         make_raise(monkeypatch, owner, name, RuntimeError("internal error: broken"))
         with pytest.raises(RuntimeError, match="internal error: broken"):
             main(list(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("tame", "aab"), ("fold", "--basis", "ab,b", "--witness")],
+        ids=["tame", "fold-witness"],
+    )
+    def test_certificate_the_verifier_rejects_exits_3(self, capsys, tmp_path, flipped_induced_map, argv):
+        # the library does not re-check its certificates; each command that
+        # prints a certified claim checks it with verify_certificate
+        path = tmp_path / "basis.witness"
+        path.write_text(AB_B_WITNESS)
+        argv += (str(path),) if argv[0] == "fold" else ()
+        assert run(capsys, *argv) == (3, "", "internal error: certificate failed self-verification\n")
 
     def test_every_command_is_covered(self):
         commands = cli.build_parser()._subparsers._group_actions[0].choices

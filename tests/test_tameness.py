@@ -372,20 +372,11 @@ class TestInducedMap:
         assert calls == ["whitehead_of_graph", "whitehead_of_almost_rose"]
         assert len(graphs_built) == 1  # the oracle's relabeled copy
 
-    def test_flipped_vertex_fails_the_self_check(self, monkeypatch):
-        original = rf.tameness._induced_map
-        sets = tame_class_sets(9, 20)
-
-        def flipped(vertices, edges, rose):
-            m = original(vertices, edges, rose)
-            vmap = dict(m.vertex_map)
-            vmap[0] = 1 - vmap[0]
-            return rf.GraphMorphism(vertex_map=vmap, edge_map=m.edge_map)
-
-        monkeypatch.setattr(rf.tameness, "_induced_map", flipped)
-        for classes, n in sets:
-            with pytest.raises(RuntimeError):
-                rf.decide_tame(classes, n)
+    def test_flipped_vertex_is_rejected_by_the_verifier(self, flipped_induced_map):
+        # decide does not re-check its certificate; the verifier does
+        for classes, n in tame_class_sets(9, 20):
+            cert = rf.decide_tame(classes, n)
+            assert cert.tame and not rf.verify_certificate(classes, cert, n)
 
 
 @functools.cache
@@ -428,6 +419,7 @@ class TestClosedFormInclusion:
             assert (m is not None) == rf.is_subgraph(wg, wr)
             if m is not None:
                 assert (m.vertex_map, m.edge_map) == induced_map_oracle(g, rose)
+                assert rf.verify_morphism(m, g, rose.graph)
 
     def test_roses_cover_both_wedge_orientations(self):
         for n in (2, 3, 4):
@@ -436,8 +428,8 @@ class TestClosedFormInclusion:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_side_of_a_letter_pair_is_a_whitehead_edge(self, n):
-        # the test build_rose_from_whitehead runs on each edge of w: the
-        # side_mask bits of its two letters share a side
+        # two letters' side_mask bits share a side exactly when the pair is
+        # an edge of the rose's Whitehead graph
         letters = [s * i for i in range(1, n + 1) for s in (1, -1)]
         for rose, wr in roses_with_whitehead(n):
             mask = rose.side_mask
@@ -497,13 +489,14 @@ class TestClosedFormInclusion:
         with pytest.raises(RankError):
             rf.induced_morphism(rf.circuit(cyc("abc", 3)), rf.almost_rose(2, 1, 1))
 
-    def test_built_rose_missing_an_edge_fails_the_self_check(self, monkeypatch):
-        # aab has the Whitehead edge {b, A}, which the (2, 1, 2) rose lacks
+    def test_built_rose_missing_an_edge_raises_in_decide(self, monkeypatch):
+        # aab has the Whitehead edge {b, A}, which the (2, 1, 2) rose lacks,
+        # so no morphism reads aab in it and decide never returns None
         monkeypatch.setattr(
             rf.tameness, "almost_rose_from_parts", lambda *args: rf.almost_rose(2, 1, 2)
         )
         with pytest.raises(RuntimeError):
-            rf.build_rose_from_whitehead(rf.whitehead_of_classes([cyc("aab")], 2))
+            rf.decide_tame([cyc("aab")])
 
 
 class TestBuildRoseFromWhitehead:
