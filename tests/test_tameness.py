@@ -217,7 +217,33 @@ def brute_force_almost_roses(n):
     return found
 
 
+def maximal_cut_vertex_graphs(n):
+    """The edge sets of the graphs K(P + c) u K(Q + c) on the 2n letters,
+    one for each letter c and split of the other letters into nonempty P
+    and Q, built from the letters alone."""
+    letters = [s * i for i in range(1, n + 1) for s in (1, -1)]
+    graphs = set()
+    for c in letters:
+        rest = [x for x in letters if x != c]
+        for bits in range(1, 2 ** len(rest) - 1):
+            p = {x for j, x in enumerate(rest) if bits >> j & 1}
+            sides = (p | {c}, set(rest) - p | {c})
+            graphs.add(frozenset(frozenset(e) for side in sides for e in itertools.combinations(side, 2)))
+    return graphs
+
+
 class TestEnumerate:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_whitehead_correspondence(self, n):
+        # Wh maps the almost-roses one-to-one onto the maximal graphs with a
+        # cut vertex, and each rose is rebuilt from its own Whitehead graph
+        roses = rf.enumerate_almost_roses(n)
+        graphs = {rose.whitehead.edges for rose in roses}
+        assert len(roses) == len(graphs) == 2 * n * (4 ** (n - 1) - 1)
+        assert graphs == maximal_cut_vertex_graphs(n)
+        for rose in roses:
+            assert rf.build_rose_from_whitehead(rose.whitehead) == rose
+
     def test_rank_two_count_against_brute_force(self):
         enumerated = rf.enumerate_almost_roses(2)
         assert len(enumerated) == 12
