@@ -32,7 +32,7 @@ def main() -> int:
         outdir.mkdir(parents=True, exist_ok=True)
     for i, rose in enumerate(roses):
         relabel = " ".join(
-            f"{j}->{t}" for j, t in enumerate(rose.relabeling.targets, start=1)
+            f"{j}->{t}" for j, t in enumerate(rose.targets, start=1)
         )
         wh = whitehead_of_almost_rose(rose)
         cuts = "".join(sorted(LETTER_CHARS[v] for v in cut_vertices(wh)))

@@ -266,7 +266,7 @@ def cmd_fold(args) -> int:
     if rose is None:
         print("penultimate recognition declined: not an almost-rose")
         return 1
-    relabel = " ".join(f"{i}->{t}" for i, t in enumerate(rose.relabeling.targets, start=1))
+    relabel = " ".join(f"{i}->{t}" for i, t in enumerate(rose.targets, start=1))
     print(f"penultimate: almost-rose k={rose.k} l={rose.l} relabel [{relabel}]")
     if spec is not None:
         readable = cert is not None

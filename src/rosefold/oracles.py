@@ -31,7 +31,6 @@ from .tameness import (
     AlmostRose,
     TamenessCertificate,
     _tame_certificate,
-    almost_rose_from_parts,
     factor_through_almost_rose,
 )
 from .words import (
@@ -457,9 +456,9 @@ def rose_for_separable(
         gens2 = [conjugate(w, shift) for w in gens2]
     wedge = _wedge_at_basepoints(g1, g2)
     if is_rose(wedge.graph):
-        letters1 = sorted(e.label for e in g1.graph.edges)
-        letters2 = [e.label for e in g2.graph.edges]
-        rose = almost_rose_from_parts(n, letters1[0], letters1[1:], (), letters2)
+        # the least letter of the first factor is the wedge, its others loops at u
+        c, *loops = sorted(e.label for e in g1.graph.edges)
+        rose = AlmostRose(n, c, frozenset({-c}.union(*({x, -x} for x in loops))))
     else:
         rose, _ = factor_through_almost_rose(wedge.graph)
     return _certified(rose, classes)

@@ -1,11 +1,12 @@
 """Almost-roses and the certified tameness decision.
 
 An *almost-rose* is a core graph of Betti number n that folds onto the
-rank-n rose with a single fold.  Such a graph has two vertices u, v and
-n+1 edge pairs, and up to permuting/inverting letters it is the standard
-graph ``almost_rose(n, k, l)``, built with no relabeling: a loop at u and
-an edge u->v both labeled by letter 1, loops at u labeled 2..k, edges
-u->v labeled k+1..l, and loops at v labeled l+1..n.
+rank-n rose with a single fold.  It has two vertices u, v and n+1 edge
+pairs: the wedge letter c labels a loop at u and an edge u->v, and every
+other letter a loop or an edge.  It is named by c and *side one* P, the
+letters other than c arriving at u: ``AlmostRose(n, c, P)``.  Its
+Whitehead graph is K(P + c) u K(Q + c), Q the letters left, and each
+such graph with P and Q nonempty comes from exactly one pair.
 
 A set of conjugacy classes is *tame* when a single almost-rose reads all
 of them.  This is decidable via the Whitehead graph: the set is tame
@@ -41,6 +42,7 @@ from .whitehead import WhiteheadGraph, cut_vertices, whitehead_of_classes
 from .words import (
     LETTER_CHARS,
     CyclicWord,
+    _check_letters,
     _same_rank,
     _valid_rank,
     class_rank,
@@ -72,57 +74,71 @@ class SignedRelabeling:
     def identity(cls, n: int) -> "SignedRelabeling":
         return cls(tuple(range(1, n + 1)))
 
-    @property
-    def rank(self) -> int:
-        return len(self.targets)
-
     def apply_letter(self, v: int) -> int:
         t = self.targets[abs(v) - 1]
         return t if v > 0 else -t
 
 
-def _standard_graph(n: int, k: int, l: int, relabeling: SignedRelabeling) -> LabeledGraph:
-    """The standard two-vertex almost-rose graph, vertices u=0 and v=1,
-    with ``relabeling`` applied to its letters.
-
-    Edge ids: 1 is the letter-1 loop at u, 2 the letter-1 edge u->v, and
-    the unique edge pair labeled j>1 has id j+1.
-    """
-    f = relabeling.apply_letter
-    edges = [oriented_edge(1, 0, 0, f(1)), oriented_edge(2, 0, 1, f(1))]
-    for j in range(2, k + 1):
-        edges.append(oriented_edge(j + 1, 0, 0, f(j)))
-    for j in range(k + 1, l + 1):
-        edges.append(oriented_edge(j + 1, 0, 1, f(j)))
-    for j in range(l + 1, n + 1):
-        edges.append(oriented_edge(j + 1, 1, 1, f(j)))
-    return LabeledGraph(n, frozenset({0, 1}), tuple(edges))
+def _rose_layout(n: int, c: int, side_one: Set[int]) -> tuple[tuple[int, ...], int, int]:
+    """``(targets, k, l)``: edge pair j + 1 carries ``targets[j - 1]``, and
+    pair 1 is the wedge letter's loop.  The wedge letter c comes first,
+    then the k - 1 loops at u in ascending order, then the l - k
+    connectors by index, each as its member on side two, then the loops
+    at v in ascending order."""
+    rest = [j for j in range(1, n + 1) if j != abs(c)]
+    loops_u = [j for j in rest if j in side_one and -j in side_one]
+    connectors = [-j if j in side_one else j for j in rest if (j in side_one) != (-j in side_one)]
+    loops_v = [j for j in rest if j not in side_one and -j not in side_one]
+    k = 1 + len(loops_u)
+    return (c, *loops_u, *connectors, *loops_v), k, k + len(connectors)
 
 
 @dataclass(frozen=True)
 class AlmostRose:
+    """The almost-rose with wedge letter ``wedge`` and side one
+    ``side_one``, which holds the wedge letter's inverse and leaves another
+    letter off.  Another letter j labels a loop at u when j and j^-1 are
+    on side one, a loop at v when neither is, and an edge u->v otherwise.
+    Roses are equal exactly when they are label-isomorphic.  ``graph``
+    has u = 0 and v = 1, laid out by ``_rose_layout``, as are ``targets``
+    and the shape (k, l)."""
+
     rank: int
-    k: int
-    l: int
-    relabeling: SignedRelabeling
-    graph: LabeledGraph = field(init=False)
+    wedge: int
+    side_one: frozenset[int]
+    graph: LabeledGraph = field(init=False, compare=False, repr=False)
+    _layout: tuple[tuple[int, ...], int, int] = field(init=False, compare=False, repr=False)
+
+    targets = property(lambda self: self._layout[0])
+    k = property(lambda self: self._layout[1])
+    l = property(lambda self: self._layout[2])
 
     def __post_init__(self) -> None:
-        # Matching the relabeling's rank, which is at least 2, checks the rank.
-        n, k, l = _same_rank(self.relabeling.rank, self.rank), self.k, self.l
-        if not (1 <= k <= l <= n and k < n):
-            raise ValueError(f"need 1 <= k <= l <= n and k < n, got k={k} l={l} n={n}")
-        object.__setattr__(self, "graph", _standard_graph(n, k, l, self.relabeling))
+        n, c = self.rank, self.wedge
+        _check_letters((c, *self.side_one), n)
+        side_one = frozenset(self.side_one)
+        if -c not in side_one:
+            raise ValueError(f"side one must hold {-c}, the wedge letter's inverse")
+        if c in side_one:
+            raise ValueError(f"side one must not hold the wedge letter {c}")
+        if len(side_one) == 2 * n - 1:
+            raise ValueError("side one leaves no letter but the wedge letter to side two")
+        layout = targets, k, l = _rose_layout(n, c, side_one)
+        edges = [oriented_edge(1, 0, 0, c), oriented_edge(2, 0, 1, c)]
+        for j, t in enumerate(targets[1:], start=2):
+            ends = (0, 0) if j <= k else (0, 1) if j <= l else (1, 1)
+            edges.append(oriented_edge(j + 1, *ends, t))
+        graph = LabeledGraph(n, frozenset({0, 1}), tuple(edges))
+        # frozen: set the normalized and derived fields past __setattr__
+        vars(self).update(side_one=side_one, graph=graph, _layout=layout)
 
     @functools.cached_property
     def sides(self) -> tuple[frozenset[int], frozenset[int]]:
-        """The two clique sides: the letters arriving at u and at v.
-
-        The rose's Whitehead graph is the wedge of their complete graphs at
-        the wedge letter, the image of letter 1, which lies on both.  Built
-        on first use and kept, so enumerating roses does not pay for it.
-        """
-        return frozenset(self.graph.in_labels(0)), frozenset(self.graph.in_labels(1))
+        """The two clique sides, the letters arriving at u and at v: side
+        one with the wedge letter, and every letter off side one.  Built on
+        first use and kept, so enumerating roses does not pay for it."""
+        letters = {s * i for i in range(1, self.rank + 1) for s in (1, -1)}
+        return self.side_one | {self.wedge}, frozenset(letters - self.side_one)
 
     @functools.cached_property
     def side_mask(self) -> dict[int, int]:
@@ -139,7 +155,7 @@ class AlmostRose:
         """Positive letter -> the id of the edge pair carrying it.  The wedge
         letter is on its loop, pair 1, and its connecting pair 2; the later
         one is kept.  Built on first use and kept, like ``sides``."""
-        return {e.label: e.eid for e in self.graph.edges}
+        return {abs(t): j for j, t in enumerate(self.targets, start=2)}
 
     @functools.cached_property
     def whitehead(self) -> WhiteheadGraph:
@@ -150,51 +166,40 @@ class AlmostRose:
 
 
 def almost_rose(n: int, k: int, l: int, relabeling: SignedRelabeling | None = None) -> AlmostRose:
-    if relabeling is None:
-        relabeling = SignedRelabeling.identity(n)
-    return AlmostRose(n, k, l, relabeling)
-
-
-def almost_rose_from_parts(
-    n: int, y: int, loops_u: Iterable[int], connectors: Iterable[int], loops_v: Iterable[int]
-) -> AlmostRose:
-    """The almost-rose with letter ``y`` on the loop at u and on an edge u->v,
-    the letters ``loops_u`` on loops at u, the signed ``connectors`` on edges
-    u->v and ``loops_v`` on loops at v.
-
-    The loops are taken in ascending order and the connectors by index, so
-    the relabeling does not depend on the order the parts come in.
-    """
-    loops_u, connectors, loops_v = sorted(loops_u), sorted(connectors, key=abs), sorted(loops_v)
-    k = 1 + len(loops_u)
-    l = k + len(connectors)
-    return almost_rose(n, k, l, SignedRelabeling(tuple([y] + loops_u + connectors + loops_v)))
+    """The almost-rose of shape (k, l) with ``relabeling`` applied to its
+    letters: letter 1 on the loop at u and the edge u->v, loops at u
+    labeled 2..k, edges u->v labeled k+1..l and loops at v labeled l+1..n.
+    It is laid out as every rose is, whatever order the relabeling puts
+    the connectors in."""
+    relabeling = relabeling or SignedRelabeling.identity(n)
+    _same_rank(n, len(relabeling.targets))
+    if not (1 <= k <= l <= n and k < n):
+        raise ValueError(f"need 1 <= k <= l <= n and k < n, got k={k} l={l} n={n}")
+    f = relabeling.apply_letter
+    side_one = {-f(1)} | {s * f(j) for j in range(2, k + 1) for s in (1, -1)}
+    side_one |= {-f(j) for j in range(k + 1, l + 1)}
+    return AlmostRose(n, f(1), frozenset(side_one))
 
 
 def whitehead_of_almost_rose(rose: AlmostRose) -> WhiteheadGraph:
-    """Closed form: the wedge at the image of letter 1 of the complete
-    graphs on the two relabeled clique sides stored in ``rose.sides``,
-    built once per rose and kept as ``rose.whitehead``."""
+    """Closed form: ``rose.whitehead``, built once per rose and kept."""
     return rose.whitehead
 
 
-def _rose_parts(g: LabeledGraph) -> tuple[int, list[int], list[int], list[int]] | None:
-    """The parts ``(y, loops_u, connectors, loops_v)`` of
-    ``almost_rose_from_parts`` that rebuild ``g`` up to label isomorphism,
+def _rose_parts(g: LabeledGraph) -> tuple[int, frozenset[int]] | None:
+    """The pair ``(wedge, side_one)`` naming ``g`` up to label isomorphism,
     or None when ``g`` is not an almost-rose.
 
     A two-vertex graph with n + 1 edge pairs is an almost-rose exactly
     when: a single letter |y| lies on two edge pairs (labels lie in 1..n,
-    so every letter then occurs); one of the two is a loop at a vertex u
-    and the other joins u to the other vertex v, with y = +|y| when that
-    connector is stored leaving u and -|y| otherwise; and v carries one
-    more edge, a loop or a connector.  These are the standard graph's
-    features with u as vertex 0 and v as vertex 1, so the rose built from
-    the parts is ``g`` relabeled, and every almost-rose has them.  They
-    also imply what recognizing by folding checked: the loop and the
-    connector are the only foldable pair, the graph is connected, and
-    each vertex has valence at least 2.  One pass over the edges finds
-    the doubled letter and a second sorts the others into the parts.
+    so every letter then occurs); one is a loop at a vertex u and the
+    other joins u to the other vertex v, giving the wedge letter c = +|y|
+    when it is stored leaving u and -|y| otherwise; and v carries one more
+    edge, so side one, c^-1 and the other letters arriving at u, leaves a
+    letter off.  They also imply what recognizing by folding checked: the
+    loop and the connector are the only foldable pair, the graph is
+    connected, and each vertex has valence at least 2.  One pass over the
+    edges finds the doubled letter and two more collect side one.
     """
     n = g.rank
     if len(g.vertices) != 2 or len(g.edges) != n + 1:
@@ -212,25 +217,14 @@ def _rose_parts(g: LabeledGraph) -> tuple[int, list[int], list[int], list[int]] 
     if loop.origin != loop.terminus or conn.origin == conn.terminus:
         return None
     u = loop.origin
-    loops_u: list[int] = []
-    connectors: list[int] = []
-    loops_v: list[int] = []
-    for e in g.edges:
-        if e.label == conn.label:
-            continue
-        if e.origin != e.terminus:
-            connectors.append(e.label if e.origin == u else -e.label)
-        elif e.origin == u:
-            loops_u.append(e.label)
-        else:
-            loops_v.append(e.label)
-    if not connectors and not loops_v:
-        return None
-    return (conn.label if conn.origin == u else -conn.label), loops_u, connectors, loops_v
+    c = conn.label if conn.origin == u else -conn.label
+    arriving = {e.label for e in g.edges if e.terminus == u} | {-e.label for e in g.edges if e.origin == u}
+    side_one = arriving - {c}
+    return None if len(side_one) == 2 * n - 1 else (c, frozenset(side_one))
 
 
 def recognize_almost_rose(g: LabeledGraph) -> AlmostRose | None:
-    """Identify ``g`` as a relabeled standard almost-rose, if it is one.
+    """Identify ``g`` as an almost-rose, if it is one, up to label isomorphism.
 
     ``g`` is read straight off its edge rows (``_rose_parts``): exactly
     one letter on two edge pairs, one a loop at a vertex u and the other
@@ -239,40 +233,34 @@ def recognize_almost_rose(g: LabeledGraph) -> AlmostRose | None:
     the only graph built is the returned rose's.
     """
     parts = _rose_parts(g)
-    return None if parts is None else almost_rose_from_parts(g.rank, *parts)
+    return None if parts is None else AlmostRose(g.rank, *parts)
 
 
 def enumerate_almost_roses(n: int) -> list[AlmostRose]:
     """All almost-roses of rank ``n`` up to label isomorphism, deterministically.
 
-    No two of the graphs built are label-isomorphic, so no pairwise check
-    is needed: the loop parameters (y, the loops at u, the signed
-    connectors, the loops at v) can be read back from the graph alone.
-    |y| is the only letter on two edge pairs and u is the end of its loop;
-    every other letter is then a loop at u, a loop at v or an edge between
-    them, and the direction of that edge fixes its sign, as it fixes the
-    sign of y.  Hence there are ``2n * sum C(n-1, k-1) * C(n-k, l-k) *
-    2^(l-k)`` roses, summed over the shapes (k, l).
+    Every pair (c, P) with c^-1 in P, c not in P and a letter other than c
+    off P names one rose, and no two pairs name label-isomorphic roses:
+    ``recognize_almost_rose`` reads the pair back from the graph alone.
+    Each generator other than |c| has both its letters on P, one of them
+    or neither, so there are ``2n * (4^(n-1) - 1)`` roses.  They are
+    listed by shape (k, l), then by wedge letter in letter order, then by
+    the loops at u, the connectors' indices and their signs, positive first.
     """
     _valid_rank(n)
-    signed_letters = sorted(
-        (s * i for i in range(1, n + 1) for s in (1, -1)), key=letter_key
-    )
     roses: list[AlmostRose] = []
-    for k in range(1, n):
-        for l in range(k, n + 1):
-            n_loops_u, n_conn = k - 1, l - k
-            for y in signed_letters:
-                rest = [i for i in range(1, n + 1) if i != abs(y)]
-                for loops_u in itertools.combinations(rest, n_loops_u):
-                    left = [i for i in rest if i not in loops_u]
-                    for conn in itertools.combinations(left, n_conn):
-                        loops_v = [i for i in left if i not in conn]
-                        for signs in itertools.product((1, -1), repeat=n_conn):
-                            connectors = [s * i for s, i in zip(signs, conn)]
-                            roses.append(
-                                almost_rose_from_parts(n, y, loops_u, connectors, loops_v)
-                            )
+    for c in (s * i for i in range(1, n + 1) for s in (1, -1)):
+        placings = [((j, -j), (j,), (-j,), ()) for j in range(1, n + 1) if j != abs(c)]
+        for placed in itertools.product(*placings):
+            side_one = frozenset((-c, *itertools.chain.from_iterable(placed)))
+            if len(side_one) < 2 * n - 1:
+                roses.append(AlmostRose(n, c, side_one))
+
+    def order(r: AlmostRose) -> tuple:
+        loops, conns = r.targets[1 : r.k], r.targets[r.k : r.l]
+        return r.k, r.l, letter_key(r.wedge), loops, [abs(t) for t in conns], [t < 0 for t in conns]
+
+    roses.sort(key=order)
     return roses
 
 
@@ -320,7 +308,7 @@ def _induced_map(
     if 0 in sides.values():
         return None
     vmap = {p: 0 if bits & 1 else 1 for p, bits in sides.items()}
-    wedge = rose.relabeling.targets[0]
+    wedge = rose.wedge
     pair_of = rose.pair_of
     emap: dict[int, int] = {}
     for eid, origin, terminus, x in edges:
@@ -340,13 +328,9 @@ def build_rose_from_whitehead(w: WhiteheadGraph) -> AlmostRose | None:
     no letter tried.  Otherwise the wedge letter c is the first cut vertex
     in letter order, or, with none, the first letter whose removal leaves
     letters outside the component of its inverse: letter a, unless a is
-    isolated in a graph of two components, and then A.  The wedge letter
-    becomes letter 1; the component of c^-1 in ``w`` minus c goes to the
-    first clique side and everything else to the second, letters split
-    across the sides becoming connecting edges (inverted when the
-    forbidden orientation lands on side one).
+    isolated in a graph of two components, and then A.  Side one is the
+    component of c^-1 in ``w`` minus c.
     """
-    n = w.rank
     adj = w.adjacency
     letters = w.letters()
     cuts = cut_vertices(w)
@@ -358,21 +342,7 @@ def build_rose_from_whitehead(w: WhiteheadGraph) -> AlmostRose | None:
             return None
         c = letters[1] if len(comps) == 2 and not adj[letters[0]] else letters[0]
     punctured = {x: nbrs - {c} for x, nbrs in adj.items() if x != c}
-    side1 = adjacency_components(punctured, [-c])[0]
-    wholly1: list[int] = []
-    split_targets: list[int] = []
-    wholly2: list[int] = []
-    for j in range(1, n + 1):
-        if j == abs(c):
-            continue
-        pos, neg = j in side1, -j in side1
-        if pos and neg:
-            wholly1.append(j)
-        elif pos or neg:
-            split_targets.append(-j if pos else j)  # the member on side two
-        else:
-            wholly2.append(j)
-    return almost_rose_from_parts(n, c, wholly1, split_targets, wholly2)
+    return AlmostRose(w.rank, c, frozenset(adjacency_components(punctured, [-c])[0]))
 
 
 def factor_through_almost_rose(g: LabeledGraph) -> tuple[AlmostRose, FoldSequence]:
@@ -543,8 +513,9 @@ def verify_certificate(classes, cert: TamenessCertificate, rank: int | None = No
     """Re-check a certificate from scratch; False on any discrepancy.
 
     A tame certificate's rose and its graph must have the classes' rank,
-    and the graph must be an almost-rose, read off its edge rows with
-    ``_rose_parts``: no graph, fold state or second rose is built.  Its
+    and the graph must be the almost-rose the rose's pair names, read off
+    its edge rows with ``_rose_parts``: no graph, fold state or second
+    rose is built.  Its
     morphism is then checked over the circuit edges read straight from
     the letters (``_circuit_edges``), with no circuit graph built: this
     reads each class along the closed path the certificate names, so no
@@ -568,11 +539,11 @@ def verify_certificate(classes, cert: TamenessCertificate, rank: int | None = No
     if cert.tame:
         if cert.rose is None or cert.morphism is None:
             return False
-        graph = cert.rose.graph
-        if cert.rose.rank != rank or graph.rank != rank or _rose_parts(graph) is None:
+        rose = cert.rose
+        if not rank == rose.rank == rose.graph.rank or _rose_parts(rose.graph) != (rose.wedge, rose.side_one):
             return False
         edges = _circuit_edges(norm)
-        return _is_morphism_on(cert.morphism, range(len(edges)), edges, graph)
+        return _is_morphism_on(cert.morphism, range(len(edges)), edges, rose.graph)
     if (
         cert.whitehead_edges is None
         or cert.spanning_tree is None
@@ -610,7 +581,7 @@ def certificate_to_text(cert: TamenessCertificate) -> str:
     if cert.tame:
         assert cert.rose is not None and cert.morphism is not None
         lines.append(f"rose: k={cert.rose.k} l={cert.rose.l}")
-        for i, t in enumerate(cert.rose.relabeling.targets, start=1):
+        for i, t in enumerate(cert.rose.targets, start=1):
             lines.append(f"relabel {i} -> {t}")
         lines.append("rose-graph:")
         lines.append(graph_to_text(cert.rose.graph).rstrip("\n"))

@@ -455,7 +455,7 @@ def closed_walk_class(rng, g, max_len):
 def reading_classes(rng, rose):
     """Every length-1 class, powers of the wedge letter and its inverse,
     random classes, and classes spelt by random closed walks in the rose."""
-    n, y = rose.rank, rose.relabeling.targets[0]
+    n, y = rose.rank, rose.wedge
     classes = [rf.CyclicWord((s * i,), n) for i in range(1, n + 1) for s in (1, -1)]
     classes += [rf.CyclicWord((s * y,) * k, n) for k in (2, 3) for s in (1, -1)]
     classes += [random_class(rng, n, 6) for _ in range(8)]

@@ -12,7 +12,7 @@ import rosefold as rf
 from rosefold import folding
 from rosefold.graphs import Edge, LabeledGraph, adjacency_components, oriented_edge
 from rosefold.oracles import random_class
-from rosefold.tameness import FoldFactorError, almost_rose_from_parts
+from rosefold.tameness import FoldFactorError
 from rosefold.whitehead import WhiteheadGraph
 from rosefold.words import LETTER_CHARS, RankError, class_rank, letter_key, normalize_classes
 
@@ -48,15 +48,16 @@ def clique_sides(n, k, l):
 
 
 def relabeled_sides(rose):
-    """``clique_sides`` with the rose's relabeling applied to every letter."""
-    f = rose.relabeling.apply_letter
+    """``clique_sides`` with every letter taken to the rose's: the standard
+    rose's letter j is ``rose.targets[j - 1]``."""
+    f = rf.SignedRelabeling(rose.targets).apply_letter
     return tuple({f(x) for x in side} for side in clique_sides(rose.rank, rose.k, rose.l))
 
 
 def standard_coordinates(g, s):
     """``g`` with every letter taken back through the signed relabeling
-    ``s``: the relabeled copy that ``induced_map_oracle`` reads in the
-    standard almost-rose's letters."""
+    ``s`` (or a rose's ``targets``): the relabeled copy that
+    ``induced_map_oracle`` reads in the standard almost-rose's letters."""
     back = {}
     for i, t in enumerate(s.targets, start=1):
         back[t], back[-t] = i, -i
@@ -80,10 +81,12 @@ class TestSignedRelabeling:
 
     @given(relabeling_st(3))
     def test_graph_action_preserves_structure(self, s):
-        # taking a relabeled almost-rose's letters back gives the standard one
+        # a relabeled almost-rose's side one is the standard one's image, and
+        # taking its letters back through its targets gives the standard rose
         for k, l in ((1, 1), (1, 3), (2, 2)):
-            rose = rf.almost_rose(3, k, l, s)
-            assert standard_coordinates(rose.graph, s) == rf.almost_rose(3, k, l).graph
+            rose, standard = rf.almost_rose(3, k, l, s), rf.almost_rose(3, k, l)
+            assert rose.side_one == {s.apply_letter(x) for x in standard.side_one}
+            assert standard_coordinates(rose.graph, rose) == standard.graph
 
 
 class TestStandardAlmostRose:
@@ -156,14 +159,15 @@ class TestRecognize:
         found = rf.recognize_almost_rose(rose.graph)
         assert found is not None
         assert (found.k, found.l) == (1, 2)
-        assert found.relabeling.targets == (1, 2, 3)
+        assert found.targets == (1, 2, 3) and found == rose
 
     def test_wedge_example(self):
         g = rf.wedge_of_words((word("ab"), word("b")), 2).graph
         found = rf.recognize_almost_rose(g)
         assert found is not None
         assert (found.k, found.l) == (1, 2)
-        assert found.relabeling.targets == (-2, 1)
+        assert found.targets == (-2, 1)
+        assert found == rf.AlmostRose(2, -2, {2, -1})
 
     def test_rose_not_recognized(self):
         assert rf.recognize_almost_rose(rf.rose(2)) is None
@@ -187,6 +191,57 @@ class TestRecognize:
         assert found is not None
         assert (found.k, found.l) == (2, 3)
         assert recursive_is_label_isomorphic(found.graph, rose.graph)
+
+    def test_out_of_order_relabeling(self):
+        # the connectors 3 and -2 are laid out by index, so the rose built
+        # and the rose recognized from its graph are one rose
+        rose = rf.almost_rose(3, 1, 3, rf.SignedRelabeling((1, 3, -2)))
+        assert rose.targets == (1, -2, 3)
+        assert rf.recognize_almost_rose(rose.graph) == rose
+        assert rose == rf.almost_rose(3, 1, 3, rf.SignedRelabeling((1, -2, 3)))
+
+    @settings(max_examples=200)
+    @given(hyp_st.data())
+    def test_roses_compare_by_the_rose_they_name(self, data):
+        # two roses are equal exactly when their Whitehead graphs are, and
+        # recognizing a rose's graph gives the rose back
+        n = data.draw(hyp_st.integers(2, 4))
+        shapes = [(k, l) for k in range(1, n) for l in range(k, n + 1)]
+        r1, r2 = (rf.almost_rose(n, *data.draw(hyp_st.sampled_from(shapes)), data.draw(relabeling_st(n))) for _ in "12")
+        assert rf.recognize_almost_rose(r1.graph) == r1
+        assert (r1 == r2) == (r1.whitehead == r2.whitehead)
+        assert r1 != r2 or hash(r1) == hash(r2)
+
+
+class TestAlmostRosePair:
+    """An ``AlmostRose`` is its wedge letter and side one; a pair that names
+    no rose is rejected with its reason."""
+
+    @pytest.mark.parametrize(
+        "rank, wedge, side_one, error, reason",
+        [
+            (3, 0, {0}, RankError, "letter 0 out of range for rank 3"),
+            (3, 4, {-4}, RankError, "letter 4 out of range for rank 3"),
+            (3, 1, {2, -2}, ValueError, "must hold -1, the wedge letter's inverse"),
+            (3, 1, {-1, 1}, ValueError, "must not hold the wedge letter 1"),
+            (2, 1, {-1, 2, -2}, ValueError, "leaves no letter but the wedge letter to side two"),
+            (2, -1, {1, 3}, RankError, "letter 3 out of range for rank 2"),
+            (1, 1, {-1}, RankError, "rank must be at least 2"),
+        ],
+        ids=["wedge-zero", "wedge-beyond-rank", "no-wedge-inverse", "holds-wedge", "no-side-two",
+             "letter-beyond-rank", "rank-one"],
+    )
+    def test_bad_pair(self, rank, wedge, side_one, error, reason):
+        with pytest.raises(error, match=reason):
+            rf.AlmostRose(rank, wedge, side_one)
+
+    def test_init_fields_and_derived_values(self):
+        rose = rf.AlmostRose(3, -2, {2, 1, -1, -3})
+        assert [f.name for f in dataclasses.fields(rose) if f.init] == ["rank", "wedge", "side_one"]
+        assert rose.side_one == frozenset({2, 1, -1, -3})
+        assert (rose.targets, rose.k, rose.l) == ((-2, 1, 3), 2, 3)
+        assert rose.sides == ({2, 1, -1, -3, -2}, {-2, 3})
+        assert rose == rf.recognize_almost_rose(rose.graph)
 
 
 def brute_force_almost_roses(n):
@@ -254,12 +309,12 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("n, count", [(2, 12), (3, 90), (4, 504), (5, 2550)])
     def test_closed_form_count(self, n, count):
-        closed_form = 2 * n * sum(
+        by_shape = 2 * n * sum(
             math.comb(n - 1, k - 1) * math.comb(n - k, l - k) * 2 ** (l - k)
             for k in range(1, n)
             for l in range(k, n + 1)
         )
-        assert closed_form == count
+        assert by_shape == 2 * n * (4 ** (n - 1) - 1) == count
         assert len(rf.enumerate_almost_roses(n)) == count
 
     def test_small_stream(self):
@@ -324,7 +379,7 @@ def tame_class_sets(seed, count):
 def induced_map_oracle(g, rose):
     """The maps of ``induced_morphism`` computed on a relabeled copy of
     ``g``, as the morphism was built before ``_induced_map``."""
-    gs = standard_coordinates(g, rose.relabeling)
+    gs = standard_coordinates(g, rose)
     v2_strict = clique_sides(rose.rank, rose.k, rose.l)[1] - {1}
     vmap = {p: (1 if gs.in_labels(p) & v2_strict else 0) for p in gs.vertices}
     emap = {}
@@ -449,7 +504,7 @@ class TestClosedFormInclusion:
 
     def test_roses_cover_both_wedge_orientations(self):
         for n in (2, 3, 4):
-            signs = {rose.relabeling.targets[0] > 0 for rose, _ in roses_with_whitehead(n)}
+            signs = {rose.wedge > 0 for rose, _ in roses_with_whitehead(n)}
             assert signs == {True, False}
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -464,14 +519,14 @@ class TestClosedFormInclusion:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_sides_are_the_relabeled_clique_sides(self, n):
-        # the sides, side_mask and pair_of are read off the rose's graph;
-        # the shape formula restates its layout
+        # the sides, side_mask and pair_of are computed from the pair; the
+        # shape formula and the rose's graph restate them
         for rose in rf.enumerate_almost_roses(n):
             side1, side2 = relabeled_sides(rose)
             assert rose.sides == (side1, side2)
             assert rose.side_mask == {x: (x in side1) | 2 * (x in side2) for x in side1 | side2}
             # pair j + 1 carries the image of letter j; the wedge letter's connector is pair 2
-            assert rose.pair_of == {abs(t): j + 1 for j, t in enumerate(rose.relabeling.targets, start=1)}
+            assert rose.pair_of == {abs(t): j + 1 for j, t in enumerate(rose.targets, start=1)}
             # the letters arriving at u and at v
             assert rose.sides == (rose.graph.in_labels(0), rose.graph.in_labels(1))
             assert rf.whitehead_of_almost_rose(rose).edges == rf.whitehead_of_graph(rose.graph).edges
@@ -493,6 +548,7 @@ class TestClosedFormInclusion:
         assert len(built) == 1
 
     def test_sides_built_once_on_first_use(self, monkeypatch):
+        # the sides come from the pair, so the rose's graph is never read
         calls = []
         original = LabeledGraph.in_labels
 
@@ -502,12 +558,15 @@ class TestClosedFormInclusion:
 
         monkeypatch.setattr(LabeledGraph, "in_labels", counting)
         roses = rf.enumerate_almost_roses(3)
-        assert calls == []
         rose = roses[7]
+        assert "sides" not in vars(rose)
+        sides = []
         for text in ("abc", "aab", "abAB", "c"):
             rf.induced_morphism(rf.circuit(cyc(text, 3)), rose)
+            sides.append(rose.sides)
         rf.whitehead_of_almost_rose(rose)
-        assert [(g is rose.graph, v) for g, v in calls] == [(True, 0), (True, 1)]
+        assert all(s is sides[0] for s in sides) and rose.sides is sides[0]
+        assert calls == []
 
     def test_rank_mismatch_raises(self):
         with pytest.raises(RankError):
@@ -519,7 +578,7 @@ class TestClosedFormInclusion:
         # aab has the Whitehead edge {b, A}, which the (2, 1, 2) rose lacks,
         # so no morphism reads aab in it and decide never returns None
         monkeypatch.setattr(
-            rf.tameness, "almost_rose_from_parts", lambda *args: rf.almost_rose(2, 1, 2)
+            rf.tameness, "build_rose_from_whitehead", lambda w: rf.almost_rose(2, 1, 2)
         )
         with pytest.raises(RuntimeError):
             rf.decide_tame([cyc("aab")])
@@ -530,12 +589,12 @@ class TestBuildRoseFromWhitehead:
         rose = rf.build_rose_from_whitehead(rf.whitehead_of_classes([cyc("aab")], 2))
         assert rose is not None
         assert (rose.k, rose.l) == (1, 2)
-        assert rose.relabeling.targets == (1, -2)
+        assert rose.targets == (1, -2) and rose == rf.AlmostRose(2, 1, {-1, 2})
 
     def test_disconnected_ab(self):
         rose = rf.build_rose_from_whitehead(rf.whitehead_of_classes([cyc("ab")], 2))
         assert rose is not None
-        assert rose.relabeling.apply_letter(1) == 1  # wedge letter is a
+        assert rose.wedge == 1  # wedge letter is a
         assert rf.is_subgraph(
             rf.whitehead_of_classes([cyc("ab")], 2), rf.whitehead_of_almost_rose(rose)
         )
@@ -651,7 +710,7 @@ class TestDecideTame:
         cert = rf.decide_tame([cyc("aab")])
         assert cert.tame
         assert (cert.rose.k, cert.rose.l) == (1, 2)
-        assert cert.rose.relabeling.targets == (1, -2)
+        assert cert.rose.targets == (1, -2)
 
     def test_tame_implies_readable(self):
         classes = [cyc("ab"), cyc("aab")]
@@ -757,7 +816,8 @@ def recognize_by_folding(g):
     unsigned = [abs(y)] + loops_u + [abs(z) for z in connectors] + loops_v
     if sorted(unsigned) != list(range(1, n + 1)):
         return None
-    rose = almost_rose_from_parts(n, y, loops_u, connectors, loops_v)
+    side_one = {-y} | {s * x for x in loops_u for s in (1, -1)} | {-z for z in connectors}
+    rose = rf.AlmostRose(n, y, side_one)
     target = sorted((e.origin, e.terminus, e.label) for e in rose.graph.edges)
     for image in ({u: 0, v: 1}, {u: 1, v: 0}):
         if sorted((image[e.origin], image[e.terminus], e.label) for e in g.edges) == target:
@@ -905,6 +965,20 @@ class TestVerifyCertificate:
         )
         assert not rf.verify_certificate(classes, bad)
 
+    def test_rose_graph_of_another_rose_rejected(self):
+        # the graph and the morphism are another rose's that reads ab, so
+        # the certificate's rose lines and its rose graph disagree
+        classes = normalize_classes([cyc("ab")])
+        cert = rf.decide_tame(classes)
+        other = next(
+            r for r in all_roses(2) if r != cert.rose and rf.tameness._tame_certificate(classes, r)
+        )
+        rose = dataclasses.replace(cert.rose)  # a copy, given the other rose's graph
+        object.__setattr__(rose, "graph", other.graph)
+        morphism = rf.tameness._tame_certificate(classes, other).morphism
+        assert rf.verify_certificate(classes, dataclasses.replace(cert, rose=other, morphism=morphism))
+        assert not rf.verify_certificate(classes, dataclasses.replace(cert, rose=rose, morphism=morphism))
+
     @pytest.mark.parametrize("missing", ["rose", "morphism"])
     def test_tame_certificate_missing_a_part_rejected(self, missing):
         classes = [cyc("aab")]
@@ -1022,19 +1096,7 @@ def build_rose_oracle(w):
         (side1,) = adjacency_components(sub_adj, [-c])
         if not {v for v in letters if v != c} - side1:
             continue
-        wholly1, split, wholly2 = [], [], []
-        for j in range(1, n + 1):
-            if j == abs(c):
-                continue
-            in1 = {j, -j} & side1
-            if len(in1) == 2:
-                wholly1.append(j)
-            elif not in1:
-                wholly2.append(j)
-            else:
-                (kept,) = {j, -j} - in1
-                split.append(kept)
-        return rf.tameness.almost_rose_from_parts(n, c, wholly1, split, wholly2)
+        return rf.AlmostRose(n, c, side1)
     return None
 
 
@@ -1137,7 +1199,7 @@ class TestDecideAgainstOracle:
         for w in graphs:
             assert len(rf.components(w)) > 1 and not rf.cut_vertices(w)
             assert rf.build_rose_from_whitehead(w) == build_rose_oracle(w)
-        assert [rf.build_rose_from_whitehead(w).relabeling.targets[0] for w in graphs] == [-1, 1, 1, 1]
+        assert [rf.build_rose_from_whitehead(w).wedge for w in graphs] == [-1, 1, 1, 1]
         for texts in (["bcBC"], ["abAB", "c"]):
             classes = [cyc(t, 3) for t in texts]
             assert rf.certificate_to_text(rf.decide_tame(classes, 3)) == rf.certificate_to_text(

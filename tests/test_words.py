@@ -269,6 +269,7 @@ def _rank_takers():
         "whitehead_of_classes": lambda n: rf.whitehead_of_classes([], n),
         "SignedRelabeling": rf.SignedRelabeling.identity,
         "almost_rose": lambda n: rf.almost_rose(n, 1, 1),
+        "AlmostRose": lambda n: rf.AlmostRose(n, 1, {-1}),
         "enumerate_almost_roses": rf.enumerate_almost_roses,
         "decide_tame": lambda n: rf.decide_tame([], n),
         "EndomorphismSpec": lambda n: rf.EndomorphismSpec(n, ()),
@@ -303,7 +304,7 @@ def _rank_combiners():
         "wedge_of_words": lambda: rf.wedge_of_words((w2,), 3),
         "subgroup_graph": lambda: rf.subgroup_graph((w2,), 3),
         "is_subgraph": lambda: rf.is_subgraph(rf.WhiteheadGraph(2, frozenset()), rf.WhiteheadGraph(3, frozenset())),
-        "AlmostRose": lambda: rf.AlmostRose(3, 1, 2, rf.SignedRelabeling.identity(2)),
+        "almost_rose": lambda: rf.almost_rose(3, 1, 2, rf.SignedRelabeling.identity(2)),
         "induced_morphism": lambda: rf.induced_morphism(rf.circuit(c3), rf.almost_rose(2, 1, 1)),
         "brute_force_morphism": lambda: rf.brute_force_morphism(rf.rose(2), rf.rose(3)),
         "EndomorphismSpec images": lambda: rf.EndomorphismSpec(2, (w3, w3)),
