@@ -6,6 +6,7 @@ Usage: python3 scripts/almost_rose_atlas.py [rank] [--dot OUTDIR]
 """
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -44,4 +45,11 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (``| head -1``): exit quietly, as rosefold does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

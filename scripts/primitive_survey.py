@@ -9,6 +9,7 @@ a non-tame outcome here would falsify the cut-vertex criterion.
 Usage: python3 scripts/primitive_survey.py [rank] [max_len]
 """
 
+import os
 import sys
 from collections import Counter
 
@@ -47,4 +48,11 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (``| head -1``): exit quietly, as rosefold does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Exit codes are a contract: 0 affirmative, 1 negative or declined, 2 usage
-or parse errors, 3 internal inconsistency (a certificate of ``tame`` or
-``fold --witness`` failing ``verify_certificate``, which should never
-happen).  A rejected input is a
+Exit codes are a contract: 0 affirmative, 1 negative or declined, or
+stdout closed early by its reader (``rosefold orbit 3 8 | head -1``,
+with nothing on stderr), 2 usage or parse errors, 3 internal
+inconsistency (a certificate of ``tame`` or ``fold --witness`` failing
+``verify_certificate``, which should never happen).  A rejected input is a
 ``ValueError`` wherever it is found, in this module or in the library;
 ``main`` alone turns it into ``error: <reason>`` on stderr and exit 2.
 
@@ -22,7 +23,6 @@ import stat
 import sys
 from pathlib import Path
 
-from . import acceptance
 from .folding import fold_report_lines, fold_sequence_to_dot, fold_to_completion
 from .graphs import LabeledGraph, parse_graph_text, wedge_of_words
 from .oracles import (
@@ -301,6 +301,8 @@ def cmd_sep(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import acceptance  # only ``check`` needs the criteria and their oracles
+
     selected = acceptance.CRITERIA
     if args.only:
         unknown = [name for name in args.only if name not in acceptance.CRITERIA]
@@ -385,10 +387,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, inside the try
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader left early; point stdout at devnull so that the flush
+        # at interpreter exit cannot fail again (Python's ``signal`` docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -45,6 +45,7 @@ from .graphs import (
     Edge,
     LabeledGraph,
     _dot_lines,
+    _find,
     betti,
     core_pair,
     is_folded,
@@ -89,13 +90,6 @@ def foldable_pairs(g: LabeledGraph) -> list[tuple[int, int]]:
     """All unordered foldable pairs: by vertex, then by the ``out_edges``
     order of the pair's first and second edge."""
     return _FoldState(g).pairs()
-
-
-def _find(parent: dict[int, int], v: int) -> int:
-    """Root of ``v``'s class, halving the path on the way."""
-    while parent[v] != v:
-        parent[v] = v = parent[parent[v]]
-    return v
 
 
 def _directed(k: int) -> int:

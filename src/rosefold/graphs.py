@@ -266,6 +266,15 @@ def adjacency_components(adj: dict[int, set[int]], order: Iterable[int]) -> list
     return comps
 
 
+def _find(parent: dict[int, int], v: int) -> int:
+    """Root of ``v``'s class in the union-find ``parent``, halving the path
+    on the way: the fold state's vertex classes and the tree check of
+    ``tameness.verify_certificate``."""
+    while parent[v] != v:
+        parent[v] = v = parent[parent[v]]
+    return v
+
+
 def connected_components(g: LabeledGraph) -> list[frozenset[int]]:
     adj: dict[int, set[int]] = {v: set() for v in g.vertices}
     for e in g.edges:

@@ -7,6 +7,12 @@ witnesses, and an exhaustive label-preserving morphism search.  All
 randomness is drawn from ``random.Random`` seeded explicitly, so every
 generated corpus is reproducible byte for byte.
 
+Fold-based code outside ``folding`` lives here, so that ``tameness``, the
+decision and its verifier, imports none: ``factor_through_almost_rose``
+folds a graph to its penultimate almost-rose, and ``rose_for_basis`` and
+``rose_for_separable`` call it and certify the rose they get with the
+decision's own builder.
+
 The Nielsen orbit is sound (every output is primitive by construction)
 but not claimed complete below a length cap: a short primitive might only
 be reachable through longer intermediate classes.
@@ -17,12 +23,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .folding import FoldSequence, subgroup_graph
+from .folding import FoldSequence, fold_to_completion, subgroup_graph
 from .graphs import (
     BasedGraph,
     Edge,
     GraphMorphism,
     LabeledGraph,
+    NotConnectedError,
+    betti,
+    core,
+    is_connected,
     is_rose,
     oriented_edge,
     wedge_of_words,
@@ -31,7 +41,7 @@ from .tameness import (
     AlmostRose,
     TamenessCertificate,
     _tame_certificate,
-    factor_through_almost_rose,
+    recognize_almost_rose,
 )
 from .words import (
     CyclicWord,
@@ -374,6 +384,40 @@ def brute_force_morphism(
 
 
 # -- constructive pipelines ----------------------------------------------------
+
+
+class FoldFactorError(ValueError):
+    """The fold sequence failed to pass through an almost-rose: a rejected input."""
+
+
+def factor_through_almost_rose(g: LabeledGraph) -> tuple[AlmostRose, FoldSequence]:
+    """Fold to completion and return the penultimate snapshot as an
+    almost-rose together with the full sequence.
+
+    Requires ``g`` connected, core, of full Betti number, mapping onto the
+    whole free group, and not the rose itself.  No fold then drops the
+    Betti number, since ``g`` and the final rose both have Betti number n.
+    A penultimate snapshot that fails recognition raises
+    :class:`FoldFactorError`.
+    """
+    n = g.rank
+    if not is_connected(g):
+        raise NotConnectedError("factoring requires a connected graph")
+    if core(g) != g:
+        raise ValueError("factoring requires a core graph")
+    if betti(g) != n:
+        raise ValueError(f"factoring requires Betti number {n}, got {betti(g)}")
+    if is_rose(g):
+        raise ValueError("the rose itself admits no intermediate almost-rose")
+    seq = fold_to_completion(g)
+    if not is_rose(seq.final):
+        raise ValueError("graph does not map onto the whole free group")
+    rose = recognize_almost_rose(seq.penultimate)
+    if rose is None:
+        raise FoldFactorError(
+            "penultimate fold snapshot is not an almost-rose; core-ness was lost en route"
+        )
+    return rose, seq
 
 
 def _certified(rose: AlmostRose, classes) -> TamenessCertificate:

@@ -13,6 +13,11 @@ of them.  This is decidable via the Whitehead graph: the set is tame
 exactly when its Whitehead graph is disconnected or has a cut vertex.
 ``decide_tame`` returns a certificate for either outcome that
 ``verify_certificate`` can re-check from scratch.
+
+Nothing here folds: this module imports no ``folding`` code.  Folding a
+graph through an almost-rose, ``factor_through_almost_rose``, lives in
+``oracles`` beside the pipelines that call it, and the union-find of the
+verifier's tree check is ``graphs._find``, which the fold state shares.
 """
 
 from __future__ import annotations
@@ -22,20 +27,15 @@ import itertools
 from collections.abc import Iterable, Sequence, Set
 from dataclasses import dataclass, field
 
-from .folding import FoldSequence, _find, fold_to_completion
 from .graphs import (
     Edge,
     GraphMorphism,
     LabeledGraph,
-    NotConnectedError,
     _circuit_edges,
+    _find,
     _is_morphism_on,
     adjacency_components,
-    betti,
-    core,
     graph_to_text,
-    is_connected,
-    is_rose,
     oriented_edge,
 )
 from .whitehead import WhiteheadGraph, cut_vertices, whitehead_of_classes
@@ -49,10 +49,6 @@ from .words import (
     letter_key,
     normalize_classes,
 )
-
-
-class FoldFactorError(ValueError):
-    """The fold sequence failed to pass through an almost-rose: a rejected input."""
 
 
 @dataclass(frozen=True)
@@ -343,36 +339,6 @@ def build_rose_from_whitehead(w: WhiteheadGraph) -> AlmostRose | None:
         c = letters[1] if len(comps) == 2 and not adj[letters[0]] else letters[0]
     punctured = {x: nbrs - {c} for x, nbrs in adj.items() if x != c}
     return AlmostRose(w.rank, c, frozenset(adjacency_components(punctured, [-c])[0]))
-
-
-def factor_through_almost_rose(g: LabeledGraph) -> tuple[AlmostRose, FoldSequence]:
-    """Fold to completion and return the penultimate snapshot as an
-    almost-rose together with the full sequence.
-
-    Requires ``g`` connected, core, of full Betti number, mapping onto the
-    whole free group, and not the rose itself.  No fold then drops the
-    Betti number, since ``g`` and the final rose both have Betti number n.
-    A penultimate snapshot that fails recognition raises
-    :class:`FoldFactorError`.
-    """
-    n = g.rank
-    if not is_connected(g):
-        raise NotConnectedError("factoring requires a connected graph")
-    if core(g) != g:
-        raise ValueError("factoring requires a core graph")
-    if betti(g) != n:
-        raise ValueError(f"factoring requires Betti number {n}, got {betti(g)}")
-    if is_rose(g):
-        raise ValueError("the rose itself admits no intermediate almost-rose")
-    seq = fold_to_completion(g)
-    if not is_rose(seq.final):
-        raise ValueError("graph does not map onto the whole free group")
-    rose = recognize_almost_rose(seq.penultimate)
-    if rose is None:
-        raise FoldFactorError(
-            "penultimate fold snapshot is not an almost-rose; core-ness was lost en route"
-        )
-    return rose, seq
 
 
 # -- certificates ------------------------------------------------------------

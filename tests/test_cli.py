@@ -1,4 +1,5 @@
 import argparse
+import ast
 import errno
 import hashlib
 import os
@@ -7,13 +8,17 @@ import stat
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
 import rosefold as rf
-from rosefold import cli
+from rosefold import acceptance, cli
 from rosefold.cli import main
 from rosefold.oracles import endomorphism_to_text
+
+ROOT = Path(__file__).resolve().parents[1]
+FRESH_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}  # a fresh process imports this rosefold
 
 
 def run(capsys, *args):
@@ -176,7 +181,7 @@ class TestTame:
             pytest.skip("no /dev/stdout")
         p = subprocess.run(
             [sys.executable, "-m", "rosefold", "tame", "aab", "--out", "/dev/stdout"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            capture_output=True, text=True, env=FRESH_ENV,
         )
         assert p.returncode == 0 and p.stderr == ""
         assert p.stdout.startswith("tameness-certificate\n") and p.stdout == 2 * p.stdout[: len(p.stdout) // 2]
@@ -754,7 +759,7 @@ COMMAND_CALLS = [
     (("rose-wh", "3", "1", "2"), cli, "whitehead_of_almost_rose"),
     (("orbit", "2", "2"), cli, "primitive_orbit"),
     (("sep", "3", "--seed", "1"), cli, "random_separable_set"),
-    (("check", "--only", "wh-closed-form-312"), rf.acceptance.CRITERIA, "wh-closed-form-312"),
+    (("check", "--only", "wh-closed-form-312"), acceptance.CRITERIA, "wh-closed-form-312"),
 ]
 
 
@@ -802,3 +807,78 @@ class TestErrorBoundary:
     def test_bounds_are_the_library_messages(self, capsys, argv, message):
         # each bound is checked once, where its value is used
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("-m", "rosefold", "orbit", "3", "8"), ("scripts/almost_rose_atlas.py", "3"), ("scripts/primitive_survey.py", "2", "6")],
+        ids=["orbit", "atlas", "survey"],
+    )
+    def test_a_closed_pipe_exits_1_with_nothing_on_stderr(self, argv):
+        # as in `... | head -1` once head has gone: every write to stdout fails
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            p = subprocess.run([sys.executable, *argv], cwd=ROOT, stdout=write_end, stderr=subprocess.PIPE, env=FRESH_ENV)
+        finally:
+            os.close(write_end)
+        assert (p.returncode, p.stderr) == (1, b"")
+
+
+# -- the package's layering ------------------------------------------------------
+
+# Each module's relative imports: words -> graphs -> {folding, whitehead} ->
+# tameness -> oracles -> cli, so the certified decision loads no fold code.
+LAYERING = {
+    "words": set(),
+    "graphs": {"words"},
+    "folding": {"graphs", "words"},
+    "whitehead": {"graphs", "words"},
+    "tameness": {"graphs", "whitehead", "words"},
+    "oracles": {"folding", "graphs", "tameness", "words"},
+    "acceptance": {"folding", "graphs", "oracles", "tameness", "whitehead", "words"},
+    "cli": {"folding", "graphs", "oracles", "tameness", "whitehead", "words"},
+    "__init__": {"folding", "graphs", "oracles", "tameness", "whitehead", "words"},
+    "__main__": {"cli"},
+}
+
+
+def _relative_imports(nodes) -> set[str]:
+    found = set()
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+    return found
+
+
+def test_each_module_imports_only_the_layers_below_it():
+    top, nested = {}, {}
+    for path in sorted(Path(rf.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top[path.stem] = _relative_imports(tree.body)
+        nested[path.stem] = _relative_imports(ast.walk(tree)) - top[path.stem]
+    assert top == LAYERING
+    # only ``check`` loads the acceptance criteria
+    assert {name: found for name, found in nested.items() if found} == {"cli": {"acceptance"}}
+
+
+def test_importing_the_cli_leaves_the_acceptance_criteria_unloaded():
+    code = (
+        "import sys, rosefold.cli\n"
+        "print('rosefold.acceptance' in sys.modules)\n"
+        "sys.exit(rosefold.cli.main(['check', '--only', 'wh-closed-form-312']))\n"
+    )
+    p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=FRESH_ENV)
+    assert (p.returncode, p.stderr) == (0, "")
+    loaded, result = p.stdout.splitlines()
+    assert loaded == "False" and result.startswith("PASS wh-closed-form-312")
+
+
+def test_star_import_binds_the_api_names_from_their_home_modules():
+    namespace = {}
+    exec("from rosefold import *", namespace)
+    del namespace["__builtins__"]
+    assert len(rf.__all__) == len(set(rf.__all__)) == 76
+    assert namespace.keys() == set(rf.__all__)
+    for name, obj in namespace.items():
+        home = obj.__module__  # a submodule object has none
+        assert home.startswith("rosefold.") and getattr(sys.modules[home], name) is obj

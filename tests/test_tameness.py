@@ -11,8 +11,7 @@ from hypothesis import strategies as hyp_st
 import rosefold as rf
 from rosefold import folding
 from rosefold.graphs import Edge, LabeledGraph, adjacency_components, oriented_edge
-from rosefold.oracles import random_class
-from rosefold.tameness import FoldFactorError
+from rosefold.oracles import FoldFactorError, random_class
 from rosefold.whitehead import WhiteheadGraph
 from rosefold.words import LETTER_CHARS, RankError, class_rank, letter_key, normalize_classes
 
