@@ -73,6 +73,8 @@ def _check_edge(e: Edge, vertices: Collection[int], rank: int) -> None:
     checks each edge with them, and the graph reader each edge line."""
     if e.eid <= 0:
         raise ValueError(f"edge id must be positive, got {e.eid}")
+    if type(e.label) is not int:
+        raise RankError(f"edge {e.eid} label {e.label!r} has type {type(e.label).__name__}, not int")
     if e.label <= 0:
         raise ValueError(f"stored edge label must be positive, got {e.label}")
     if e.origin not in vertices or e.terminus not in vertices:

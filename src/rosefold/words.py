@@ -86,8 +86,9 @@ def _same_rank(rank: int, other: int) -> int:
 def _check_letters(letters: Iterable[int], rank: int) -> None:
     _valid_rank(rank)
     for v in letters:
-        if v == 0 or abs(v) > rank:
-            raise RankError(f"letter {v} out of range for rank {rank}")
+        if type(v) is not int or v == 0 or abs(v) > rank:  # True and 1.0 are not letters
+            reason = f"has type {type(v).__name__}, not int" if type(v) is not int else f"out of range for rank {rank}"
+            raise RankError(f"letter {v!r} {reason}")
 
 
 def _unchecked(cls, letters: tuple[int, ...], rank: int):

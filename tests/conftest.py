@@ -210,7 +210,7 @@ def rotation_calls(monkeypatch):
 @pytest.fixture
 def letter_parse_calls(monkeypatch):
     """The text of every ``parse_letters`` call, through any rosefold module
-    that imported it."""
+    that imported it (the lazy package root reads it from ``words``)."""
     calls = []
     original = words.parse_letters
 
@@ -219,7 +219,7 @@ def letter_parse_calls(monkeypatch):
         return original(text)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "rosefold" and getattr(module, "parse_letters", None) is original:
+        if name.split(".")[0] == "rosefold" and vars(module).get("parse_letters") is original:
             monkeypatch.setattr(module, "parse_letters", counting)
     return calls
 

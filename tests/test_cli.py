@@ -2,6 +2,7 @@ import argparse
 import ast
 import errno
 import hashlib
+import importlib
 import os
 import random
 import stat
@@ -828,6 +829,7 @@ class TestErrorBoundary:
 
 # Each module's relative imports: words -> graphs -> {folding, whitehead} ->
 # tameness -> oracles -> cli, so the certified decision loads no fold code.
+# The package root imports none of them; a name's module loads when it is read.
 LAYERING = {
     "words": set(),
     "graphs": {"words"},
@@ -837,7 +839,7 @@ LAYERING = {
     "oracles": {"folding", "graphs", "tameness", "words"},
     "acceptance": {"folding", "graphs", "oracles", "tameness", "whitehead", "words"},
     "cli": {"folding", "graphs", "oracles", "tameness", "whitehead", "words"},
-    "__init__": {"folding", "graphs", "oracles", "tameness", "whitehead", "words"},
+    "__init__": set(),
     "__main__": {"cli"},
 }
 
@@ -871,6 +873,63 @@ def test_importing_the_cli_leaves_the_acceptance_criteria_unloaded():
     assert (p.returncode, p.stderr) == (0, "")
     loaded, result = p.stdout.splitlines()
     assert loaded == "False" and result.startswith("PASS wh-closed-form-312")
+
+
+DECISION = ["rosefold", "rosefold.graphs", "rosefold.tameness", "rosefold.whitehead", "rosefold.words"]
+FOLDS = ["rosefold", "rosefold.folding", "rosefold.graphs", "rosefold.words"]
+
+
+@pytest.mark.parametrize(
+    "statement, loaded",
+    [
+        ("import rosefold", ["rosefold"]),
+        ("import rosefold.tameness", DECISION),
+        ("import rosefold.folding", FOLDS),
+        ("import rosefold; rosefold.decide_tame", DECISION),
+        ("import rosefold; rosefold.folding", FOLDS),
+    ],
+)
+def test_a_fresh_import_loads_only_the_layers_it_needs(statement, loaded):
+    code = f"import sys; {statement}; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'rosefold'))"
+    p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=FRESH_ENV)
+    assert (p.returncode, p.stderr) == (0, "")
+    assert p.stdout.split() == loaded
+
+
+class TestLazyRoot:
+    """``rosefold`` reads each API name from its home module on every read
+    and stores nothing: the tracer rebinds functions in every ``rosefold``
+    namespace and expects the same keys after a traced run."""
+
+    def test_reading_the_api_stores_nothing_in_the_package(self):
+        for layer in ("words", "graphs", "folding", "whitehead", "tameness", "oracles"):
+            importlib.import_module(f"rosefold.{layer}")
+        before = set(vars(rf))
+        for name in rf.__all__:
+            getattr(rf, name)
+        assert set(vars(rf)) == before and before.isdisjoint(rf.__all__)
+
+    def test_each_name_is_its_home_modules_object(self):
+        assert rf.decide_tame is rf.tameness.decide_tame
+        assert rf.fold_to_completion is rf.folding.fold_to_completion
+        for name in rf.__all__:
+            obj = getattr(rf, name)
+            assert getattr(sys.modules[obj.__module__], name) is obj
+
+    def test_a_rebound_function_is_read_through(self, monkeypatch):
+        original = rf.decide_tame
+        monkeypatch.setattr(rf.tameness, "decide_tame", lambda *args: None)
+        assert rf.decide_tame is rf.tameness.decide_tame is not original
+        monkeypatch.undo()
+        assert rf.decide_tame is original
+
+    def test_an_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match=r"^module 'rosefold' has no attribute 'decide'$"):
+            rf.decide
+        assert not hasattr(rf, "decide") and not hasattr(rf, "_tame_certificate")
+
+    def test_dir_lists_the_api(self):
+        assert set(rf.__all__) <= set(dir(rf))
 
 
 def test_star_import_binds_the_api_names_from_their_home_modules():

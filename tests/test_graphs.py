@@ -632,6 +632,13 @@ class TestEdgeChecks:
         with pytest.raises(RankError, match="edge 1 label 3 exceeds rank 2"):
             LabeledGraph(2, frozenset({0}), (Edge(1, 0, 0, 3),))
 
+    @pytest.mark.parametrize("label", [1.5, 1.0, True])
+    def test_a_label_must_be_an_int(self, label):
+        # a 1.5 label used to build, and whitehead_of_graph read it as a letter
+        message = f"edge 1 label {label!r} has type {type(label).__name__}, not int"
+        with pytest.raises(RankError, match=f"^{re.escape(message)}$"):
+            LabeledGraph(2, frozenset({0}), (Edge(1, 0, 0, label), Edge(2, 0, 0, 2)))
+
     def test_basepoint_outside_the_vertices_rejected(self):
         with pytest.raises(ValueError, match="basepoint 1 not a vertex"):
             rf.BasedGraph(rf.rose(2), 1)

@@ -75,6 +75,11 @@ class TestWhOfGraph:
         with pytest.raises(ValueError, match="Whitehead edges join two distinct letters"):
             WhiteheadGraph(2, frozenset({frozenset({1})}))
 
+    @pytest.mark.parametrize("letter", [1.5, 1.0, True])
+    def test_a_letter_must_be_an_int(self, letter):
+        with pytest.raises(RankError, match=f"letter {letter!r} has type {type(letter).__name__}, not int"):
+            WhiteheadGraph(2, frozenset({frozenset({letter, -2})}))
+
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="no Whitehead self-loops"):
             whitehead_edge(-2, -2)

@@ -356,6 +356,15 @@ class TestLetterChecks:
         with pytest.raises(RankError):
             rf.Word(letters, 2)
 
+    @pytest.mark.parametrize("letter", [1.5, 1.0, True, "a"])
+    @pytest.mark.parametrize("cls", [rf.Word, rf.CyclicWord])
+    def test_a_letter_must_be_an_int(self, cls, letter):
+        # CyclicWord((1.5, 2), 2) used to build, and decide_tame on it died
+        # with a bare KeyError; (1.0, 2) decided and printed a certificate
+        message = f"letter {letter!r} has type {type(letter).__name__}, not int"
+        with pytest.raises(RankError, match=f"^{re.escape(message)}$"):
+            cls((letter, 2), 2)
+
     def test_tame_checks_each_input_letter_once(self, monkeypatch, capsys):
         # the 40 tame-long benchmark inputs of seed 5: 9,294 letters, which
         # parsing, free reduction and cyclic reduction used to check once
