@@ -14,7 +14,6 @@ from rosefold import (
     cut_vertices,
     enumerate_almost_roses,
     graph_to_dot,
-    whitehead_of_almost_rose,
     whitehead_to_dot,
 )
 from rosefold.words import LETTER_CHARS
@@ -35,7 +34,7 @@ def main() -> int:
         relabel = " ".join(
             f"{j}->{t}" for j, t in enumerate(rose.targets, start=1)
         )
-        wh = whitehead_of_almost_rose(rose)
+        wh = rose.whitehead
         cuts = "".join(sorted(LETTER_CHARS[v] for v in cut_vertices(wh)))
         print(f"  [{i:02d}] k={rose.k} l={rose.l} relabel [{relabel}] wh-cut-vertices {cuts}")
         if outdir:

@@ -38,7 +38,6 @@ from .tameness import (
     enumerate_almost_roses,
     induced_morphism,
     verify_certificate,
-    whitehead_of_almost_rose,
 )
 from .whitehead import cut_vertices, is_subgraph, whitehead_of_classes, whitehead_of_graph
 from .words import parse_word, conjugacy_class
@@ -111,7 +110,7 @@ def criterion_wedge_closed_form():
     } | {frozenset(p) for p in itertools.combinations(side2, 2)}
 
     def compute():
-        w = whitehead_of_almost_rose(rose)
+        w = rose.whitehead
         return w, cut_vertices(w)
 
     w, cuts = compute()
@@ -131,7 +130,7 @@ def criterion_cut_vertex_sweep():
         for k in range(1, n):
             for l in range(k, n + 1):
                 rose = almost_rose(n, k, l)
-                closed = whitehead_of_almost_rose(rose)
+                closed = rose.whitehead
                 direct = whitehead_of_graph(rose.graph)
                 if closed.edges != direct.edges:
                     failures.append((n, k, l, "whitehead mismatch"))
@@ -152,7 +151,7 @@ def criterion_morphism_equivalence():
     checked = 0
     for n in (2, 3):
         roses = enumerate_almost_roses(n)
-        rose_whs = [whitehead_of_almost_rose(r) for r in roses]
+        rose_whs = [r.whitehead for r in roses]
         for _ in range(graphs_per_rank):
             g = random_labeled_graph(rng, n, max_vertices=6, max_edge_pairs=10)
             wg = whitehead_of_graph(g)

@@ -40,7 +40,6 @@ from .tameness import (
     decide_tame,
     recognize_almost_rose,
     verify_certificate,
-    whitehead_of_almost_rose,
 )
 from .whitehead import WhiteheadGraph, components, cut_vertices, whitehead_of_classes, whitehead_to_dot
 from .words import (
@@ -205,7 +204,7 @@ def cmd_tame(args) -> int:
 
 def cmd_rose_wh(args) -> int:
     rose = almost_rose(_check_rank(args.n), args.k, args.l)
-    return _print_wh(whitehead_of_almost_rose(rose), args.dot)
+    return _print_wh(rose.whitehead, args.dot)
 
 
 def _fold_input(args) -> tuple[LabeledGraph, tuple[Word, ...]]:

@@ -52,8 +52,8 @@ class NotConnectedError(ValueError):
 
 
 class Edge(NamedTuple):
-    """A stored edge pair; ``LabeledGraph`` checks that its id and label are
-    positive."""
+    """A stored edge pair; ``LabeledGraph`` checks that its id, ends and label
+    are ints and its id and label positive."""
 
     eid: int
     origin: int
@@ -71,12 +71,17 @@ def oriented_edge(eid: int, origin: int, terminus: int, label: int) -> Edge:
 def _check_edge(e: Edge, vertices: Collection[int], rank: int) -> None:
     """The rules a stored edge keeps, apart from a distinct id: ``LabeledGraph``
     checks each edge with them, and the graph reader each edge line."""
+    if type(e.eid) is not int:
+        raise ValueError(f"edge id {e.eid!r} has type {type(e.eid).__name__}, not int")
     if e.eid <= 0:
         raise ValueError(f"edge id must be positive, got {e.eid}")
     if type(e.label) is not int:
         raise RankError(f"edge {e.eid} label {e.label!r} has type {type(e.label).__name__}, not int")
     if e.label <= 0:
         raise ValueError(f"stored edge label must be positive, got {e.label}")
+    if type(e.origin) is not int or type(e.terminus) is not int:  # 0.0 in {0} is True
+        end = e.terminus if type(e.origin) is int else e.origin
+        raise ValueError(f"edge {e.eid} endpoint {end!r} has type {type(end).__name__}, not int")
     if e.origin not in vertices or e.terminus not in vertices:
         raise ValueError(f"edge {e.eid} endpoint outside vertex set")
     if e.label > rank:
@@ -94,6 +99,8 @@ class LabeledGraph:
 
     def __post_init__(self) -> None:
         _valid_rank(self.rank)
+        if bad := [v for v in self.vertices if type(v) is not int]:
+            raise ValueError(f"vertex {bad[0]!r} has type {type(bad[0]).__name__}, not int")
         object.__setattr__(self, "edges", tuple(sorted(self.edges, key=lambda e: e.eid)))
         by_id: dict[int, Edge] = {}
         out: dict[int, list[tuple[int, int, int]]] = {v: [] for v in self.vertices}
@@ -278,10 +285,7 @@ def _find(parent: dict[int, int], v: int) -> int:
 
 
 def connected_components(g: LabeledGraph) -> list[frozenset[int]]:
-    adj: dict[int, set[int]] = {v: set() for v in g.vertices}
-    for e in g.edges:
-        adj[e.origin].add(e.terminus)
-        adj[e.terminus].add(e.origin)
+    adj = {v: {t for _, _, t in outs} for v, outs in g.out_map().items()}
     return [frozenset(c) for c in adjacency_components(adj, sorted(g.vertices))]
 
 

@@ -193,24 +193,20 @@ def primitive_orbit(n: int, max_len: int, budget: int = 2_000_000) -> PrimitiveO
     seen: dict[tuple[int, ...], CyclicWord] = {start.letters: start}
     frontier = [start]
     applications = 0
-    complete = True
-    while frontier and complete:
+    while frontier:
         fresh: list[CyclicWord] = []
         for c in frontier:
             rep = Word(c.letters, n)
             for spec in specs:
                 if applications >= budget:
-                    complete = False
-                    break
+                    return PrimitiveOrbit(frozenset(seen.values()), False)
                 applications += 1
                 cls = conjugacy_class(apply_endomorphism(spec, rep))
                 if len(cls) <= max_len and cls.letters not in seen:
                     seen[cls.letters] = cls
                     fresh.append(cls)
-            if not complete:
-                break
         frontier = fresh
-    return PrimitiveOrbit(frozenset(seen.values()), complete)
+    return PrimitiveOrbit(frozenset(seen.values()), True)
 
 
 # -- separable sets ----------------------------------------------------------
@@ -269,14 +265,11 @@ def random_separable_set(
         short = [len(conjugacy_class(w)) <= headroom for w in phi.images]
         if any(short[:m]) and any(short[m:]):
             break
-    classes: dict[CyclicWord, None] = {}  # in drawing order
-    sides: list[int] = []
-    words: list[Word] = []
-    conjs: list[Word] = []
+    drawn: dict[CyclicWord, tuple[int, Word, Word]] = {}  # (side, word, conjugator), in drawing order
     attempts = 0
-    while len(classes) < count:
+    while len(drawn) < count:
         attempts += 1
-        if attempts > 2000 * (len(classes) + 1):  # bounded by the classes found, not by count
+        if attempts > 2000 * (len(drawn) + 1):  # bounded by the classes found, not by count
             raise ValueError("could not draw enough distinct classes under the length cap")
         side = rng.choice((1, 2))
         letters = list(range(1, m + 1)) if side == 1 else list(range(m + 1, n + 1))
@@ -284,21 +277,12 @@ def random_separable_set(
         conj = _random_reduced_word(rng, n, list(range(1, n + 1)), rng.randint(0, 3))
         element = conjugate(apply_endomorphism(phi, u), conj)
         cls = conjugacy_class(element)
-        if len(cls) > max_len or cls in classes:
+        if len(cls) > max_len or cls in drawn:
             continue
-        classes[cls] = None
-        sides.append(side)
-        words.append(u)
-        conjs.append(conj)
-    witness = SeparableWitness(
-        rank=n,
-        split=m,
-        automorphism=phi,
-        factor_sides=tuple(sides),
-        factor_words=tuple(words),
-        conjugators=tuple(conjs),
-    )
-    return tuple(classes), witness
+        drawn[cls] = side, u, conj
+    sides, words, conjs = zip(*drawn.values())
+    witness = SeparableWitness(n, m, phi, factor_sides=sides, factor_words=words, conjugators=conjs)
+    return tuple(drawn), witness
 
 
 def verify_separable_witness(classes: tuple[CyclicWord, ...], witness: SeparableWitness) -> bool:

@@ -178,7 +178,7 @@ def almost_rose(n: int, k: int, l: int, relabeling: SignedRelabeling | None = No
 
 
 def whitehead_of_almost_rose(rose: AlmostRose) -> WhiteheadGraph:
-    """Closed form: ``rose.whitehead``, built once per rose and kept."""
+    """``rose.whitehead``, under the name the benchmark workloads call."""
     return rose.whitehead
 
 
@@ -195,7 +195,7 @@ def _rose_parts(g: LabeledGraph) -> tuple[int, frozenset[int]] | None:
     letter off.  They also imply what recognizing by folding checked: the
     loop and the connector are the only foldable pair, the graph is
     connected, and each vertex has valence at least 2.  One pass over the
-    edges finds the doubled letter and two more collect side one.
+    edges finds the doubled letter, and the graph's index gives side one.
     """
     n = g.rank
     if len(g.vertices) != 2 or len(g.edges) != n + 1:
@@ -214,8 +214,7 @@ def _rose_parts(g: LabeledGraph) -> tuple[int, frozenset[int]] | None:
         return None
     u = loop.origin
     c = conn.label if conn.origin == u else -conn.label
-    arriving = {e.label for e in g.edges if e.terminus == u} | {-e.label for e in g.edges if e.origin == u}
-    side_one = arriving - {c}
+    side_one = g.in_labels(u) - {c}
     return None if len(side_one) == 2 * n - 1 else (c, frozenset(side_one))
 
 
@@ -497,7 +496,7 @@ def verify_certificate(classes, cert: TamenessCertificate, rank: int | None = No
     """
     try:
         norm = normalize_classes(classes)
-        rank = class_rank(norm, cert.rank if rank is None else rank)
+        rank = _valid_rank(class_rank(norm, cert.rank if rank is None else rank))
     except ValueError:
         return False
     if cert.rank != rank or cert.classes != norm:

@@ -101,44 +101,37 @@ def components(w: WhiteheadGraph) -> list[tuple[int, ...]]:
 
 
 def cut_vertices(w: WhiteheadGraph) -> set[int]:
-    """Articulation points: removal disconnects the vertex's own component."""
+    """Articulation points: removal disconnects the vertex's own component.
+
+    Tarjan's search (SIAM J. Comput. 1, 1972), one loop over a stack of
+    ``(vertex, iter(neighbours))``.  The edge back to a parent may lower
+    ``low``; harmless, as the cut test is ``low[child] >= order[parent]``.
+    A root passes that test with every child, so it is a cut vertex when
+    it has a second child: one not numbered right after it."""
     adj = w.adjacency
     order: dict[int, int] = {}
     low: dict[int, int] = {}
     result: set[int] = set()
-    counter = 0
-
-    def visit(root: int) -> None:
-        nonlocal counter
-        stack: list[tuple[int, int | None, "list[int]"]] = [(root, None, list(adj[root]))]
-        order[root] = low[root] = counter
-        counter += 1
-        root_children = 0
+    for root in w.letters():
+        if root in order:
+            continue
+        order[root] = low[root] = len(order)
+        stack = [(root, iter(adj[root]))]
         while stack:
-            v, parent, todo = stack[-1]
-            if todo:
-                x = todo.pop()
+            v, todo = stack[-1]
+            for x in todo:
                 if x not in order:
-                    if v == root:
-                        root_children += 1
-                    order[x] = low[x] = counter
-                    counter += 1
-                    stack.append((x, v, list(adj[x])))
-                elif x != parent:
-                    low[v] = min(low[v], order[x])
+                    order[x] = low[x] = len(order)
+                    stack.append((x, iter(adj[x])))
+                    break
+                low[v] = min(low[v], order[x])
             else:
                 stack.pop()
                 if stack:
                     u = stack[-1][0]
                     low[u] = min(low[u], low[v])
-                    if u != root and low[v] >= order[u]:
+                    if low[v] >= order[u] and (u != root or order[v] > order[u] + 1):
                         result.add(u)
-        if root_children > 1:
-            result.add(root)
-
-    for v in w.letters():
-        if v not in order:
-            visit(v)
     return result
 
 

@@ -37,12 +37,6 @@ def letter_key(letter: int) -> int:
     return 2 * abs(letter) + (0 if letter > 0 else 1)
 
 
-def _letter_keys(letters: tuple[int, ...]) -> list[int]:
-    """``letter_key`` of each letter, with one call per distinct letter."""
-    key_of = {v: letter_key(v) for v in set(letters)}
-    return list(map(key_of.__getitem__, letters))
-
-
 class _LetterChars(dict):
     """Letter -> its character; a letter with no character form raises
     ``RankError``."""
@@ -69,8 +63,10 @@ def parse_letters(text: str) -> tuple[int, ...]:
 
 
 def _valid_rank(rank: int) -> int:
-    """``rank``, which must be at least 2: the one rank rule.  Every word,
-    graph and map lives over a free basis of rank n >= 2."""
+    """``rank``, which must be an int at least 2: the one rank rule.  Every
+    word, graph and map lives over a free basis of rank n >= 2."""
+    if type(rank) is not int:  # 2.0 and True are not ranks
+        raise RankError(f"rank {rank!r} has type {type(rank).__name__}, not int")
     if rank < 2:
         raise RankError(f"rank must be at least 2, got {rank}")
     return rank
@@ -140,12 +136,6 @@ class CyclicWord:
         for i in range(k):
             if self.letters[(i + 1) % k] == -self.letters[i]:
                 raise ValueError(f"not cyclically reduced at position {i}: {self.letters}")
-
-    @classmethod
-    def _rotation(cls, c: "CyclicWord", start: int) -> "CyclicWord":
-        """``c`` read from position ``start``, without the checks: every
-        rotation of a checked cyclic word is in range and cyclically reduced."""
-        return _unchecked(cls, c.letters[start:] + c.letters[:start], c.rank)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -250,7 +240,7 @@ def _least_rotation(c: CyclicWord) -> tuple[CyclicWord, list[int]]:
     """
     ls = c.letters
     k = len(ls)
-    keys = _letter_keys(ls)
+    keys = list(map(letter_key, ls))
     keys += keys
     n = 2 * k
     i = best = 0
@@ -266,7 +256,8 @@ def _least_rotation(c: CyclicWord) -> tuple[CyclicWord, list[int]]:
             i += j - p
     if best == 0:
         return c, keys[:k]
-    return CyclicWord._rotation(c, best), keys[best : best + k]
+    # unchecked: every rotation of a checked cyclic word is in range and cyclically reduced
+    return _unchecked(CyclicWord, ls[best:] + ls[:best], c.rank), keys[best : best + k]
 
 
 def conjugacy_class(w: Word) -> CyclicWord:

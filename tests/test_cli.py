@@ -757,7 +757,7 @@ COMMAND_CALLS = [
     (("cutvx", "ab"), cli, "whitehead_of_classes"),
     (("tame", "ab"), cli, "decide_tame"),
     (("fold", "--basis", "ab,b"), cli, "fold_to_completion"),
-    (("rose-wh", "3", "1", "2"), cli, "whitehead_of_almost_rose"),
+    (("rose-wh", "3", "1", "2"), cli, "almost_rose"),
     (("orbit", "2", "2"), cli, "primitive_orbit"),
     (("sep", "3", "--seed", "1"), cli, "random_separable_set"),
     (("check", "--only", "wh-closed-form-312"), acceptance.CRITERIA, "wh-closed-form-312"),

@@ -639,6 +639,24 @@ class TestEdgeChecks:
         with pytest.raises(RankError, match=f"^{re.escape(message)}$"):
             LabeledGraph(2, frozenset({0}), (Edge(1, 0, 0, label), Edge(2, 0, 0, 2)))
 
+    def test_an_edge_id_must_be_an_int(self):
+        # Edge(1.5, ...) used to build and be written as 'edge 1.5 0 0 a',
+        # which the reader refuses
+        with pytest.raises(ValueError, match=r"^edge id 1\.5 has type float, not int$"):
+            LabeledGraph(2, frozenset({0}), (Edge(1.5, 0, 0, 1), Edge(2, 0, 0, 2)))
+
+    @pytest.mark.parametrize("vertex", [0.5, True])
+    def test_a_vertex_must_be_an_int(self, vertex):
+        message = f"vertex {vertex!r} has type {type(vertex).__name__}, not int"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LabeledGraph(2, frozenset({vertex}), ())
+
+    @pytest.mark.parametrize("ends", [(0.0, 0), (0, 0.0)])
+    def test_an_endpoint_must_be_an_int(self, ends):
+        # 0.0 in {0} is True, so the vertex test alone lets it through
+        with pytest.raises(ValueError, match=r"^edge 1 endpoint 0\.0 has type float, not int$"):
+            LabeledGraph(2, frozenset({0}), (Edge(1, *ends, 1), Edge(2, 0, 0, 2)))
+
     def test_basepoint_outside_the_vertices_rejected(self):
         with pytest.raises(ValueError, match="basepoint 1 not a vertex"):
             rf.BasedGraph(rf.rose(2), 1)
@@ -651,6 +669,10 @@ class TestEdgeChecks:
 class TestTextFormats:
     def test_round_trip(self):
         g = rf.wedge_of_words((word("ab"), word("b")), 2).graph
+        assert rf.parse_graph_text(rf.graph_to_text(g)) == g
+
+    @given(st.sampled_from((2, 3, 4)).flatmap(lambda rank: graph_st(rank)))
+    def test_every_graph_round_trips(self, g):
         assert rf.parse_graph_text(rf.graph_to_text(g)) == g
 
     def test_uppercase_label_normalizes(self):

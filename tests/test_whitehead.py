@@ -172,6 +172,19 @@ class TestCutVertices:
         w = WhiteheadGraph(rank, frozenset(edges))
         assert rf.cut_vertices(w) == brute_cut_vertices(w)
 
+    @pytest.mark.parametrize("rank, max_edges", [(2, 6), (3, 6)], ids=["rank-2-all", "rank-3-up-to-6-edges"])
+    def test_agrees_with_brute_force_on_every_small_graph(self, rank, max_edges):
+        # 64 graphs at rank 2, and 9,949 of the 32,768 at rank 3
+        letters = [v for i in range(1, rank + 1) for v in (i, -i)]
+        pairs = [frozenset(p) for p in itertools.combinations(letters, 2)]
+        checked = 0
+        for k in range(max_edges + 1):
+            for edges in itertools.combinations(pairs, k):
+                w = WhiteheadGraph(rank, frozenset(edges))
+                assert rf.cut_vertices(w) == brute_cut_vertices(w), sorted(map(sorted, edges))
+                checked += 1
+        assert checked == {2: 64, 3: 9949}[rank]
+
 
 class TestIsSubgraph:
     def test_everything_fits_the_rose(self):

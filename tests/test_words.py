@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 import string
@@ -183,12 +184,13 @@ class TestCanonicalRotation:
     @given(st.sampled_from((2, 3)).flatmap(lambda rank: rotated_power_st(rank)), st.integers(0, 40))
     def test_unchecked_rotation_equals_a_checked_one(self, c, shift):
         start = shift % len(c)
-        checked = rf.CyclicWord(c.letters[start:] + c.letters[:start], c.rank)
-        fast = rf.CyclicWord._rotation(c, start)
-        assert type(fast) is rf.CyclicWord
-        assert fast == checked and hash(fast) == hash(checked) and str(fast) == str(checked)
-        canonical = rf.canonical_rotation(c)
-        assert canonical == rf.CyclicWord(canonical.letters, c.rank)
+        rotated = rf.CyclicWord(c.letters[start:] + c.letters[:start], c.rank)
+        # canonical_rotation builds its rotation unchecked
+        for fast in (rf.canonical_rotation(c), rf.canonical_rotation(rotated)):
+            checked = rf.CyclicWord(fast.letters, c.rank)
+            assert type(fast) is rf.CyclicWord
+            assert fast == checked and hash(fast) == hash(checked) and str(fast) == str(checked)
+        assert rf.canonical_rotation(c) == rf.canonical_rotation(rotated)
 
     def test_rotation_skips_the_letter_checks(self, monkeypatch):
         c = rf.CyclicWord(rf.parse_letters("bcAbcaa"), 3)
@@ -364,6 +366,32 @@ class TestLetterChecks:
         message = f"letter {letter!r} has type {type(letter).__name__}, not int"
         with pytest.raises(RankError, match=f"^{re.escape(message)}$"):
             cls((letter, 2), 2)
+
+    @pytest.mark.parametrize("rank", [2.0, 2.5, True])
+    def test_a_rank_must_be_an_int(self, rank):
+        # CyclicWord((1, 2), 2.5) and CyclicWord((1, 2), 2.0) used to build,
+        # and decide_tame on either died with a bare TypeError
+        message = f"rank {rank!r} has type {type(rank).__name__}, not int"
+        match = f"^{re.escape(message)}$"
+        builders = [
+            lambda: rf.Word((1,), rank),
+            lambda: rf.CyclicWord((1,), rank),
+            lambda: rf.LabeledGraph(rank, frozenset({0}), ()),
+            lambda: rf.WhiteheadGraph(rank, frozenset()),
+            lambda: rf.AlmostRose(rank, 1, frozenset({-1})),
+            lambda: rf.EndomorphismSpec(rank, ()),
+            lambda: rf.decide_tame([], rank=rank),
+        ]
+        for build in builders:
+            with pytest.raises(RankError, match=match):
+                build()
+        classes = [rf.CyclicWord((1, 2), 2)]
+        with pytest.raises(RankError):  # either the type or "mixed ranks"
+            rf.decide_tame(classes, rank=rank)
+        cert = rf.decide_tame(classes, 2)
+        assert rf.verify_certificate(classes, cert, 2)
+        assert not rf.verify_certificate(classes, cert, rank)
+        assert not rf.verify_certificate(classes, dataclasses.replace(cert, rank=rank))
 
     def test_tame_checks_each_input_letter_once(self, monkeypatch, capsys):
         # the 40 tame-long benchmark inputs of seed 5: 9,294 letters, which
