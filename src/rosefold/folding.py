@@ -8,23 +8,28 @@ image is independent of the fold order up to label isomorphism, which the
 test suite checks by re-running with randomized pair choices.
 
 ``fold_to_completion`` keeps one fold state for the whole run, built in
-one pass over the edges: a union-find over the vertices, and per vertex
-class a heap of outgoing directed edges per label, merged smaller into
-larger, with a heap of the vertices that have a label collision.  Its
-default pick is the lowest vertex with a collision; there, the label
-whose second outgoing edge comes first in ``out_edges`` order, and that
-label's first two edges.  One pick costs one heap pop and one push per
-label with two or more edges at that vertex (at most 2·rank labels),
-after dropping the folded-away edges just under the live top.  One fold
-costs three union-find lookups and, when the termini differ, pushing the
-smaller class's edges into the larger's heaps; each edge moves O(log E)
-times, so a run is near-linear in the number E of edge pairs.  A run builds
-only the penultimate and final graphs with ``_replay``, which builds the
-graph after some steps from the merges they record: the penultimate
-graph from the start and all steps but the last, and the final graph
-from the penultimate and the last step.  ``FoldSequence.snapshots``
-replays every prefix from the start, at O(E · folds); only ``--dot``
-and the tests use it.
+one pass over the edge rows: a union-find over the vertices, and per
+vertex class a heap of outgoing directed edges per label, merged smaller
+into larger, with a heap of the vertices that have a label collision.
+One loop, ``_FoldState.steps``, picks and folds, for the default pick and
+for a ``pick`` callable alike.  The default pick is the lowest vertex
+with a collision; there, the label whose second outgoing edge comes
+first in ``out_edges`` order, and that label's first two edges.  A pick
+reads each label's second edge as the lesser child of its heap's top:
+O(1) per label with two or more edges at that vertex (at most 2·rank
+labels), and a pop and a push only when a folded-away edge sits there.
+One fold costs at most three union-find lookups (none for a vertex that
+is its own class), O(log E) to take the dropped edge out of the heaps it
+tops, and, when the termini differ, pushing the smaller class's edges
+into the larger's heaps; each edge moves O(log E) times, so a run is
+near-linear in the number E of edge pairs.
+
+A run builds only the penultimate and final graphs with ``_replay``,
+which builds the graph after some steps from the merges they record:
+the penultimate graph from the start and all steps but the last, and
+the final graph from the penultimate and the last step.
+``FoldSequence.snapshots`` replays every prefix from the start, at
+O(E · folds); only ``--dot`` and the tests use it.
 
 ``fold_report_lines`` reads its Betti trace off the step log, starting
 from the final graph: a fold never joins two components, so the start's
@@ -38,7 +43,7 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .graphs import (
     BasedGraph,
@@ -105,54 +110,50 @@ class _FoldState:
     ``2·|d| + (d < 0)``, which sorts in ``out_edges`` order: by edge id,
     the stored orientation first.  Each class maps a label to a heap of
     the keys of its outgoing directed edges with that label; when two
-    classes merge, the smaller heaps are pushed into the larger.  A
-    folded-away edge pair is only marked dead, and its keys are dropped
-    when they come next after a heap's top, which is never dead: a fold
-    keeps the smaller id of its pair, whose key at each end is smaller
-    and in the same heap, and heaps only merge.  ``todo`` is a heap of
-    vertices that may have a label collision: every class that gained
-    one since it was last found to have none.
+    classes merge, the smaller heaps are pushed into the larger.  ``todo``
+    is a heap of vertices that may have a label collision: every class
+    that gained one since it was last found to have none.
+
+    A fold keeps the smaller edge id of its pair and marks the larger
+    dead.  The dropped edge's keys leave their heaps at once where they
+    are cheap to reach: at the origin after a default pick, where it is
+    the least key under the top, and at its terminus when it is the top.
+    Any other dead key stays until it comes next after a heap's top,
+    which is never dead: the kept edge's key at each end is smaller and
+    in the same heap, and, should that key be dropped in turn, its own
+    keeper's is, as heaps only merge.
+
+    ``steps`` is the one fold loop.  A pick reads a heap's second key as
+    the lesser child of its top, in O(1); only when that key is dead does
+    it pop the top, drop the dead keys under it and push the top back.
+    So a default pick costs O(1) per label with two or more keys at the
+    vertex (at most 2·rank labels), plus O(log E) per dead key it drops.
     """
 
     def __init__(self, g: LabeledGraph) -> None:
         self.edges = g.edge_map()
-        self.parent = {v: v for v in g.vertices}
-        self.out: dict[int, dict[int, list[int]]] = {v: {} for v in g.vertices}
+        self.parent = dict(zip(g.vertices, g.vertices))
+        out: dict[int, dict[int, list[int]]] = {v: {} for v in g.vertices}
         collide = set()
         # One pass over the edges, which are sorted by id: keys reach each
         # label list in increasing order, so every list is already a heap.
-        for e in g.edges:
-            for v, label, k in ((e.origin, e.label, 2 * e.eid), (e.terminus, -e.label, 2 * e.eid + 1)):
-                h = self.out[v].setdefault(label, [])
-                h.append(k)
-                if len(h) > 1:
-                    collide.add(v)
+        for eid, o, t, x in g.edges:
+            k = eid + eid
+            at = out[o]
+            if x in at:
+                at[x].append(k)
+                collide.add(o)
+            else:
+                at[x] = [k]
+            at = out[t]
+            if -x in at:
+                at[-x].append(k + 1)
+                collide.add(t)
+            else:
+                at[-x] = [k + 1]
+        self.out = out
         self.dead: set[int] = set()
         self.todo = sorted(collide)
-
-    def first_pair(self) -> tuple[int, int] | None:
-        """The default pick in the current graph: at the lowest vertex with
-        a collision, the first two entries of the label whose second entry
-        comes first."""
-        todo, parent, out, dead = self.todo, self.parent, self.out, self.dead
-        pop, push = heapq.heappop, heapq.heappush
-        while todo:
-            v = todo[0]
-            if parent[v] == v:
-                best = second = None
-                for h in out[v].values():
-                    if len(h) < 2:
-                        continue
-                    first = pop(h)  # never dead; see the class docstring
-                    while h and h[0] >> 1 in dead:
-                        pop(h)
-                    if h and (second is None or h[0] < second):
-                        best, second = first, h[0]
-                    push(h, first)
-                if best is not None:
-                    return _directed(best), _directed(second)
-            pop(todo)
-        return None
 
     def pairs(self) -> list[tuple[int, int]]:
         """All foldable pairs of the current graph: by vertex, then by the
@@ -167,58 +168,116 @@ class _FoldState:
             keys += sorted(at_v)
         return [(_directed(a), _directed(b)) for a, b in keys]
 
-    def fold(self, d1: int, d2: int) -> FoldStep:
-        """Fold a foldable pair: mark the larger edge id dead and merge the
-        termini's classes."""
-        parent, edges = self.parent, self.edges
-        e1, e2 = abs(d1), abs(d2)
-        if d1 > 0:
-            _, o, t1, label = edges[e1]
-        else:
-            _, t1, o, label = edges[e1]
-            label = -label
-        t2 = edges[e2].terminus if d2 > 0 else edges[e2].origin
-        o, t1, t2 = _find(parent, o), _find(parent, t1), _find(parent, t2)
-        keep_e, drop_e = (e1, e2) if e1 < e2 else (e2, e1)
-        self.dead.add(drop_e)
-        if t1 == t2:
-            return FoldStep(d1, d2, o, label, None, (keep_e, drop_e), True)
-        kept, removed = identified = (t1, t2) if t1 < t2 else (t2, t1)
-        parent[removed] = kept
-        into, other = self.out.pop(kept), self.out.pop(removed)
-        if len(into) < len(other):
-            into, other = other, into
-        for lab, h in other.items():
-            big = into.setdefault(lab, h)
-            if big is not h:
-                if len(big) < len(h):
-                    big, h = h, big
-                for k in h:
-                    heapq.heappush(big, k)
-                into[lab] = big
-        self.out[kept] = into
-        heapq.heappush(self.todo, kept)
-        return FoldStep(d1, d2, o, label, identified, (keep_e, drop_e), False)
+    def steps(
+        self, pick: Callable[[list[tuple[int, int]]], tuple[int, int]] | None = None
+    ) -> Iterator[FoldStep]:
+        """Fold until no foldable pair is left, yielding each step.
+
+        Without ``pick``, each fold is the default pick: at the lowest
+        vertex with a collision, the top two keys of the label whose second
+        key is least.  A ``pick`` receives ``pairs()`` and returns one of
+        them.  A fold marks the larger edge id of its pair dead and merges
+        the termini's classes."""
+        edges, parent, out, dead, todo = self.edges, self.parent, self.out, self.dead, self.todo
+        pop, push, replace, new = heapq.heappop, heapq.heappush, heapq.heapreplace, tuple.__new__
+        while True:
+            if pick is None:
+                while todo:
+                    o = todo[0]
+                    if parent[o] == o:
+                        k2 = None
+                        for h in out[o].values():
+                            n = len(h)
+                            if n < 2:
+                                continue
+                            s = h[1] if n == 2 or h[1] < h[2] else h[2]
+                            if s >> 1 in dead:
+                                top = pop(h)  # never dead; see the class docstring
+                                while h and h[0] >> 1 in dead:
+                                    pop(h)
+                                s = h[0] if h else None
+                                push(h, top)
+                                if s is None:
+                                    continue
+                            if k2 is None or s < k2:
+                                k1, k2, at = h[0], s, h
+                        if k2 is not None:
+                            # k2 is the least key under the top k1, so it
+                            # leaves the heap at once
+                            pop(at)
+                            replace(at, k1)
+                            break
+                    pop(todo)
+                else:
+                    return
+            else:
+                pairs = self.pairs()
+                if not pairs:
+                    return
+                pair = pick(pairs)
+                if pair not in pairs:
+                    raise NotFoldableError(f"pick returned {pair!r}, not a foldable pair")
+                k1, k2 = (2 * abs(d) + (d < 0) for d in pair)
+                o = edges[k1 >> 1][1 + (k1 & 1)]
+                if parent[o] != o:
+                    o = _find(parent, o)
+            # A listed pair's first key is the lesser, so e1 < e2 and e1 is kept.
+            e1, e2 = k1 >> 1, k2 >> 1
+            _, o1, t1, label = edges[e1]
+            if k1 & 1:
+                t1, label = o1, -label
+            t2 = edges[e2][2 - (k2 & 1)]
+            if parent[t1] != t1:
+                t1 = _find(parent, t1)
+            if parent[t2] != t2:
+                t2 = _find(parent, t2)
+            d1, d2 = -e1 if k1 & 1 else e1, -e2 if k2 & 1 else e2
+            dead.add(e2)
+            if t1 == t2:
+                yield new(FoldStep, (d1, d2, o, label, None, (e1, e2), True))
+                continue
+            at = out[t2]
+            h = at[-label]
+            if h[0] == k2 ^ 1:  # the dropped edge's key at t2 leaves at once
+                if len(h) == 1:
+                    del at[-label]
+                else:
+                    pop(h)
+            kept, removed = identified = (t1, t2) if t1 < t2 else (t2, t1)
+            parent[removed] = kept
+            into, other = out.pop(kept), out.pop(removed)
+            if len(into) < len(other):
+                into, other = other, into
+            for lab, h in other.items():
+                big = into.setdefault(lab, h)
+                if big is not h:
+                    if len(big) < len(h):
+                        big, h = h, big
+                    for k in h:
+                        push(big, k)
+                    into[lab] = big
+            out[kept] = into
+            push(todo, kept)
+            yield new(FoldStep, (d1, d2, o, label, identified, (e1, e2), False))
 
 
 def _replay(g: LabeledGraph, steps) -> LabeledGraph:
     """The graph after ``steps``, built once from the merges they record."""
     if not steps:
         return g
-    parent = {v: v for v in g.vertices}
-    for step in steps:
-        if step.identified_vertices is not None:
-            kept, removed = step.identified_vertices
-            parent[removed] = kept
+    # Read backwards, a removed vertex's keeper is already mapped to its
+    # root: a vertex is kept only while it is a root, and removed at most once.
+    root = {v: v for v in g.vertices}
+    for step in reversed(steps):
+        if (identified := step.identified_vertices) is not None:
+            kept, removed = identified
+            root[removed] = root[kept]
     dropped = {step.identified_edges[1] for step in steps}
+    new = tuple.__new__
     return LabeledGraph(
         g.rank,
-        frozenset(v for v in g.vertices if parent[v] == v),
-        tuple(
-            Edge(e.eid, _find(parent, e.origin), _find(parent, e.terminus), e.label)
-            for e in g.edges
-            if e.eid not in dropped
-        ),
+        frozenset(v for v, r in root.items() if v == r),
+        tuple(new(Edge, (eid, root[o], root[t], x)) for eid, o, t, x in g.edges if eid not in dropped),
     )
 
 
@@ -229,23 +288,13 @@ def fold_to_completion(
     """Fold until no foldable pair remains; terminates since each fold
     removes an edge pair.
 
-    Without ``pick``, each fold is the default pick (see the module
-    docstring), found in O(rank · log E) from one fold state, so the run is near-linear in
-    the number of edge pairs.  A ``pick`` receives the current
-    ``foldable_pairs``, in that order, and returns one of them; listing
-    them costs O(E log E) per fold."""
-    state = _FoldState(g)
-    fold = state.fold
-    steps: list[FoldStep] = []
-    if pick is None:
-        while (pair := state.first_pair()) is not None:
-            steps.append(fold(*pair))
-    else:
-        while pairs := state.pairs():
-            pair = pick(pairs)
-            if pair not in pairs:
-                raise NotFoldableError(f"pick returned {pair!r}, not a foldable pair")
-            steps.append(fold(*pair))
+    Both kinds of pick run in the one loop ``_FoldState.steps``.  Without
+    ``pick``, each fold is the default pick (see the module docstring),
+    found from the fold state in O(rank) plus O(log E) per dead key
+    dropped, so the run is near-linear in the number of edge pairs.  A
+    ``pick`` receives the current ``foldable_pairs``, in that order, and
+    returns one of them; listing them costs O(E log E) per fold."""
+    steps = list(_FoldState(g).steps(pick))
     # The last step's vertices are roots, and its dropped edge an edge, of
     # the penultimate graph, so replaying that one step on it gives the final.
     penultimate = _replay(g, steps[:-1]) if steps else None

@@ -18,6 +18,17 @@ visit vertices, and ``id_by_ends`` (``(origin, terminus, label)`` -> the
 least edge id with those ends), read only by the morphism search.  A
 graph that is only folded or printed never builds them.
 
+A graph checks its rows while it indexes them, in the same pass.  Each
+row that is exactly an ``Edge`` is unpacked once and passes one combined
+test: id, ends and label exact ints, id and label positive, label at
+most the rank, both ends vertices, and an id not seen before.  A row
+that fails it, or is not exactly an ``Edge``, goes through
+``_check_edge``, which names the first rule broken, so every refusal
+keeps its class and message; a plain tuple has no ``eid`` and is refused
+as it always was.  The builders on the fold path make their rows with
+``tuple.__new__(Edge, row)``, skipping the NamedTuple's Python-level
+``__new__``.
+
 A graph reads a class when the class's circuit maps into it.  There is no
 path search here: into an almost-rose the map is ``tameness.induced_morphism``,
 and into any graph ``oracles.brute_force_morphism`` decides it.
@@ -26,6 +37,7 @@ and into any graph ``oracles.brute_force_morphism`` decides it.
 from __future__ import annotations
 
 import functools
+import operator
 from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -61,16 +73,24 @@ class Edge(NamedTuple):
     label: int  # always positive
 
 
+# ``_new_row(Edge, row)`` makes the row an ``Edge`` without the
+# NamedTuple's Python-level ``__new__``.
+_new_row = tuple.__new__
+_eid = operator.attrgetter("eid")  # a plain tuple fails here, as it always has
+
+
 def oriented_edge(eid: int, origin: int, terminus: int, label: int) -> Edge:
     """Build an edge from either orientation, normalizing to a positive label."""
     if label > 0:
-        return Edge(eid, origin, terminus, label)
-    return Edge(eid, terminus, origin, -label)
+        return _new_row(Edge, (eid, origin, terminus, label))
+    return _new_row(Edge, (eid, terminus, origin, -label))
 
 
-def _check_edge(e: Edge, vertices: Collection[int], rank: int) -> None:
-    """The rules a stored edge keeps, apart from a distinct id: ``LabeledGraph``
-    checks each edge with them, and the graph reader each edge line."""
+def _check_edge(e: Edge, vertices: Collection[int], rank: int) -> tuple[int, int, int, int]:
+    """The rules a stored edge keeps, apart from a distinct id: the graph
+    reader checks each edge line with them, and ``LabeledGraph`` each row
+    that fails its one combined test or is not exactly an ``Edge``.
+    Returns the row's fields."""
     if type(e.eid) is not int:
         raise ValueError(f"edge id {e.eid!r} has type {type(e.eid).__name__}, not int")
     if e.eid <= 0:
@@ -86,6 +106,7 @@ def _check_edge(e: Edge, vertices: Collection[int], rank: int) -> None:
         raise ValueError(f"edge {e.eid} endpoint outside vertex set")
     if e.label > rank:
         raise RankError(f"edge {e.eid} label {e.label} exceeds rank {rank}")
+    return e.eid, e.origin, e.terminus, e.label
 
 
 @dataclass(frozen=True)
@@ -98,19 +119,32 @@ class LabeledGraph:
     _out: dict[int, list[tuple[int, int, int]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _valid_rank(self.rank)
+        rank = self.rank
+        _valid_rank(rank)
         if bad := [v for v in self.vertices if type(v) is not int]:
             raise ValueError(f"vertex {bad[0]!r} has type {type(bad[0]).__name__}, not int")
-        object.__setattr__(self, "edges", tuple(sorted(self.edges, key=lambda e: e.eid)))
+        edges = tuple(sorted(self.edges, key=_eid))
         by_id: dict[int, Edge] = {}
         out: dict[int, list[tuple[int, int, int]]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            _check_edge(e, out, self.rank)
-            if e.eid in by_id:
-                raise ValueError(f"duplicate edge id {e.eid}")
-            by_id[e.eid] = e
-            out[e.origin].append((e.eid, e.label, e.terminus))
-            out[e.terminus].append((-e.eid, -e.label, e.origin))
+        for e in edges:
+            eid, o, t, x = e if type(e) is Edge else _check_edge(e, out, rank)
+            # _check_edge's rules and a distinct id, in one test; a row that
+            # fails it goes through _check_edge for the error, and one that
+            # passes _check_edge repeats an id
+            if not (
+                type(eid) is type(o) is type(t) is type(x) is int  # 0.0 in {0} is True
+                and 0 < eid
+                and 0 < x <= rank
+                and o in out
+                and t in out
+                and eid not in by_id
+            ):
+                _check_edge(e, out, rank)
+                raise ValueError(f"duplicate edge id {eid}")
+            by_id[eid] = e
+            out[o].append((eid, x, t))
+            out[t].append((-eid, -x, o))
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_out", out)
 
@@ -179,6 +213,9 @@ class BasedGraph:
     basepoint: int
 
     def __post_init__(self) -> None:
+        if type(self.basepoint) is not int:  # 0.0 and True are in {0, 1}
+            b = self.basepoint
+            raise ValueError(f"basepoint {b!r} has type {type(b).__name__}, not int")
         if self.basepoint not in self.graph.vertices:
             raise ValueError(f"basepoint {self.basepoint} not a vertex")
 
@@ -237,19 +274,20 @@ def wedge_of_words(ws: tuple[Word, ...], rank: int) -> BasedGraph:
     for w in ws:
         if len(w) == 0 or not is_reduced(w):
             raise ValueError(f"wedge words must be reduced and nonempty: {w!s}")
-    vertices = {0}
     edges: list[Edge] = []
     next_v = 1
-    next_e = 1
     for w in ws:
-        k = len(w)
-        stops = [0] + list(range(next_v, next_v + k - 1)) + [0]
+        # the word's k letters run through the basepoint, then k - 1 new
+        # vertices, and back to the basepoint
+        k, first = len(w), len(edges) + 1
+        stops = [0, *range(next_v, next_v + k - 1), 0]
         next_v += k - 1
-        vertices.update(stops)
-        for i in range(k):
-            edges.append(oriented_edge(next_e, stops[i], stops[i + 1], w.letters[i]))
-            next_e += 1
-    return BasedGraph(LabeledGraph(rank, frozenset(vertices), tuple(edges)), 0)
+        edges += [
+            _new_row(Edge, (first + i, stops[i], stops[i + 1], x) if x > 0
+                     else (first + i, stops[i + 1], stops[i], -x))
+            for i, x in enumerate(w.letters)
+        ]
+    return BasedGraph(LabeledGraph(rank, frozenset(range(next_v)), tuple(edges)), 0)
 
 
 # -- basic invariants ------------------------------------------------------

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import random
 
@@ -80,14 +81,20 @@ def fold_graph_st(draw, rank=3, max_vertices=7, max_edge_pairs=14):
     return LabeledGraph(rank, frozenset(range(n)), tuple(edges))
 
 
-def transvection_wedge(rank, letters, seed):
-    """The wedge of a positive basis grown by transvections x_i -> x_i x_j
-    or x_j x_i until it has at least ``letters`` letters."""
+def transvection_basis(rank, letters, seed):
+    """A positive basis grown by transvections x_i -> x_i x_j or x_j x_i
+    until it has at least ``letters`` letters, as lists of letters."""
     rng = random.Random(seed)
     basis = [[i] for i in range(1, rank + 1)]
     while sum(map(len, basis)) < letters:
         i, j = rng.sample(range(rank), 2)
         basis[i] = basis[i] + basis[j] if rng.random() < 0.5 else basis[j] + basis[i]
+    return basis
+
+
+def transvection_wedge(rank, letters, seed):
+    """The wedge of ``transvection_basis(rank, letters, seed)``."""
+    basis = transvection_basis(rank, letters, seed)
     return rf.wedge_of_words(tuple(rf.Word(tuple(w), rank) for w in basis), rank).graph
 
 
@@ -137,21 +144,66 @@ def heap_tops_live(state):
     return all(h[0] >> 1 not in state.dead for by_label in state.out.values() for h in by_label.values() if h)
 
 
+class TopsCheckedOnFold(set):
+    """A fold state's dead set that checks every heap top when an edge id
+    joins it: in ``_FoldState.steps`` that is right after a pick, before
+    the fold merges anything."""
+
+    def __init__(self, state):
+        super().__init__()
+        self.state = state
+        self.checks = 0
+
+    def add(self, eid):
+        assert heap_tops_live(self.state)
+        self.checks += 1
+        super().add(eid)
+
+
 def assert_heap_tops_stay_live(g, pick=None):
-    # ``first_pair`` pops each heap's top without a check: checked after
-    # every fold, and after every pick, which drops dead keys under the top
+    # A pick reads each heap's second key without a look at its top, and a
+    # fold takes keys out at once: checked after every pick, when its fold
+    # marks an edge dead, after every fold, when the loop yields its step,
+    # and after the last pick, which finds no pair
     state = _FoldState(g)
-    while True:
-        if pick is None:
-            pair = state.first_pair()
-        else:
-            pairs = state.pairs()
-            pair = pick(pairs) if pairs else None
+    state.dead = TopsCheckedOnFold(state)
+    folds = 0
+    for _ in state.steps(pick):
+        folds += 1
         assert heap_tops_live(state)
-        if pair is None:
-            return
-        state.fold(*pair)
-        assert heap_tops_live(state)
+    assert heap_tops_live(state)
+    assert state.dead.checks == folds == len(state.dead)
+
+
+def picks_by_branch(g):
+    """The steps of the default loop on ``g``, and how many of its picks
+    read only live second keys and how many popped a dead one first.
+
+    ``heapq.heappop`` is wrapped while the loop runs.  A fold pops the
+    dropped edge's key at its terminus after marking it dead, so a dead
+    key popped between two steps belongs to a pick unless it is a key of
+    the edge the second step drops."""
+    state = _FoldState(g)
+    real_pop = heapq.heappop
+    dead_popped = []
+
+    def pop(h):
+        k = real_pop(h)
+        if h is not state.todo and k >> 1 in state.dead:
+            dead_popped.append(k >> 1)
+        return k
+
+    steps, live, dead = [], 0, 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(heapq, "heappop", pop)
+        for step in state.steps():
+            if any(e != step.identified_edges[1] for e in dead_popped):
+                dead += 1
+            else:
+                live += 1
+            dead_popped.clear()
+            steps.append(step)
+    return tuple(steps), live, dead
 
 
 class TestFoldState:
@@ -172,6 +224,27 @@ class TestFoldState:
         g = wedge(basis + [basis[0] + basis[1]], 3)
         assert any(step.betti_dropped for step in rf.fold_to_completion(g).steps)
         assert_heap_tops_stay_live(g)
+
+    def test_one_loop_agrees_with_the_reference_at_scale(self):
+        # seeded positive bases of 100-220 letters, as in the fold-large
+        # benchmark, and one with the product of its first two words
+        # wedged in; the reference folds a whole graph per step
+        wedges = [
+            (transvection_wedge(rank, letters, seed), False)
+            for rank, letters, seed in [(3, 100, 0), (4, 130, 1), (3, 160, 2), (4, 190, 0), (3, 220, 1)]
+        ]
+        basis = transvection_basis(3, 150, seed=2)
+        words = tuple(rf.Word(tuple(w), 3) for w in basis + [basis[0] + basis[1]])
+        wedges.append((rf.wedge_of_words(words, 3).graph, True))
+        live = dead = 0
+        for g, drops in wedges:
+            steps, n_live, n_dead = picks_by_branch(g)
+            assert steps == reference_fold(g)[0]
+            assert any(s.betti_dropped for s in steps) == drops
+            assert n_live + n_dead == len(steps) > 90
+            live, dead = live + n_live, dead + n_dead
+        # both ways of reading a heap's second key ran
+        assert live > 0 and dead > 0
 
 
 class TestFoldScale:

@@ -661,6 +661,74 @@ class TestEdgeChecks:
         with pytest.raises(ValueError, match="basepoint 1 not a vertex"):
             rf.BasedGraph(rf.rose(2), 1)
 
+    @pytest.mark.parametrize("basepoint", [0.0, True, False, 1.0, "0", None])
+    def test_a_basepoint_must_be_an_int(self, basepoint):
+        # 0.0 in {0} and True in {0, 1} are True, so the vertex test alone
+        # let BasedGraph(rose(2), 0.0) build
+        g = LabeledGraph(2, frozenset({0, 1}), (Edge(1, 0, 1, 1), Edge(2, 1, 0, 2)))
+        message = f"basepoint {basepoint!r} has type {type(basepoint).__name__}, not int"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            rf.BasedGraph(g, basepoint)
+        assert rf.BasedGraph(g, 1).basepoint == 1
+
+    @pytest.mark.parametrize("at", [0, 25, 49], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            # each bad row replaces the edge with id at + 1 of fifty good ones
+            pytest.param(lambda i: Edge(i - 0.5, 0, 1, 1), ValueError,
+                         "edge id {i_half!r} has type float, not int", id="float-id"),
+            pytest.param(lambda i: Edge(True, 0, 1, 1), ValueError,
+                         "edge id True has type bool, not int", id="bool-id"),
+            pytest.param(lambda i: Edge(0, 0, 1, 1), ValueError,
+                         "edge id must be positive, got 0", id="zero-id"),
+            pytest.param(lambda i: Edge(-3, 0, 1, 1), ValueError,
+                         "edge id must be positive, got -3", id="negative-id"),
+            pytest.param(lambda i: Edge(i, 0, 1, 1.0), RankError,
+                         "edge {i} label 1.0 has type float, not int", id="float-label"),
+            pytest.param(lambda i: Edge(i, 0, 1, True), RankError,
+                         "edge {i} label True has type bool, not int", id="bool-label"),
+            pytest.param(lambda i: Edge(i, 0, 1, 0), ValueError,
+                         "stored edge label must be positive, got 0", id="zero-label"),
+            pytest.param(lambda i: Edge(i, 0, 1, -2), ValueError,
+                         "stored edge label must be positive, got -2", id="negative-label"),
+            pytest.param(lambda i: Edge(i, 0.0, 1, 1), ValueError,
+                         "edge {i} endpoint 0.0 has type float, not int", id="float-origin"),
+            pytest.param(lambda i: Edge(i, 1, 0.0, 1), ValueError,
+                         "edge {i} endpoint 0.0 has type float, not int", id="float-terminus"),
+            pytest.param(lambda i: Edge(i, True, 0, 1), ValueError,
+                         "edge {i} endpoint True has type bool, not int", id="bool-origin"),
+            pytest.param(lambda i: Edge(i, 7, 1, 1), ValueError,
+                         "edge {i} endpoint outside vertex set", id="origin-outside"),
+            pytest.param(lambda i: Edge(i, 1, -1, 2), ValueError,
+                         "edge {i} endpoint outside vertex set", id="terminus-outside"),
+            pytest.param(lambda i: Edge(i, 0, 1, 3), RankError,
+                         "edge {i} label 3 exceeds rank 2", id="label-above-rank"),
+            pytest.param(lambda i: Edge(i % 50 + 1, 0, 1, 1), ValueError,
+                         "duplicate edge id {i_next}", id="duplicate-id"),
+            pytest.param(lambda i: (i, 0, 1, 1), AttributeError,
+                         "'tuple' object has no attribute 'eid'", id="plain-tuple"),
+            # several faults in one row: the first rule broken is named
+            pytest.param(lambda i: Edge(i, 0.0, 7, 3), ValueError,
+                         "edge {i} endpoint 0.0 has type float, not int", id="float-end-outside-above-rank"),
+            pytest.param(lambda i: Edge(0, 7, 7, 0), ValueError,
+                         "edge id must be positive, got 0", id="zero-id-zero-label-outside"),
+            pytest.param(lambda i: Edge(i, 7, 0.0, -1), ValueError,
+                         "stored edge label must be positive, got -1", id="negative-label-float-end"),
+        ],
+    )
+    def test_a_bad_row_among_fifty_is_refused_as_before(self, at, bad, error, message):
+        # the one combined test refuses exactly the rows _check_edge refuses,
+        # with its class and message, wherever the bad row sits
+        good = [Edge(i, i % 3, (i + 1) % 3, 1 + i % 2) for i in range(1, 51)]
+        i = at + 1
+        good[at] = bad(i)
+        message = message.format(i=i, i_half=i - 0.5, i_next=i % 50 + 1)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            LabeledGraph(2, frozenset({0, 1, 2}), tuple(good))
+        # the same fifty rows with the bad one left out build
+        assert len(LabeledGraph(2, frozenset({0, 1, 2}), tuple(good[:at] + good[at + 1:])).edges) == 49
+
     def test_an_edge_is_its_row(self):
         e = Edge(3, 0, 1, 2)
         assert e == (3, 0, 1, 2) and e._replace(label=1) == Edge(3, 0, 1, 1)
